@@ -1,15 +1,15 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
 # cython: language_level=3
-"""Compiled kernels: group-algebra convolution DP and tuple enumeration.
+"""Compiled tuple enumeration.
 
-Same contracts as reflfact._kernels_pure; counts are C int64, so the
-caller must (and does) guarantee that the number of tuples fits.  The
-hot loops run without the GIL, which lets the enumeration slices in
-reflfact.counting use real thread parallelism.
+Same contract as reflfact._kernels_pure.enum_bucketed; counts are C
+int64, so the caller must (and does) guarantee that the number of tuples
+fits.  The hot loop runs without the GIL, which lets the enumeration
+slices in reflfact.counting use real thread parallelism.  The DP has no
+compiled counterpart: it runs over conjugacy classes in pure Python.
 """
 
 from libc.stdlib cimport calloc, free, malloc
-from libc.string cimport memset
 
 BACKEND_NAME = "compiled"
 
@@ -34,33 +34,6 @@ cdef long long _encode(Ctx* ctx, int* perm0, int* exps) noexcept nogil:
     for i in range(n - 2, -1, -1):
         x = x * ctx.r + exps[i]
     return rank * ctx.exp_block + x * ctx.q + exps[n - 1] / ctx.s
-
-
-cdef void _decode(Ctx* ctx, long long index, int* perm0, int* exps) noexcept nogil:
-    cdef long long pr = index / ctx.exp_block
-    cdef long long er = index % ctx.exp_block
-    cdef long long c = er % ctx.q
-    cdef int digits[MAXN]
-    cdef int pool[MAXN]
-    cdef int i, j, d, npool, total = 0
-    er = er / ctx.q
-    for i in range(ctx.n - 1):
-        exps[i] = <int>(er % ctx.r)
-        er = er / ctx.r
-        total += exps[i]
-    exps[ctx.n - 1] = <int>c * ctx.s + (ctx.s - total % ctx.s) % ctx.s
-    for i in range(1, ctx.n + 1):
-        digits[i - 1] = <int>(pr % i)
-        pr = pr / i
-    for i in range(ctx.n):
-        pool[i] = i
-    npool = ctx.n
-    for i in range(ctx.n):
-        d = digits[ctx.n - 1 - i]
-        perm0[i] = pool[d]
-        for j in range(d, npool - 1):
-            pool[j] = pool[j + 1]
-        npool -= 1
 
 
 cdef int _setup(Ctx* ctx, int r, int s, int n) except -1:
@@ -110,104 +83,9 @@ cdef int* _refl_arrays(refl, int n, int r, int s, int** rexp_out, int** diag_out
     return rperm
 
 
-cdef void _dp_round(Ctx* ctx, long long* cur, long long* nxt, int* rperm,
-                    int* rexp, int nrefl) noexcept nogil:
-    cdef long long g, c
-    cdef int t, i
-    cdef int perm0[MAXN]
-    cdef int exps[MAXN]
-    cdef int nperm[MAXN]
-    cdef int nexps[MAXN]
-    for g in range(ctx.size):
-        c = cur[g]
-        if c == 0:
-            continue
-        _decode(ctx, g, perm0, exps)
-        for t in range(nrefl):
-            for i in range(ctx.n):
-                nperm[i] = rperm[t * ctx.n + perm0[i]]
-                nexps[i] = (exps[i] + rexp[t * ctx.n + perm0[i]]) % ctx.r
-            nxt[_encode(ctx, nperm, nexps)] += c
-
-
 cdef list _to_list(long long* vec, long long size):
     cdef long long i
     return [vec[i] for i in range(size)]
-
-
-def dp_total(int r, int s, int n, refl, int m):
-    """rounds[j][g]: number of j-tuples with product g, for j = 0..m."""
-    cdef Ctx ctx
-    _setup(&ctx, r, s, n)
-    cdef int nrefl = len(refl)
-    cdef int* rexp = NULL
-    cdef int* diag = NULL
-    cdef int* rperm = _refl_arrays(refl, n, r, s, &rexp, &diag)
-    cdef long long* cur = <long long*>calloc(ctx.size, sizeof(long long))
-    cdef long long* nxt = <long long*>calloc(ctx.size, sizeof(long long))
-    cdef long long* tmp
-    cdef int j
-    if cur == NULL or nxt == NULL:
-        free(rperm); free(rexp); free(diag); free(cur); free(nxt)
-        raise MemoryError()
-    cur[0] = 1
-    rounds = [_to_list(cur, ctx.size)]
-    try:
-        for j in range(1, m + 1):
-            memset(nxt, 0, ctx.size * sizeof(long long))
-            with nogil:
-                _dp_round(&ctx, cur, nxt, rperm, rexp, nrefl)
-            tmp = cur; cur = nxt; nxt = tmp
-            rounds.append(_to_list(cur, ctx.size))
-    finally:
-        free(rperm); free(rexp); free(diag); free(cur); free(nxt)
-    return rounds
-
-
-def dp_refined(int r, int s, int n, refl, int m):
-    """table[m2][g] at round m: m-tuples with product g and m2 diagonals."""
-    cdef Ctx ctx
-    _setup(&ctx, r, s, n)
-    cdef int nrefl = len(refl)
-    cdef int* rexp = NULL
-    cdef int* diag = NULL
-    cdef int* rperm = _refl_arrays(refl, n, r, s, &rexp, &diag)
-    cdef long long cells = (m + 1) * ctx.size
-    cdef long long* cur = <long long*>calloc(cells, sizeof(long long))
-    cdef long long* nxt = <long long*>calloc(cells, sizeof(long long))
-    cdef long long* tmp
-    cdef long long g, c
-    cdef int rnd, m2, t, i
-    cdef int perm0[MAXN]
-    cdef int exps[MAXN]
-    cdef int nperm[MAXN]
-    cdef int nexps[MAXN]
-    if cur == NULL or nxt == NULL:
-        free(rperm); free(rexp); free(diag); free(cur); free(nxt)
-        raise MemoryError()
-    cur[0] = 1
-    try:
-        for rnd in range(m):
-            memset(nxt, 0, cells * sizeof(long long))
-            with nogil:
-                for m2 in range(m + 1):
-                    for g in range(ctx.size):
-                        c = cur[m2 * ctx.size + g]
-                        if c == 0:
-                            continue
-                        _decode(&ctx, g, perm0, exps)
-                        for t in range(nrefl):
-                            if m2 + diag[t] > m:
-                                continue
-                            for i in range(ctx.n):
-                                nperm[i] = rperm[t * ctx.n + perm0[i]]
-                                nexps[i] = (exps[i] + rexp[t * ctx.n + perm0[i]]) % ctx.r
-                            nxt[(m2 + diag[t]) * ctx.size + _encode(&ctx, nperm, nexps)] += c
-            tmp = cur; cur = nxt; nxt = tmp
-        result = [_to_list(cur + m2 * ctx.size, ctx.size) for m2 in range(m + 1)]
-    finally:
-        free(rperm); free(rexp); free(diag); free(cur); free(nxt)
-    return result
 
 
 cdef long long _uf_find(long long* parent, long long x) noexcept nogil:

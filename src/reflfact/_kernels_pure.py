@@ -1,19 +1,22 @@
-"""Pure-Python kernels for the two hot loops: the group-algebra
-convolution DP and the exhaustive tuple enumeration.
+"""Pure-Python kernels: the class-level DP over colored cycle types and
+the exhaustive tuple enumeration.
 
-The compiled extension (_ckernels) implements the same three functions
-with identical semantics; `reflfact.kernels` picks one at import time.
-Counts here are Python ints, so this backend never overflows; the
-compiled backend is only used when its int64 bound is provably safe.
+The DP works on the G(r,1,n)-conjugacy classes of G(r,s,n), named by
+`reflfact.indexing.class_key`; its tables map class keys to counts.  The
+enumeration fills tables dense over the group, indexed exactly as in
+`reflfact.indexing`; the compiled extension (_ckernels) implements the
+same `enum_bucketed` and `reflfact.kernels` picks one at import time.
+Counts here are Python ints, so these kernels never overflow.
 
 Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
-Group elements are indexed exactly as in `reflfact.indexing`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import factorial
 
+from .indexing import class_key
 from .unionfind import RollbackUnionFind
 
 BACKEND_NAME = "pure"
@@ -40,87 +43,71 @@ def _encode(perm0, exps, r, s, q, exp_block, n) -> int:
     return rank * exp_block + x * q + exps[n - 1] // s
 
 
-def _decode(index, r, s, q, exp_block, n) -> tuple[list[int], list[int]]:
-    pr, er = divmod(index, exp_block)
-    c = er % q
-    er //= q
-    exps = []
-    for _ in range(n - 1):
-        exps.append(er % r)
-        er //= r
-    exps.append(c * s + (-sum(exps)) % s)
-    digits = []
-    for base in range(1, n + 1):
-        digits.append(pr % base)
-        pr //= base
-    digits.reverse()
-    pool = list(range(n))
-    perm0 = [pool.pop(d) for d in digits]
-    return perm0, exps
-
-
-def _actions(refl, r: int, s: int, n: int):
-    """Each reflection as its full (perm0, exps) action."""
+@lru_cache(maxsize=16)
+def _classes(r, s, n, refl):
+    """The colored cycle types of G(r,s,n), in the order a breadth-first
+    search from the identity finds them, and the class graph: moves[c]
+    lists (c2, swaps, diagonals), the numbers of swap and of diagonal
+    reflections t with t*g in class c2, for one representative g of c.
+    Conjugating g by G(r,1,n) permutes R, so any representative will do.
+    Memoized per group, so `refl` is passed as a tuple."""
     acts = []
     for (is_diag, a, b, k) in refl:
-        perm0 = list(range(n))
+        perm = list(range(1, n + 1))
         exps = [0] * n
         if is_diag:
             exps[a] = (s * k) % r
         else:
-            perm0[a], perm0[b] = b, a
+            perm[a], perm[b] = b + 1, a + 1
             exps[a] = k
             exps[b] = (-k) % r
-        acts.append((perm0, exps))
-    return acts
+        acts.append((is_diag, perm, exps))
+    reps = [(list(range(1, n + 1)), [0] * n)]
+    keys = [class_key(*reps[0], r)]
+    index = {keys[0]: 0}
+    moves = []
+    for perm, exps in reps:  # grows while it is walked
+        counts: dict = {}
+        for is_diag, tperm, texps in acts:
+            nperm = [tperm[v - 1] for v in perm]
+            nexps = [(exps[i] + texps[perm[i] - 1]) % r for i in range(n)]
+            key = class_key(nperm, nexps, r)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+                reps.append((nperm, nexps))
+            counts.setdefault(index[key], [0, 0])[is_diag] += 1
+        moves.append([(c, swaps, diags) for c, (swaps, diags) in counts.items()])
+    return keys, moves
 
 
 def dp_total(r, s, n, refl, m):
-    """rounds[j][g] = number of j-tuples of reflections whose product
-    (rightmost factor applied first) is group element g."""
-    q, exp_block, size = _sizes(r, s, n)
-    acts = _actions(refl, r, s, n)
-    rounds = [[0] * size for _ in range(m + 1)]
-    rounds[0][0] = 1
-    for j in range(1, m + 1):
-        cur, nxt = rounds[j - 1], rounds[j]
-        for g in range(size):
-            c = cur[g]
-            if not c:
-                continue
-            perm0, exps = _decode(g, r, s, q, exp_block, n)
-            for (rp, re) in acts:
-                nperm = [rp[v] for v in perm0]
-                nexps = [(exps[i] + re[perm0[i]]) % r for i in range(n)]
-                nxt[_encode(nperm, nexps, r, s, q, exp_block, n)] += c
-    return rounds
+    """rounds[j][key] = number of j-tuples of reflections whose product
+    (rightmost factor applied first) has colored cycle type key, j <= m.
+
+    R is closed under inverses, so N_j(g) = sum over t in R of
+    N_(j-1)(t*g), read off the class graph."""
+    keys, moves = _classes(r, s, n, tuple(refl))
+    cur = [1] + [0] * (len(keys) - 1)
+    rounds = [cur]
+    for _ in range(m):
+        cur = [sum((swaps + diags) * cur[c] for c, swaps, diags in row) for row in moves]
+        rounds.append(cur)
+    return [dict(zip(keys, row)) for row in rounds]
 
 
 def dp_refined(r, s, n, refl, m):
-    """table[m2][g] at round m, where m2 counts the diagonal factors used."""
-    q, exp_block, size = _sizes(r, s, n)
-    acts = _actions(refl, r, s, n)
-    diag_flags = [t[0] for t in refl]
-    cur = [[0] * size for _ in range(m + 1)]
-    cur[0][0] = 1
+    """table[m2][key] at round m, where m2 counts the diagonal factors used."""
+    keys, moves = _classes(r, s, n, tuple(refl))
+    zero = [0] * len(keys)
+    cur = [[1] + zero[1:]] + [zero] * m
     for _ in range(m):
-        nxt = [[0] * size for _ in range(m + 1)]
-        for m2 in range(m + 1):
-            row = cur[m2]
-            for g in range(size):
-                c = row[g]
-                if not c:
-                    continue
-                perm0, exps = _decode(g, r, s, q, exp_block, n)
-                for t, (rp, re) in enumerate(acts):
-                    m2n = m2 + diag_flags[t]
-                    if m2n > m:
-                        continue
-                    nperm = [rp[v] for v in perm0]
-                    nexps = [(exps[i] + re[perm0[i]]) % r for i in range(n)]
-                    nxt[m2n][_encode(nperm, nexps, r, s, q, exp_block, n)] += c
-        cur = nxt
-    return cur
+        cur = [
+            [sum(swaps * same[c] + diags * less[c] for c, swaps, diags in row)
+             for row in moves]
+            for same, less in zip(cur, [zero] + cur[:-1])
+        ]
+    return [dict(zip(keys, row)) for row in cur]
 
 
 def enum_bucketed(r, s, n, refl, m, lo, hi):

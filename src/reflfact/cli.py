@@ -110,7 +110,7 @@ def _add_common(parser: argparse.ArgumentParser, with_params=True) -> None:
         "--backend",
         choices=["pure", "compiled"],
         default=None,
-        help="kernel backend (default: compiled when built)",
+        help="tuple enumeration backend (default: compiled when built)",
     )
     parser.add_argument(
         "--threads",
@@ -119,7 +119,13 @@ def _add_common(parser: argparse.ArgumentParser, with_params=True) -> None:
         help="worker threads for tuple enumeration",
     )
     parser.add_argument("--max-enum-tuples", type=int, default=10**9)
-    parser.add_argument("--max-dp-cells", type=int, default=5 * 10**7)
+    parser.add_argument(
+        "--max-dp-cells",
+        type=int,
+        default=5 * 10**7,
+        help="cells a count table may hold: classes x rounds for the DP, "
+        "elements x rounds for enumeration",
+    )
     parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
 
 

@@ -3,27 +3,33 @@ and connected.
 
 Three independent routes are implemented and cross-checked in tests:
 
-* dynamic programming by convolving the reflection indicator over the
-  whole group (total and refined counts);
+* dynamic programming over colored cycle types (total and refined
+  counts): every count is constant on G(r,1,n)-conjugacy classes, so
+  the tables hold one cell per class and round, not per element;
 * direct enumeration of reflection tuples with an incremental
   union-find (the trusted oracle for connected counts);
 * recursive inversion of the disjoint-block product formula, which
   expresses total counts as multinomial convolutions of connected
   counts over partitions of the element.
 
-All counts are arbitrary-precision integers.
+All counts are arbitrary-precision integers.  The DP always runs the
+pure-Python class kernels; `Options.backend` picks the enumeration
+kernels only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import __version__ as _tool_version
+from . import _kernels_pure
 from .errors import (
     CacheConflictError,
     ConsistencyError,
@@ -37,7 +43,7 @@ from .groups import (
     partitions,
     relabel_to_dense,
 )
-from .indexing import GroupIndexer
+from .indexing import GroupIndexer, class_count, class_key
 from .kernels import encode_reflections, get_backend
 
 DEFAULT_MAX_ENUM_TUPLES = 10**9
@@ -60,18 +66,18 @@ class Options:
     """Execution knobs shared by the counting entry points."""
 
     limits: CountingLimits = DEFAULT_LIMITS
-    backend: Optional[str] = None
+    backend: Optional[str] = None  # enumeration kernels only
     threads: int = 1
 
 
 DEFAULT_OPTIONS = Options()
 
 
-def _check_dp(params: GroupParams, m: int, limits: CountingLimits) -> None:
-    cells = params.group_order() * (m + 1)
+def _check_cells(what: str, cells: int, params: GroupParams, m: int,
+                 limits: CountingLimits) -> None:
     if cells > limits.max_dp_cells:
         raise ResourceLimitError(
-            f"DP over {params} up to m={m} needs {cells} cells "
+            f"{what} over {params} up to m={m} needs {cells} cells "
             f"(limit {limits.max_dp_cells})"
         )
 
@@ -86,7 +92,7 @@ def _check_enum(params: GroupParams, m: int, limits: CountingLimits) -> None:
 
 
 def _int64_safe(params: GroupParams, m: int) -> bool:
-    # every DP/enumeration count is bounded by the number of m-tuples
+    # every enumeration count is bounded by the number of m-tuples
     return max(params.reflection_count(), 2) ** m < 2**62
 
 
@@ -109,6 +115,7 @@ _CACHE_SLOTS = 16
 
 
 def clear_caches() -> None:
+    _kernels_pure._classes.cache_clear()
     _dp_cache.clear()
     _enum_cache.clear()
     _connected_cache.clear()
@@ -122,22 +129,25 @@ def _cache_put(cache: dict, key, value):
 
 
 def _dp_tables(params: GroupParams, m: int, kind: str, opts: Options):
-    """kind 'total': rounds[j][g] for j<=m; kind 'refined': [m2][g] at round m."""
-    _check_dp(params, m, opts.limits)
-    backend = _pick_backend(params, m, opts.backend)
-    key = (params, m, kind, backend.BACKEND_NAME)
-    if key in _dp_cache:
-        return _dp_cache[key]
-    refl = encode_reflections(params)
-    fn = backend.dp_total if kind == "total" else backend.dp_refined
-    return _cache_put(_dp_cache, key, fn(params.r, params.s, params.n, refl, m))
+    """Tables keyed by colored cycle type.  kind 'total': rounds[j][key]
+    for j <= m (a cached table with more rounds serves too); kind
+    'refined': table[m2][key] at round m."""
+    _check_cells("class DP", class_count(params) * (m + 1), params, m, opts.limits)
+    key = (params, kind) if kind == "total" else (params, kind, m)
+    tables = _dp_cache.pop(key, None)
+    if tables is None or len(tables) <= m:
+        refl = encode_reflections(params)
+        fn = _kernels_pure.dp_total if kind == "total" else _kernels_pure.dp_refined
+        tables = fn(params.r, params.s, params.n, refl, m)
+    return _cache_put(_dp_cache, key, tables)
 
 
 def _enum_tables(params: GroupParams, m: int, opts: Options):
     """(total[m2][g], conn[m2][g]) over all m-tuples, split across threads
     by the choice of first factor."""
     _check_enum(params, m, opts.limits)
-    _check_dp(params, m, opts.limits)  # result tables are dense over the group
+    # result tables are dense over the group
+    _check_cells("enumeration", params.group_order() * (m + 1), params, m, opts.limits)
     backend = _pick_backend(params, m, opts.backend)
     key = (params, m, backend.BACKEND_NAME)
     if key in _enum_cache:
@@ -176,7 +186,7 @@ def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     if m < 0:
         raise ValidationError("m must be nonnegative")
     rounds = _dp_tables(w.params, m, "total", opts)
-    return rounds[m][GroupIndexer(w.params).index_of(w)]
+    return rounds[m][class_key(w.perm, w.exps, w.params.r)]
 
 
 def count_refined(
@@ -187,7 +197,7 @@ def count_refined(
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
     table = _dp_tables(w.params, m1 + m2, "refined", opts)
-    return table[m2][GroupIndexer(w.params).index_of(w)]
+    return table[m2][class_key(w.perm, w.exps, w.params.r)]
 
 
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
@@ -228,10 +238,6 @@ def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     return out
 
 
-def _canonical_key(w: GroupElement, m: int):
-    return (w.params, w.perm, w.exps, m)
-
-
 def connected_from_all(
     w: GroupElement,
     m: int,
@@ -240,12 +246,14 @@ def connected_from_all(
 ) -> int:
     """Connected count obtained by inverting the partition product formula:
     subtract, from the total count, every way of splitting the element into
-    two or more independent blocks with connected factorizations."""
+    two or more independent blocks with connected factorizations.  The
+    connected count is a class function too, so the cache is keyed by
+    colored cycle type."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
 
     def f_tilde(elem: GroupElement, mm: int) -> int:
-        key = _canonical_key(elem, mm)
+        key = (elem.params, class_key(elem.perm, elem.exps, elem.params.r), mm)
         if key in _connected_cache:
             return _connected_cache[key]
         parts = partitions(elem)
@@ -413,17 +421,26 @@ class CountTable:
         return len(self.entries)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for key in sorted(self.entries, key=lambda k: json.dumps(k.to_json())):
-                value, provs = self.entries[key]
-                for prov in sorted(provs):
-                    record = {
-                        "key": key.to_json(),
-                        "value": str(value),
-                        "provenance": prov,
-                        "tool_version": _tool_version,
-                    }
-                    fh.write(json.dumps(record, sort_keys=True) + "\n")
+        """Write a temporary file beside `path`, then rename it over `path`:
+        a save that fails partway leaves the previous file intact."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for key in sorted(self.entries, key=lambda k: json.dumps(k.to_json())):
+                    value, provs = self.entries[key]
+                    for prov in sorted(provs):
+                        record = {
+                            "key": key.to_json(),
+                            "value": str(value),
+                            "provenance": prov,
+                            "tool_version": _tool_version,
+                        }
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path) -> "CountTable":

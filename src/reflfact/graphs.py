@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import ValidationError
+from .errors import ConsistencyError, ValidationError
 from .groups import GroupElement, GroupParams, Reflection, product
 from .unionfind import UnionFind
 
@@ -161,11 +161,12 @@ def evaluate_by_walks(graph: DecoratedGraph) -> GroupElement:
 def evaluate(graph: DecoratedGraph) -> GroupElement:
     """Product of the graph's reflection tuple, rightmost factor first.
 
-    Under __debug__ the walk-based evaluation is recomputed and must
-    agree; this keeps the walk calculus permanently cross-checked.
+    The walk-based evaluation is recomputed and must agree; this keeps
+    the walk calculus permanently cross-checked.
     """
     result = product((ref.to_element() for ref in tuple_of_graph(graph)), graph.params)
-    assert result == evaluate_by_walks(graph), "walk evaluation disagrees with product"
+    if result != evaluate_by_walks(graph):
+        raise ConsistencyError("walk evaluation disagrees with product")
     return result
 
 

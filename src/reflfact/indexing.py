@@ -1,14 +1,22 @@
-"""Perfect rank/unrank of G(r,s,n) onto 0..|G|-1 for dense DP vectors.
+"""Indexing of G(r,s,n): perfect rank/unrank for tables dense over the
+group, and colored cycle types for tables over conjugacy classes.
 
 The index is perm_rank * E + exps_rank, where perm_rank is the Lehmer
 rank of the permutation and E = r^(n-1) * (r/s) counts the admissible
 exponent vectors: the first n-1 exponents are free digits base r and
 the last is determined mod s by the zero-sum constraint, leaving a free
 quotient digit in [0, r/s).
+
+The colored cycle type of an element is the sorted tuple of (cycle
+length, sum of the exponents on the cycle mod r) pairs.  It names the
+element's G(r,1,n)-conjugacy class; the reflection set of G(r,s,n) is
+stable under that conjugation, so every factorization count is constant
+on these classes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .groups import GroupElement, GroupParams
@@ -78,3 +86,36 @@ class GroupIndexer:
 
     def __iter__(self):
         return (self.element_at(i) for i in range(self.size))
+
+
+def class_key(perm, exps, r: int) -> tuple[tuple[int, int], ...]:
+    """Colored cycle type of the element (perm, exps), perm 1-based."""
+    seen = [False] * len(perm)
+    key = []
+    for start in range(len(perm)):
+        length = color = 0
+        i = start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            color += exps[i]
+            i = perm[i] - 1
+        if length:
+            key.append((length, color % r))
+    key.sort()
+    return tuple(key)
+
+
+@functools.lru_cache(maxsize=64)
+def class_count(params: GroupParams) -> int:
+    """Number of colored cycle types in G(r,s,n): multisets of (length,
+    color) pairs with lengths summing to n and colors summing to 0 mod s."""
+    r, s, n = params.r, params.s, params.n
+    # ways[k][c]: multisets of total length k whose colors sum to c mod s
+    ways = [[1] + [0] * (s - 1)] + [[0] * s for _ in range(n)]
+    for length in range(1, n + 1):
+        for color in range(r):
+            for k in range(length, n + 1):
+                for c, w in enumerate(ways[k - length]):
+                    ways[k][(c + color) % s] += w
+    return ways[n][0]

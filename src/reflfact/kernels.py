@@ -1,6 +1,9 @@
-"""Kernel backend selection: compiled extension if built, else pure Python.
+"""Enumeration backend selection: compiled extension if built, else pure
+Python; and the reflection encoding every kernel takes.
 
-Set REFLFACT_BACKEND=pure (or =compiled) to force a choice; the default
+Only tuple enumeration has two backends.  The DP over colored cycle types
+always runs `reflfact._kernels_pure.dp_total` / `dp_refined`.  Set
+REFLFACT_BACKEND=pure (or =compiled) to force a choice; the default
 prefers the compiled extension when it imported cleanly.
 """
 

@@ -36,7 +36,8 @@ def cyclic_count(q: int, t: int, m: int) -> int:
     if q == 1:
         return 1 if m == 0 else 0
     base, rem = divmod((q - 1) ** m - (-1) ** m, q)
-    assert rem == 0
+    if rem:
+        raise ConsistencyError(f"(q-1)^m - (-1)^m not divisible by q={q} at m={m}")
     if t == 0:
         base += (-1) ** m
     return base

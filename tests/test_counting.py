@@ -32,6 +32,9 @@ from reflfact.counting import (
     count_refined,
     populate_connected_table,
 )
+from reflfact._kernels_pure import enum_bucketed
+from reflfact.indexing import GroupIndexer
+from reflfact.kernels import encode_reflections
 
 from conftest import all_elements, fold_product
 
@@ -131,14 +134,25 @@ def test_dp_matches_brute_force(r, s, n):
                 assert count_connected_enum(w, m - m2, m2) == conn.get(m2, 0)
 
 
-@pytest.mark.parametrize("r,s,n", EXHAUSTIVE_GROUPS)
+# groups with diagonal reflections and 1 < s < r, where the refined class
+# DP carries m2 through both kinds of moves
+DIAGONAL_GROUPS = [(6, 2, 2), (4, 2, 3)]
+REFINED_MAX_M = {(2, 1, 2): 6, (6, 2, 2): 4, (4, 2, 3): 4}
+
+
+@pytest.mark.parametrize("r,s,n", EXHAUSTIVE_GROUPS + DIAGONAL_GROUPS)
 def test_refined_sums_and_enum_agree_exhaustive(r, s, n):
     p = GroupParams(r, s, n)
-    max_m = 6 if (r, s, n) == (2, 1, 2) else 5
-    for w in all_elements(p):
-        for m in range(max_m + 1):
-            refined_sum = sum(count_refined(w, m - m2, m2) for m2 in range(m + 1))
-            assert refined_sum == count_all(w, m)
+    max_m = REFINED_MAX_M.get((r, s, n), 5)
+    refl = encode_reflections(p)
+    indexer = GroupIndexer(p)
+    for m in range(max_m + 1):
+        enum_total, _ = enum_bucketed(r, s, n, refl, m, 0, len(refl))
+        for w in all_elements(p):
+            g = indexer.index_of(w)
+            refined = [count_refined(w, m - m2, m2) for m2 in range(m + 1)]
+            assert refined == [enum_total[m2][g] for m2 in range(m + 1)]
+            assert sum(refined) == count_all(w, m)
             assert count_all_by_enum(w, m) == count_all(w, m)
 
 
@@ -224,8 +238,8 @@ def test_negative_m_rejected():
 
 
 def test_pure_fallback_beyond_int64():
-    # counts overflow 64 bits; the backend auto-switch must route to the
-    # pure kernels and the values must match a raw transfer computation
+    # counts overflow 64 bits; the class DP counts in Python ints and the
+    # values must match a raw transfer computation
     clear_caches()
     p = GroupParams(2, 1, 2)
     from reflfact import multiply, reflections
@@ -294,6 +308,24 @@ def test_count_table_file_roundtrip(tmp_path):
     second = tmp_path / "cache2.jsonl"
     loaded.save(second)
     assert path.read_text() == second.read_text()
+
+
+def test_count_table_failed_save_keeps_previous_file(tmp_path):
+    p = GroupParams(1, 1, 2)
+    path = tmp_path / "cache.jsonl"
+    previous = CountTable()
+    previous.insert(CountKey.of(identity(p), 0, None, False), 1, "dp")
+    previous.save(path)
+    before = path.read_text()
+    table = CountTable()
+    table.insert(CountKey.of(identity(p), 1, None, False), 0, "dp")
+    # the second record's provenance is not JSON: the save fails after
+    # the first record was written
+    table.entries[CountKey.of(identity(p), 2, None, False)] = (1, {object()})
+    with pytest.raises(TypeError):
+        table.save(path)
+    assert path.read_text() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["cache.jsonl"]
 
 
 def test_count_table_load_conflict(tmp_path):

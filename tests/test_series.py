@@ -223,3 +223,14 @@ def test_exhaustive_series_consistency_small():
         series = connected_series(w, 5)
         for m in range(6):
             assert series.count(m) == comparison_total(w, m)
+
+
+@pytest.mark.parametrize("r,s,n", [(2, 1, 8), (6, 2, 5), (1, 1, 10)])
+def test_long_cycle_series_against_class_dp_beyond_dense_reach(r, s, n):
+    # |G| * (m + 1) exceeds the default DP cell budget on G(2,1,8) and
+    # S_10; the class DP holds one cell per colored cycle type instead
+    p = GroupParams(r, s, n)
+    w = GroupElement(p, tuple(list(range(2, n + 1)) + [1]), (0,) * n)
+    series = long_cycle_series(p, 0, n + 3)
+    for m in range(n + 4):
+        assert count_all(w, m) == series.count(m)
