@@ -1,8 +1,9 @@
-"""reflfact: exact enumeration of reflection factorizations in G(r,s,n).
+"""reflfact: exact counts of reflection factorizations in G(r,s,n).
 
 Core objects: group elements as generalized permutation matrices,
 reflection tuples as decorated graphs with ordered edge walks, exact
-factorization counts (total / refined / connected), closed-form and
+factorization counts (total and refined by a DP over colored cycle
+types, connected by a DP over component partitions), closed-form and
 generating-series cross-checks, and symmetric-polynomial recovery of
 connected counts by exact interpolation.
 """

@@ -1,12 +1,12 @@
-"""Pure-Python kernels: the class-level DP over colored cycle types and
-the exhaustive tuple enumeration.
+"""Pure-Python kernels: the class-level DP over colored cycle types, the
+connected DP over (product, component partition) states, and the
+exhaustive tuple enumeration that tests check the connected DP against.
 
-The DP works on the G(r,1,n)-conjugacy classes of G(r,s,n), named by
-`reflfact.indexing.class_key`; its tables map class keys to counts.  The
-enumeration fills tables dense over the group, indexed exactly as in
-`reflfact.indexing`; the compiled extension (_ckernels) implements the
-same `enum_bucketed` and `reflfact.kernels` picks one at import time.
-Counts here are Python ints, so these kernels never overflow.
+The class DP works on the G(r,1,n)-conjugacy classes of G(r,s,n), named
+by `reflfact.indexing.class_key`; its tables map class keys to counts.
+The connected DP and the enumeration fill tables dense over the group,
+indexed by `reflfact.indexing.GroupIndexer`.  Counts here are Python
+ints, so these kernels never overflow.
 
 Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
 """
@@ -14,33 +14,12 @@ Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import factorial
+from operator import add
 
-from .indexing import class_key
+from .errors import ResourceLimitError
+from .groups import GroupParams
+from .indexing import GroupIndexer, class_key
 from .unionfind import RollbackUnionFind
-
-BACKEND_NAME = "pure"
-
-
-def _sizes(r: int, s: int, n: int) -> tuple[int, int, int]:
-    q = r // s
-    exp_block = r ** (n - 1) * q
-    return q, exp_block, factorial(n) * exp_block
-
-
-def _encode(perm0, exps, r, s, q, exp_block, n) -> int:
-    rank = 0
-    for i in range(n):
-        pi = perm0[i]
-        smaller = 0
-        for j in range(i + 1, n):
-            if perm0[j] < pi:
-                smaller += 1
-        rank = rank * (n - i) + smaller
-    x = 0
-    for i in range(n - 2, -1, -1):
-        x = x * r + exps[i]
-    return rank * exp_block + x * q + exps[n - 1] // s
 
 
 @lru_cache(maxsize=16)
@@ -110,24 +89,76 @@ def dp_refined(r, s, n, refl, m):
     return [dict(zip(keys, row)) for row in cur]
 
 
-def enum_bucketed(r, s, n, refl, m, lo, hi):
-    """Enumerate all m-tuples whose first factor index lies in [lo, hi).
+def dp_components(r, s, n, refl, m, max_cells):
+    """(total, conn) over all m-tuples, equal to what `enum_bucketed`
+    returns, by a forward DP that applies one more factor per round.
+
+    A state is the product so far (perm0, exps) together with the
+    partition of the vertices into the components the swap factors have
+    joined, as labels[v] = least vertex of v's component; each state
+    carries its counts by m2, the number of diagonal factors.  total
+    sums over all partitions, conn takes the one-block partition.  More
+    than max_cells live states times m2 slots raise ResourceLimitError.
+    """
+    params = GroupParams(r, s, n)
+    start = (tuple(range(n)), (0,) * n, tuple(range(n)))
+    cur = {start: [1]}
+    for j in range(1, m + 1):
+        nxt: dict = {}
+        for (perm0, exps, labels), counts in cur.items():
+            same, shifted = counts + [0], [0] + counts
+            for is_diag, a, b, k in refl:
+                ia = perm0.index(a)
+                new_exps = list(exps)
+                if is_diag:
+                    new_exps[ia] = (new_exps[ia] + s * k) % r
+                    key = (perm0, tuple(new_exps), labels)
+                    moved = shifted
+                else:
+                    ib = perm0.index(b)
+                    new_perm = list(perm0)
+                    new_perm[ia], new_perm[ib] = b, a
+                    new_exps[ia] = (new_exps[ia] + k) % r
+                    new_exps[ib] = (new_exps[ib] - k) % r
+                    keep, drop = sorted((labels[a], labels[b]))
+                    new_labels = labels if keep == drop else tuple(
+                        keep if x == drop else x for x in labels
+                    )
+                    key = (tuple(new_perm), tuple(new_exps), new_labels)
+                    moved = same
+                old = nxt.get(key)
+                nxt[key] = moved if old is None else list(map(add, old, moved))
+            if len(nxt) * (j + 1) > max_cells:
+                raise ResourceLimitError(
+                    f"connected DP over {params} at round {j} reaches "
+                    f"{len(nxt) * (j + 1)} live cells (limit {max_cells})"
+                )
+        cur = nxt
+
+    indexer = GroupIndexer(params)
+    total = [[0] * indexer.size for _ in range(m + 1)]
+    conn = [[0] * indexer.size for _ in range(m + 1)]
+    for (perm0, exps, labels), counts in cur.items():
+        g = indexer.rank(perm0, exps)
+        connected = max(labels) == 0
+        for m2, c in enumerate(counts):
+            total[m2][g] += c
+            if connected:
+                conn[m2][g] += c
+    return total, conn
+
+
+def enum_bucketed(r, s, n, refl, m):
+    """Enumerate all m-tuples: the reference `dp_components` is tested
+    against.
 
     Returns (total, conn): total[m2][g] counts tuples with product g and
     m2 diagonal factors; conn additionally requires the tuple's graph to
-    be connected on all n vertices.  For m == 0 the empty tuple is
-    attributed to the slice containing index 0.
+    be connected on all n vertices.
     """
-    q, exp_block, size = _sizes(r, s, n)
-    total = [[0] * size for _ in range(m + 1)]
-    conn = [[0] * size for _ in range(m + 1)]
-    if m == 0:
-        if lo == 0:
-            total[0][0] = 1
-            if n == 1:
-                conn[0][0] = 1
-        return total, conn
-
+    indexer = GroupIndexer(GroupParams(r, s, n))
+    total = [[0] * indexer.size for _ in range(m + 1)]
+    conn = [[0] * indexer.size for _ in range(m + 1)]
     uf = RollbackUnionFind(n)
     perm0 = list(range(n))
     invperm = list(range(n))
@@ -135,14 +166,12 @@ def enum_bucketed(r, s, n, refl, m, lo, hi):
 
     def rec(level: int, m2: int) -> None:
         if level == m:
-            g = _encode(perm0, exps, r, s, q, exp_block, n)
+            g = indexer.rank(perm0, exps)
             total[m2][g] += 1
             if uf.components == 1:
                 conn[m2][g] += 1
             return
-        choices = range(lo, hi) if level == 0 else range(len(refl))
-        for t in choices:
-            is_diag, a, b, k = refl[t]
+        for is_diag, a, b, k in refl:
             if is_diag:
                 ia = invperm[a]
                 exps[ia] = (exps[ia] + s * k) % r

@@ -83,10 +83,7 @@ def _element(args, params: GroupParams) -> GroupElement:
 
 
 def _options(args) -> Options:
-    limits = CountingLimits(
-        max_enum_tuples=args.max_enum_tuples, max_dp_cells=args.max_dp_cells
-    )
-    return Options(limits=limits, backend=args.backend, threads=args.threads)
+    return Options(limits=CountingLimits(max_dp_cells=args.max_dp_cells))
 
 
 def _with_cache(args, compute):
@@ -107,24 +104,12 @@ def _add_common(parser: argparse.ArgumentParser, with_params=True) -> None:
         parser.add_argument("--s", type=int, required=True)
         parser.add_argument("--n", type=int, required=True)
     parser.add_argument(
-        "--backend",
-        choices=["pure", "compiled"],
-        default=None,
-        help="tuple enumeration backend (default: compiled when built)",
-    )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker threads for tuple enumeration",
-    )
-    parser.add_argument("--max-enum-tuples", type=int, default=10**9)
-    parser.add_argument(
         "--max-dp-cells",
         type=int,
         default=5 * 10**7,
-        help="cells a count table may hold: classes x rounds for the DP, "
-        "elements x rounds for enumeration",
+        help="cells a count table may hold: classes x rounds for the class "
+        "DP; elements x rounds for the connected DP's tables, and its live "
+        "states x diagonal-count slots in every round",
     )
     parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
 
@@ -165,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "verify-comparison",
-        help="exhaustively check the comparison formula against enumeration",
+        help="exhaustively check the comparison formula against the "
+        "connected DP",
     )
     _add_common(p)
     p.add_argument("--max-m", type=int, required=True)

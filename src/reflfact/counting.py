@@ -6,25 +6,25 @@ Three independent routes are implemented and cross-checked in tests:
 * dynamic programming over colored cycle types (total and refined
   counts): every count is constant on G(r,1,n)-conjugacy classes, so
   the tables hold one cell per class and round, not per element;
-* direct enumeration of reflection tuples with an incremental
-  union-find (the trusted oracle for connected counts);
+* a DP over (product, component partition) states that applies one
+  reflection per round and merges the vertices each swap factor joins
+  (the trusted oracle for connected counts; it agrees with exhaustive
+  tuple enumeration in tests);
 * recursive inversion of the disjoint-block product formula, which
   expresses total counts as multinomial convolutions of connected
   counts over partitions of the element.
 
-All counts are arbitrary-precision integers.  The DP always runs the
-pure-Python class kernels; `Options.backend` picks the enumeration
-kernels only.
+All counts are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import fcntl
 import json
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -44,9 +44,8 @@ from .groups import (
     relabel_to_dense,
 )
 from .indexing import GroupIndexer, class_count, class_key
-from .kernels import encode_reflections, get_backend
+from .kernels import encode_reflections
 
-DEFAULT_MAX_ENUM_TUPLES = 10**9
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
 
 
@@ -54,7 +53,6 @@ DEFAULT_MAX_DP_CELLS = 5 * 10**7
 class CountingLimits:
     """Budgets above which computations are refused instead of attempted."""
 
-    max_enum_tuples: int = DEFAULT_MAX_ENUM_TUPLES
     max_dp_cells: int = DEFAULT_MAX_DP_CELLS
 
 
@@ -66,8 +64,6 @@ class Options:
     """Execution knobs shared by the counting entry points."""
 
     limits: CountingLimits = DEFAULT_LIMITS
-    backend: Optional[str] = None  # enumeration kernels only
-    threads: int = 1
 
 
 DEFAULT_OPTIONS = Options()
@@ -80,32 +76,6 @@ def _check_cells(what: str, cells: int, params: GroupParams, m: int,
             f"{what} over {params} up to m={m} needs {cells} cells "
             f"(limit {limits.max_dp_cells})"
         )
-
-
-def _check_enum(params: GroupParams, m: int, limits: CountingLimits) -> None:
-    tuples = params.reflection_count() ** m
-    if tuples > limits.max_enum_tuples:
-        raise ResourceLimitError(
-            f"enumeration over {params} at m={m} needs {tuples} tuples "
-            f"(limit {limits.max_enum_tuples})"
-        )
-
-
-def _int64_safe(params: GroupParams, m: int) -> bool:
-    # every enumeration count is bounded by the number of m-tuples
-    return max(params.reflection_count(), 2) ** m < 2**62
-
-
-def _pick_backend(params: GroupParams, m: int, name: Optional[str]):
-    backend = get_backend(name)
-    if backend.BACKEND_NAME != "pure" and not _int64_safe(params, m):
-        if name is not None:
-            raise ResourceLimitError(
-                f"compiled kernels cannot hold counts for m={m} over {params} "
-                "in 64-bit integers; use the pure backend"
-            )
-        backend = get_backend("pure")
-    return backend
 
 
 _dp_cache: dict = {}
@@ -143,41 +113,16 @@ def _dp_tables(params: GroupParams, m: int, kind: str, opts: Options):
 
 
 def _enum_tables(params: GroupParams, m: int, opts: Options):
-    """(total[m2][g], conn[m2][g]) over all m-tuples, split across threads
-    by the choice of first factor."""
-    _check_enum(params, m, opts.limits)
-    # result tables are dense over the group
-    _check_cells("enumeration", params.group_order() * (m + 1), params, m, opts.limits)
-    backend = _pick_backend(params, m, opts.backend)
-    key = (params, m, backend.BACKEND_NAME)
+    """(total[m2][g], conn[m2][g]) over all m-tuples, dense over the group,
+    from the component-partition DP."""
+    _check_cells("connected DP", params.group_order() * (m + 1), params, m, opts.limits)
+    key = (params, m)
     if key in _enum_cache:
         return _enum_cache[key]
     refl = encode_reflections(params)
-    nrefl = len(refl)
-    threads = max(1, opts.threads)
-    args = (params.r, params.s, params.n, refl, m)
-    if threads == 1 or m == 0 or nrefl < 2:
-        result = backend.enum_bucketed(*args, 0, nrefl)
-    else:
-        bounds = [nrefl * t // threads for t in range(threads + 1)]
-        slices = [
-            (bounds[t], bounds[t + 1])
-            for t in range(threads)
-            if bounds[t] < bounds[t + 1]
-        ]
-        with ThreadPoolExecutor(max_workers=len(slices)) as pool:
-            parts = list(
-                pool.map(lambda se: backend.enum_bucketed(*args, *se), slices)
-            )
-        total, conn = parts[0]
-        for ptotal, pconn in parts[1:]:
-            for m2 in range(m + 1):
-                trow, crow = total[m2], conn[m2]
-                ptrow, pcrow = ptotal[m2], pconn[m2]
-                for g in range(len(trow)):
-                    trow[g] += ptrow[g]
-                    crow[g] += pcrow[g]
-        result = (total, conn)
+    result = _kernels_pure.dp_components(
+        params.r, params.s, params.n, refl, m, opts.limits.max_dp_cells
+    )
     return _cache_put(_enum_cache, key, result)
 
 
@@ -201,7 +146,8 @@ def count_refined(
 
 
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
-    """count_all recomputed by raw enumeration (cross-check path)."""
+    """count_all recomputed by the component-partition DP (cross-check
+    path)."""
     total, _ = _enum_tables(w.params, m, opts)
     g = GroupIndexer(w.params).index_of(w)
     return sum(total[m2][g] for m2 in range(m + 1))
@@ -210,7 +156,8 @@ def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) 
 def count_connected_enum(
     w: GroupElement, m1: int, m2: int, opts: Options = DEFAULT_OPTIONS
 ) -> int:
-    """Connected refined count by direct enumeration: the trusted oracle."""
+    """Connected refined count by the component-partition DP: the trusted
+    oracle."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
     _, conn = _enum_tables(w.params, m1 + m2, opts)
@@ -220,7 +167,8 @@ def count_connected_enum(
 def count_connected_total_enum(
     w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS
 ) -> int:
-    """Connected count over all diagonal/swap splits, by enumeration."""
+    """Connected count over all diagonal/swap splits, by the
+    component-partition DP."""
     _, conn = _enum_tables(w.params, m, opts)
     g = GroupIndexer(w.params).index_of(w)
     return sum(conn[m2][g] for m2 in range(m + 1))
@@ -421,9 +369,26 @@ class CountTable:
         return len(self.entries)
 
     def save(self, path) -> None:
-        """Write a temporary file beside `path`, then rename it over `path`:
-        a save that fails partway leaves the previous file intact."""
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        """Merge this table into the file at `path`.  Under an exclusive
+        lock on `<path>.lock`, the file as it is now is read back and
+        merged with the conflict rule of `load`, so runs sharing one path
+        keep each other's entries.  The result goes to a temporary file
+        beside `path`, which is then renamed over `path`: a save that
+        fails partway leaves the previous file intact."""
+        path = os.fspath(path)
+        with open(f"{path}.lock", "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            merged = CountTable.load(path) if os.path.exists(path) else CountTable()
+            for key, (value, provs) in self.entries.items():
+                for prov in provs:
+                    try:
+                        merged.insert(key, value, prov)
+                    except ConsistencyError as exc:
+                        raise CacheConflictError(f"{path}: {exc}") from exc
+            merged._write(path)
+
+    def _write(self, path: str) -> None:
+        tmp = f"{path}.{os.getpid()}.tmp"
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
                 for key in sorted(self.entries, key=lambda k: json.dumps(k.to_json())):

@@ -69,9 +69,12 @@ class GroupIndexer:
         exps.append(c * s + (-sum(exps)) % s)
         return exps
 
+    def rank(self, perm0, exps) -> int:
+        """Index of the element with 0-based permutation perm0."""
+        return perm_rank(perm0) * self.exp_block + self._exps_rank(exps)
+
     def index_of(self, element: GroupElement) -> int:
-        perm0 = [p - 1 for p in element.perm]
-        return perm_rank(perm0) * self.exp_block + self._exps_rank(element.exps)
+        return self.rank([p - 1 for p in element.perm], element.exps)
 
     def element_at(self, index: int) -> GroupElement:
         pr, er = divmod(index, self.exp_block)

@@ -1,51 +1,19 @@
-"""Enumeration backend selection: compiled extension if built, else pure
-Python; and the reflection encoding every kernel takes.
+"""The reflection encoding every kernel takes, and the name of the one
+kernel backend.
 
-Only tuple enumeration has two backends.  The DP over colored cycle types
-always runs `reflfact._kernels_pure.dp_total` / `dp_refined`.  Set
-REFLFACT_BACKEND=pure (or =compiled) to force a choice; the default
-prefers the compiled extension when it imported cleanly.
+All kernels are pure Python (`reflfact._kernels_pure`): the class DP for
+total and refined counts and the component-partition DP for connected
+counts.
 """
 
 from __future__ import annotations
 
-import os
-
-from . import _kernels_pure
-from .errors import ValidationError
 from .groups import GroupParams, reflections
-
-try:
-    from . import _ckernels as _compiled
-except ImportError:
-    _compiled = None
-
-
-def available_backends() -> list[str]:
-    names = ["pure"]
-    if _compiled is not None:
-        names.append("compiled")
-    return names
 
 
 def default_backend_name() -> str:
-    forced = os.environ.get("REFLFACT_BACKEND")
-    if forced:
-        if forced not in available_backends():
-            raise ValidationError(f"backend {forced!r} not available")
-        return forced
-    return "compiled" if _compiled is not None else "pure"
-
-
-def get_backend(name: str | None = None):
-    name = name or default_backend_name()
-    if name == "pure":
-        return _kernels_pure
-    if name == "compiled":
-        if _compiled is None:
-            raise ValidationError("compiled kernels were not built")
-        return _compiled
-    raise ValidationError(f"unknown backend {name!r}")
+    """Always "pure": there is no other backend."""
+    return "pure"
 
 
 def encode_reflections(params: GroupParams) -> list[tuple[int, int, int, int]]:

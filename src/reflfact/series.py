@@ -249,9 +249,10 @@ class ComparisonMismatch:
 def comparison_mismatches(
     params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS
 ) -> tuple[int, list[ComparisonMismatch]]:
-    """Exhaustively compare the refined comparison formula against direct
-    enumeration for every element of the group and every split with
-    m1+m2 <= max_m.  Returns (number of checks, mismatches)."""
+    """Exhaustively compare the refined comparison formula against the
+    connected oracle (the component-partition DP behind
+    `count_connected_enum`) for every element of the group and every split
+    with m1+m2 <= max_m.  Returns (number of checks, mismatches)."""
     indexer = GroupIndexer(params)
     checks = 0
     bad: list[ComparisonMismatch] = []

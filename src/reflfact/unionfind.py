@@ -1,7 +1,8 @@
 """Two disjoint-set variants: a plain one and one supporting rollback.
 
 The rollback variant deliberately skips path compression so that every
-union can be undone in O(1); it is what the tuple-enumeration DFS uses.
+union can be undone in O(1); it is what the tuple-enumeration DFS (the
+test reference for the connected DP) uses.
 """
 
 from __future__ import annotations

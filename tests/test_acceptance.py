@@ -127,7 +127,7 @@ def test_criterion_3_each_directed_edge_on_one_walk():
 
 
 def test_criterion_4_counting_consistency():
-    with criterion(4, "refined counts sum to totals; DP equals enumeration (m <= 5)"):
+    with criterion(4, "refined counts sum to totals; class DP equals connected DP (m <= 5)"):
         for r, s, n in EXHAUSTIVE_COUNT_GROUPS:
             params = GroupParams(r, s, n)
             for w in all_elements(params):
@@ -143,7 +143,7 @@ def test_criterion_4_counting_consistency():
 
 
 def test_criterion_5_comparison_formula_desk_scale():
-    with criterion(5, "comparison formula equals enumeration on four groups (m <= 5)"):
+    with criterion(5, "comparison formula equals the connected DP on four groups (m <= 5)"):
         for r, s, n in COMPARISON_GROUPS:
             checks, mismatches = comparison_mismatches(GroupParams(r, s, n), 5)
             assert mismatches == [], (r, s, n, mismatches[:3])

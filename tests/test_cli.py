@@ -156,6 +156,21 @@ def test_exit_codes(capsys):
         "--max-dp-cells", "10",
     )
     assert code == EXIT_RESOURCE
+    code, _, err = run_cli(
+        capsys, "count-connected", "--r", "2", "--s", "1", "--n", "3",
+        "--omega", '{"perm":[2,3,1],"exps":[0,0,0]}', "--m", "4",
+        "--method", "enum", "--max-dp-cells", "10",
+    )
+    assert code == EXIT_RESOURCE
+
+
+def test_connected_enum_method_at_depth(capsys):
+    # a thousand factors: far deeper than the interpreter's recursion limit
+    payload = run_json(
+        capsys, "count-connected", "--r", "1", "--s", "1", "--n", "2",
+        "--omega", '{"perm":[2,1],"exps":[0,0]}', "--m", "1001", "--method", "enum",
+    )
+    assert payload == {"count": "1", "method": "enum"}
 
 
 def test_cache_roundtrip(capsys, tmp_path):

@@ -147,7 +147,7 @@ def test_refined_sums_and_enum_agree_exhaustive(r, s, n):
     refl = encode_reflections(p)
     indexer = GroupIndexer(p)
     for m in range(max_m + 1):
-        enum_total, _ = enum_bucketed(r, s, n, refl, m, 0, len(refl))
+        enum_total, _ = enum_bucketed(r, s, n, refl, m)
         for w in all_elements(p):
             g = indexer.index_of(w)
             refined = [count_refined(w, m - m2, m2) for m2 in range(m + 1)]
@@ -196,37 +196,34 @@ def test_parity_vanishing_sn():
                     assert count_all(w, m) == 0
 
 
-def test_backends_and_threads_agree():
-    p = GroupParams(6, 2, 2)
-    w = GroupElement(p, (2, 1), (1, 5), )
-    values = set()
-    for backend in ("pure", "compiled"):
-        for threads in (1, 3):
-            clear_caches()
-            opts = Options(backend=backend, threads=threads)
-            try:
-                values.add(
-                    (
-                        count_all(w, 4, opts),
-                        count_refined(w, 2, 2, opts),
-                        count_connected_enum(w, 2, 2, opts),
-                        count_connected_total_enum(w, 4, opts),
-                    )
-                )
-            except ValidationError:
-                pytest.skip("compiled backend unavailable")
-    clear_caches()
-    assert len(values) == 1
-
-
 def test_resource_limits():
     p = GroupParams(6, 2, 4)
     w = identity(p)
-    tiny = Options(limits=CountingLimits(max_enum_tuples=10, max_dp_cells=10))
+    tiny = Options(limits=CountingLimits(max_dp_cells=10))
     with pytest.raises(ResourceLimitError):
         count_all(w, 3, tiny)
     with pytest.raises(ResourceLimitError):
         count_connected_enum(w, 2, 1, tiny)
+
+
+def test_connected_dp_budget_bounds_live_states():
+    # the dense tables of S_4 up to m=3 need 24*4 = 96 cells; the DP's 30
+    # live states at round 3 with 4 m2 slots each hold 120
+    clear_caches()
+    w = identity(GroupParams(1, 1, 4))
+    with pytest.raises(ResourceLimitError):
+        count_connected_total_enum(w, 3, Options(limits=CountingLimits(max_dp_cells=119)))
+    assert count_connected_total_enum(
+        w, 3, Options(limits=CountingLimits(max_dp_cells=120))
+    ) == connected_from_all(w, 3)
+    clear_caches()
+
+
+def test_connected_dp_beyond_enumeration_reach():
+    # 24^8 (about 1.1e11) tuples: out of enumeration's reach, default budgets
+    p = GroupParams(6, 2, 3)
+    for w in all_elements(p):
+        assert count_connected_total_enum(w, 8) == connected_from_all(w, 8)
 
 
 def test_negative_m_rejected():
@@ -325,7 +322,34 @@ def test_count_table_failed_save_keeps_previous_file(tmp_path):
     with pytest.raises(TypeError):
         table.save(path)
     assert path.read_text() == before
-    assert [f.name for f in tmp_path.iterdir()] == ["cache.jsonl"]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["cache.jsonl", "cache.jsonl.lock"]
+
+
+def test_count_table_saves_merge(tmp_path):
+    p = GroupParams(1, 1, 2)
+    path = tmp_path / "cache.jsonl"
+    first, second = CountTable(), CountTable()  # both loaded before either saves
+    first.insert(CountKey.of(identity(p), 0, None, False), 1, "dp")
+    second.insert(CountKey.of(identity(p), 2, None, False), 1, "dp")
+    first.save(path)
+    second.save(path)
+    assert len(CountTable.load(path)) == 2
+
+
+def test_count_table_save_conflict_keeps_file(tmp_path):
+    from reflfact.errors import CacheConflictError
+
+    p = GroupParams(1, 1, 2)
+    key = CountKey.of(identity(p), 2, None, False)
+    path = tmp_path / "cache.jsonl"
+    first, second = CountTable(), CountTable()
+    first.insert(key, 1, "dp")
+    second.insert(key, 2, "dp")
+    first.save(path)
+    before = path.read_text()
+    with pytest.raises(CacheConflictError):
+        second.save(path)
+    assert path.read_text() == before
 
 
 def test_count_table_load_conflict(tmp_path):
