@@ -60,19 +60,22 @@ def _classes(r, s, n, refl):
     return keys, moves
 
 
-def dp_total(r, s, n, refl, m):
+def dp_total(r, s, n, refl, m, rounds=None):
     """rounds[j][key] = number of j-tuples of reflections whose product
     (rightmost factor applied first) has colored cycle type key, j <= m.
 
     R is closed under inverses, so N_j(g) = sum over t in R of
-    N_(j-1)(t*g), read off the class graph."""
+    N_(j-1)(t*g), read off the class graph.  Given the rounds of an
+    earlier call (at least round 0), only the rounds after its last are
+    computed; the list returned holds the earlier round tables as they
+    were."""
     keys, moves = _classes(r, s, n, tuple(refl))
-    cur = [1] + [0] * (len(keys) - 1)
-    rounds = [cur]
-    for _ in range(m):
+    rounds = list(rounds or [dict(zip(keys, [1] + [0] * (len(keys) - 1)))])
+    cur = list(rounds[-1].values())
+    for _ in range(len(rounds), m + 1):
         cur = [sum((swaps + diags) * cur[c] for c, swaps, diags in row) for row in moves]
-        rounds.append(cur)
-    return [dict(zip(keys, row)) for row in rounds]
+        rounds.append(dict(zip(keys, cur)))
+    return rounds
 
 
 def dp_refined(r, s, n, refl, m):

@@ -12,48 +12,13 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import __version__
-from .counting import (
-    CountingLimits,
-    CountKey,
-    CountTable,
-    Options,
-    all_from_connected,
-    connected_from_all,
-    count_all,
-    count_connected_enum,
-    count_connected_total_enum,
-    count_refined,
-)
 from .errors import ReflFactError, UsageError, ValidationError
-from .graphs import DecoratedGraph, all_walks, evaluate, is_connected, walk_weight
-from .groups import (
-    GroupElement,
-    GroupParams,
-    cycle_type,
-    entry_product,
-    is_trivial_product,
-    permutation_part,
-    reflections,
-)
-from .polyfit import (
-    CycleType,
-    collect_samples,
-    fit_grsn_polynomial,
-    fit_sn_polynomial,
-    normalization_verdict,
-)
-from .series import (
-    comparison_mismatches,
-    comparison_refined,
-    comparison_total,
-    connected_series,
-    cyclic_series,
-    long_cycle_series,
-    sn_long_cycle_series,
-)
+from .groups import GroupElement, GroupParams, reflections
+
+# Each handler imports the modules it runs when it runs, so a process
+# that counts does not load the fitting and series code.
 
 
 def _emit(payload: dict) -> None:
@@ -82,18 +47,25 @@ def _element(args, params: GroupParams) -> GroupElement:
     return GroupElement.from_json(_load_json_arg(args.omega), params)
 
 
-def _options(args) -> Options:
+def _options(args):
+    from .counting import CountingLimits, Options
+
     return Options(limits=CountingLimits(max_dp_cells=args.max_dp_cells))
 
 
 def _with_cache(args, compute):
-    """Run compute(table) with an optional persistent JSON-lines cache."""
+    """Run compute(table) with an optional persistent JSON-lines cache.
+    The file is rewritten only when compute inserted an entry: a hit
+    leaves it untouched."""
+    from .counting import CountTable
+
     if args.cache:
         table = CountTable.load(args.cache) if os.path.exists(args.cache) else CountTable()
     else:
         table = CountTable()
+    before = len(table)
     result = compute(table)
-    if args.cache:
+    if args.cache and len(table) != before:
         table.save(args.cache)
     return result
 
@@ -106,7 +78,7 @@ def _add_common(parser: argparse.ArgumentParser, with_params=True) -> None:
     parser.add_argument(
         "--max-dp-cells",
         type=int,
-        default=5 * 10**7,
+        default=5 * 10**7,  # counting.DEFAULT_MAX_DP_CELLS; a test pins the two
         help="cells a count table may hold: classes x rounds for the class "
         "DP; elements x rounds for the connected DP's tables, and its live "
         "states x diagonal-count slots in every round",
@@ -212,11 +184,13 @@ def _cmd_reflections(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
+    from .counting import CountKey, count_all
+
     params = _params(args)
     w = _element(args, params)
     opts = _options(args)
 
-    def compute(table: CountTable) -> int:
+    def compute(table) -> int:
         key = CountKey.of(w, m1=args.m, m2=None, connected=False)
         cached = table.get(key)
         if cached is not None:
@@ -229,11 +203,13 @@ def _cmd_count(args) -> dict:
 
 
 def _cmd_count_refined(args) -> dict:
+    from .counting import CountKey, count_refined
+
     params = _params(args)
     w = _element(args, params)
     opts = _options(args)
 
-    def compute(table: CountTable) -> int:
+    def compute(table) -> int:
         key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=False)
         cached = table.get(key)
         if cached is not None:
@@ -246,6 +222,13 @@ def _cmd_count_refined(args) -> dict:
 
 
 def _cmd_count_connected(args) -> dict:
+    from .counting import (
+        CountKey,
+        connected_from_all,
+        count_connected_enum,
+        count_connected_total_enum,
+    )
+
     params = _params(args)
     w = _element(args, params)
     opts = _options(args)
@@ -259,7 +242,7 @@ def _cmd_count_connected(args) -> dict:
     if args.method == "inversion" and split:
         raise UsageError("--method inversion computes totals; use --m")
 
-    def compute(table: CountTable) -> int:
+    def compute(table) -> int:
         if split:
             key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=True)
         else:
@@ -275,6 +258,8 @@ def _cmd_count_connected(args) -> dict:
             )
             provenance = "enumeration"
         elif args.method == "comparison":
+            from .series import comparison_refined, comparison_total
+
             value = (
                 comparison_refined(w, args.m1, args.m2, opts)
                 if split
@@ -291,6 +276,8 @@ def _cmd_count_connected(args) -> dict:
 
 
 def _cmd_verify_comparison(args) -> dict:
+    from .series import comparison_mismatches
+
     params = _params(args)
     opts = _options(args)
     checks, mismatches = comparison_mismatches(params, args.max_m, opts)
@@ -325,6 +312,13 @@ class CliConsistencyFailure(ReflFactError):
 
 
 def _cmd_series(args) -> dict:
+    from .series import (
+        connected_series,
+        cyclic_series,
+        long_cycle_series,
+        sn_long_cycle_series,
+    )
+
     opts = _options(args)
     if args.kind == "cyclic":
         q = args.q
@@ -356,7 +350,9 @@ def _cmd_series(args) -> dict:
     return payload
 
 
-def _parse_genus(text: str) -> Fraction:
+def _parse_genus(text: str):
+    from fractions import Fraction
+
     try:
         g = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -367,6 +363,13 @@ def _parse_genus(text: str) -> Fraction:
 
 
 def _cmd_fit(args) -> dict:
+    from .polyfit import (
+        collect_samples,
+        fit_grsn_polynomial,
+        fit_sn_polynomial,
+        normalization_verdict,
+    )
+
     opts = _options(args)
     g = _parse_genus(args.g)
     try:
@@ -390,6 +393,8 @@ def _cmd_fit(args) -> dict:
 
 
 def _cmd_walks(args) -> dict:
+    from .graphs import DecoratedGraph, all_walks, evaluate, is_connected, walk_weight
+
     graph = DecoratedGraph.from_json(_load_json_arg(args.graph))
     walks = all_walks(graph)
     element = evaluate(graph)

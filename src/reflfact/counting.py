@@ -100,15 +100,18 @@ def _cache_put(cache: dict, key, value):
 
 def _dp_tables(params: GroupParams, m: int, kind: str, opts: Options):
     """Tables keyed by colored cycle type.  kind 'total': rounds[j][key]
-    for j <= m (a cached table with more rounds serves too); kind
-    'refined': table[m2][key] at round m."""
+    for j <= m (a cached table with more rounds serves too; one with
+    fewer is extended from its last round); kind 'refined': table[m2][key]
+    at round m."""
     _check_cells("class DP", class_count(params) * (m + 1), params, m, opts.limits)
     key = (params, kind) if kind == "total" else (params, kind, m)
     tables = _dp_cache.pop(key, None)
     if tables is None or len(tables) <= m:
         refl = encode_reflections(params)
-        fn = _kernels_pure.dp_total if kind == "total" else _kernels_pure.dp_refined
-        tables = fn(params.r, params.s, params.n, refl, m)
+        if kind == "total":
+            tables = _kernels_pure.dp_total(params.r, params.s, params.n, refl, m, tables)
+        else:
+            tables = _kernels_pure.dp_refined(params.r, params.s, params.n, refl, m)
     return _cache_put(_dp_cache, key, tables)
 
 

@@ -1,8 +1,13 @@
 """Command-line interface: outputs, exit codes, cache behavior, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from reflfact.cli import main
+from reflfact.cli import build_parser, main
+from reflfact.counting import DEFAULT_MAX_DP_CELLS
 from reflfact.errors import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -188,6 +193,20 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert record["value"] == "3" and record["provenance"] == "dp"
 
 
+def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
+    cache = tmp_path / "counts.jsonl"
+    args = (
+        "count", "--r", "1", "--s", "1", "--n", "3",
+        "--omega", '{"perm":[2,3,1],"exps":[0,0,0]}',
+        "--m", "2", "--cache", str(cache),
+    )
+    run_json(capsys, *args)
+    before = os.stat(cache)
+    assert run_json(capsys, *args) == {"count": "3"}  # served from cache
+    after = os.stat(cache)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
 def test_cache_conflict_exit(capsys, tmp_path):
     cache = tmp_path / "counts.jsonl"
     args = (
@@ -243,3 +262,58 @@ def test_deterministic_output(capsys):
     # sorted keys
     payload = json.loads(out1)
     assert list(payload.keys()) == sorted(payload.keys())
+
+
+_LIST_MODULES = """
+import contextlib, io, json, sys
+from reflfact import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("reflfact."))]))
+"""
+
+
+def _modules_after(*argv):
+    """The reflfact modules a fresh interpreter holds after one cli.main
+    call; the test process itself has imported all of them."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _LIST_MODULES, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout)
+    assert code == EXIT_OK, proc.stderr
+    return set(modules)
+
+
+def test_subcommands_import_only_what_they_run(reference_graph):
+    group = ["--r", "2", "--s", "1", "--n", "2"]
+    omega = ["--omega", '{"perm":[2,1],"exps":[0,1]}']
+    for argv in (
+        ["count", *group, *omega, "--m", "2"],
+        ["count-refined", *group, *omega, "--m1", "1", "--m2", "1"],
+        ["count-connected", *group, *omega, "--m", "2", "--method", "inversion"],
+    ):
+        loaded = _modules_after(*argv)
+        assert "reflfact.counting" in loaded
+        assert not loaded & {"reflfact.polyfit", "reflfact.series"}, argv
+    for argv in (
+        ["reflections", *group],
+        ["walks", "--graph", json.dumps(reference_graph.to_json())],
+    ):
+        assert "reflfact.counting" not in _modules_after(*argv), argv
+
+
+def test_max_dp_cells_default_matches_library():
+    parser = build_parser()
+    group = ["--r", "1", "--s", "1", "--n", "2"]
+    for argv in (
+        ["count", *group, "--omega", "{}", "--m", "1"],
+        ["count-connected", *group, "--omega", "{}", "--m", "1"],
+        ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
+        ["fit", "--g", "0", "--ell", "1", "--n-values", "2"],
+    ):
+        assert parser.parse_args(argv).max_dp_cells == DEFAULT_MAX_DP_CELLS, argv[0]

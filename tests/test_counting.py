@@ -32,8 +32,9 @@ from reflfact.counting import (
     count_refined,
     populate_connected_table,
 )
+from reflfact import _kernels_pure
 from reflfact._kernels_pure import enum_bucketed
-from reflfact.indexing import GroupIndexer
+from reflfact.indexing import GroupIndexer, class_key
 from reflfact.kernels import encode_reflections
 
 from conftest import all_elements, fold_product
@@ -224,6 +225,30 @@ def test_connected_dp_beyond_enumeration_reach():
     p = GroupParams(6, 2, 3)
     for w in all_elements(p):
         assert count_connected_total_enum(w, 8) == connected_from_all(w, 8)
+
+
+def test_total_dp_extends_cached_rounds(monkeypatch):
+    # connected_from_all asks for m = 0, 1, 2, ... in turn: each round of
+    # the group's total table is computed once, not again for every larger m
+    clear_caches()
+    p = GroupParams(2, 1, 3)
+    full = _kernels_pure.dp_total(p.r, p.s, p.n, encode_reflections(p), 5)
+    built = []
+    original = _kernels_pure.dp_total
+
+    def recording(*args):
+        rounds = original(*args)
+        built.extend(rounds)
+        return rounds
+
+    monkeypatch.setattr(_kernels_pure, "dp_total", recording)
+    elements = list(all_elements(p))
+    for m in range(6):
+        for w in elements:
+            assert count_all(w, m) == full[m][class_key(w.perm, w.exps, p.r)]
+    distinct = list({id(table): table for table in built}.values())
+    assert distinct == full
+    clear_caches()
 
 
 def test_negative_m_rejected():
