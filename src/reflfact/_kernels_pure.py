@@ -4,9 +4,11 @@ exhaustive tuple enumeration that tests check the connected DP against.
 
 The class DP works on the G(r,1,n)-conjugacy classes of G(r,s,n), named
 by `reflfact.indexing.class_key`; its tables map class keys to counts.
-The connected DP and the enumeration fill tables dense over the group,
-indexed by `reflfact.indexing.GroupIndexer`.  Counts here are Python
-ints, so these kernels never overflow.
+The connected DP's tables map its live states to counts.  Both DPs
+return their rounds 0..m, and given the rounds of an earlier call they
+compute only the rounds after its last.  The enumeration fills tables
+dense over the group, indexed by `reflfact.indexing.GroupIndexer`.
+Counts here are Python ints, so these kernels never overflow.
 
 Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
 """
@@ -78,38 +80,49 @@ def dp_total(r, s, n, refl, m, rounds=None):
     return rounds
 
 
-def dp_refined(r, s, n, refl, m):
-    """table[m2][key] at round m, where m2 counts the diagonal factors used."""
+def dp_refined(r, s, n, refl, m, rounds=None):
+    """rounds[j][m2][key] for j <= m: the j-tuples whose product has
+    colored cycle type key and which hold m2 diagonal factors, so round j
+    has j+1 rows.  Earlier rounds are extended as in `dp_total`."""
     keys, moves = _classes(r, s, n, tuple(refl))
     zero = [0] * len(keys)
-    cur = [[1] + zero[1:]] + [zero] * m
-    for _ in range(m):
+    rounds = list(rounds or [[dict(zip(keys, [1] + zero[1:]))]])
+    cur = [list(row.values()) for row in rounds[-1]]
+    for _ in range(len(rounds), m + 1):
         cur = [
             [sum(swaps * same[c] + diags * less[c] for c, swaps, diags in row)
              for row in moves]
-            for same, less in zip(cur, [zero] + cur[:-1])
+            for same, less in zip(cur + [zero], [zero] + cur)
         ]
-    return [dict(zip(keys, row)) for row in cur]
+        rounds.append([dict(zip(keys, row)) for row in cur])
+    return rounds
 
 
-def dp_components(r, s, n, refl, m, max_cells):
-    """(total, conn) over all m-tuples, equal to what `enum_bucketed`
-    returns, by a forward DP that applies one more factor per round.
+def dp_components(r, s, n, refl, m, max_cells, rounds=None):
+    """rounds[j] = {(perm0, exps, labels): counts by m2} for j <= m: the
+    live states after j factors, by a forward DP that applies one more
+    factor per round.
 
     A state is the product so far (perm0, exps) together with the
     partition of the vertices into the components the swap factors have
-    joined, as labels[v] = least vertex of v's component; each state
-    carries its counts by m2, the number of diagonal factors.  total
-    sums over all partitions, conn takes the one-block partition.  More
-    than max_cells live states times m2 slots raise ResourceLimitError.
+    joined, as labels[v] = least vertex of v's component; the tuples
+    whose swap factors join every vertex end in the one-block state,
+    labels (0,)*n.  A state counts its tuples by m2, the number of
+    diagonal factors, in j+1 slots at round j, or in one slot when the
+    group has no diagonal reflections.  Earlier rounds are extended as
+    in `dp_total`.  When the kept rounds would hold more than max_cells
+    states times slots, ResourceLimitError is raised and the rounds
+    given are left as they were.
     """
-    params = GroupParams(r, s, n)
-    start = (tuple(range(n)), (0,) * n, tuple(range(n)))
-    cur = {start: [1]}
-    for j in range(1, m + 1):
+    diagonal = any(is_diag for is_diag, _, _, _ in refl)
+    rounds = list(rounds or [{(tuple(range(n)), (0,) * n, tuple(range(n))): [1]}])
+    held = sum(len(states) * (j + 1 if diagonal else 1) for j, states in enumerate(rounds))
+    cur = rounds[-1]
+    for j in range(len(rounds), m + 1):
+        slots = j + 1 if diagonal else 1
         nxt: dict = {}
         for (perm0, exps, labels), counts in cur.items():
-            same, shifted = counts + [0], [0] + counts
+            same, shifted = (counts + [0], [0] + counts) if diagonal else (counts, None)
             for is_diag, a, b, k in refl:
                 ia = perm0.index(a)
                 new_exps = list(exps)
@@ -131,24 +144,15 @@ def dp_components(r, s, n, refl, m, max_cells):
                     moved = same
                 old = nxt.get(key)
                 nxt[key] = moved if old is None else list(map(add, old, moved))
-            if len(nxt) * (j + 1) > max_cells:
+            if held + len(nxt) * slots > max_cells:
                 raise ResourceLimitError(
-                    f"connected DP over {params} at round {j} reaches "
-                    f"{len(nxt) * (j + 1)} live cells (limit {max_cells})"
+                    f"connected DP over {GroupParams(r, s, n)} up to round {j} "
+                    f"holds {held + len(nxt) * slots} cells (limit {max_cells})"
                 )
+        held += len(nxt) * slots
+        rounds.append(nxt)
         cur = nxt
-
-    indexer = GroupIndexer(params)
-    total = [[0] * indexer.size for _ in range(m + 1)]
-    conn = [[0] * indexer.size for _ in range(m + 1)]
-    for (perm0, exps, labels), counts in cur.items():
-        g = indexer.rank(perm0, exps)
-        connected = max(labels) == 0
-        for m2, c in enumerate(counts):
-            total[m2][g] += c
-            if connected:
-                conn[m2][g] += c
-    return total, conn
+    return rounds
 
 
 def enum_bucketed(r, s, n, refl, m):

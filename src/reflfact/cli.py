@@ -48,42 +48,47 @@ def _element(args, params: GroupParams) -> GroupElement:
 
 
 def _options(args):
-    from .counting import CountingLimits, Options
+    from .counting import Options
 
-    return Options(limits=CountingLimits(max_dp_cells=args.max_dp_cells))
+    return Options(max_dp_cells=args.max_dp_cells)
 
 
-def _with_cache(args, compute):
-    """Run compute(table) with an optional persistent JSON-lines cache.
-    The file is rewritten only when compute inserted an entry: a hit
-    leaves it untouched."""
+def _with_cache(args, key, provenance: str, compute) -> int:
+    """The count under `key`: read from the --cache file when it holds
+    it, else compute() inserted with `provenance`, and the file saved.
+    A hit leaves the file untouched."""
     from .counting import CountTable
 
-    if args.cache:
-        table = CountTable.load(args.cache) if os.path.exists(args.cache) else CountTable()
-    else:
-        table = CountTable()
-    before = len(table)
-    result = compute(table)
-    if args.cache and len(table) != before:
-        table.save(args.cache)
-    return result
+    table = CountTable()
+    if args.cache and os.path.exists(args.cache):
+        table = CountTable.load(args.cache)
+    value = table.get(key)
+    if value is None:
+        value = compute()
+        table.insert(key, value, provenance)
+        if args.cache:
+            table.save(args.cache)
+    return value
 
 
-def _add_common(parser: argparse.ArgumentParser, with_params=True) -> None:
-    if with_params:
-        parser.add_argument("--r", type=int, required=True)
-        parser.add_argument("--s", type=int, required=True)
-        parser.add_argument("--n", type=int, required=True)
+def _add_params(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--r", type=int, required=True)
+    parser.add_argument("--s", type=int, required=True)
+    parser.add_argument("--n", type=int, required=True)
+
+
+def _add_budget(parser: argparse.ArgumentParser, with_cache=False) -> None:
     parser.add_argument(
         "--max-dp-cells",
         type=int,
         default=5 * 10**7,  # counting.DEFAULT_MAX_DP_CELLS; a test pins the two
-        help="cells a count table may hold: classes x rounds for the class "
-        "DP; elements x rounds for the connected DP's tables, and its live "
-        "states x diagonal-count slots in every round",
+        help="cells a kernel's kept rounds 0..m may hold: one per class and "
+        "round for total counts, one per class, round and diagonal count for "
+        "refined counts, one per live state and diagonal-count slot in each "
+        "round for the connected DP",
     )
-    parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
+    if with_cache:
+        parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -95,21 +100,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("reflections", help="list the reflection generating set")
-    _add_common(p)
+    _add_params(p)
 
     p = sub.add_parser("count", help="total factorization count f_m")
-    _add_common(p)
+    _add_params(p)
+    _add_budget(p, with_cache=True)
     p.add_argument("--omega", required=True, help="element JSON (inline or @file)")
     p.add_argument("--m", type=int, required=True)
 
     p = sub.add_parser("count-refined", help="refined count by swap/diagonal split")
-    _add_common(p)
+    _add_params(p)
+    _add_budget(p, with_cache=True)
     p.add_argument("--omega", required=True)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
 
     p = sub.add_parser("count-connected", help="connected factorization count")
-    _add_common(p)
+    _add_params(p)
+    _add_budget(p, with_cache=True)
     p.add_argument("--omega", required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--m1", type=int, default=None)
@@ -125,11 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="exhaustively check the comparison formula against the "
         "connected DP",
     )
-    _add_common(p)
+    _add_params(p)
+    _add_budget(p)
     p.add_argument("--max-m", type=int, required=True)
 
     p = sub.add_parser("series", help="exact truncated generating series")
-    _add_common(p, with_params=False)
+    _add_budget(p)
     p.add_argument(
         "--kind",
         choices=["cyclic", "connected", "sn-long-cycle", "long-cycle"],
@@ -144,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", help="element JSON (kind=connected)")
 
     p = sub.add_parser("fit", help="fit the symmetric polynomial behind connected counts")
-    _add_common(p, with_params=False)
+    _add_budget(p)
     p.add_argument("--g", required=True, help="genus parameter (integer or half-integer)")
     p.add_argument("--ell", type=int, required=True)
     p.add_argument("--r", type=int, default=1)
@@ -189,17 +198,9 @@ def _cmd_count(args) -> dict:
     params = _params(args)
     w = _element(args, params)
     opts = _options(args)
-
-    def compute(table) -> int:
-        key = CountKey.of(w, m1=args.m, m2=None, connected=False)
-        cached = table.get(key)
-        if cached is not None:
-            return cached
-        value = count_all(w, args.m, opts)
-        table.insert(key, value, "dp")
-        return value
-
-    return {"count": str(_with_cache(args, compute))}
+    key = CountKey.of(w, m1=args.m, m2=None, connected=False)
+    value = _with_cache(args, key, "dp", lambda: count_all(w, args.m, opts))
+    return {"count": str(value)}
 
 
 def _cmd_count_refined(args) -> dict:
@@ -208,17 +209,9 @@ def _cmd_count_refined(args) -> dict:
     params = _params(args)
     w = _element(args, params)
     opts = _options(args)
-
-    def compute(table) -> int:
-        key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=False)
-        cached = table.get(key)
-        if cached is not None:
-            return cached
-        value = count_refined(w, args.m1, args.m2, opts)
-        table.insert(key, value, "dp")
-        return value
-
-    return {"count": str(_with_cache(args, compute))}
+    key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=False)
+    value = _with_cache(args, key, "dp", lambda: count_refined(w, args.m1, args.m2, opts))
+    return {"count": str(value)}
 
 
 def _cmd_count_connected(args) -> dict:
@@ -242,37 +235,26 @@ def _cmd_count_connected(args) -> dict:
     if args.method == "inversion" and split:
         raise UsageError("--method inversion computes totals; use --m")
 
-    def compute(table) -> int:
-        if split:
-            key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=True)
-        else:
-            key = CountKey.of(w, m1=args.m, m2=None, connected=True)
-        cached = table.get(key)
-        if cached is not None:
-            return cached
+    def compute() -> int:
         if args.method == "enum":
-            value = (
-                count_connected_enum(w, args.m1, args.m2, opts)
-                if split
-                else count_connected_total_enum(w, args.m, opts)
-            )
-            provenance = "enumeration"
-        elif args.method == "comparison":
+            if split:
+                return count_connected_enum(w, args.m1, args.m2, opts)
+            return count_connected_total_enum(w, args.m, opts)
+        if args.method == "comparison":
             from .series import comparison_refined, comparison_total
 
-            value = (
-                comparison_refined(w, args.m1, args.m2, opts)
-                if split
-                else comparison_total(w, args.m, opts)
-            )
-            provenance = "closed-form"
-        else:
-            value = connected_from_all(w, args.m, opts)
-            provenance = "inversion"
-        table.insert(key, value, provenance)
-        return value
+            if split:
+                return comparison_refined(w, args.m1, args.m2, opts)
+            return comparison_total(w, args.m, opts)
+        return connected_from_all(w, args.m, opts)
 
-    return {"count": str(_with_cache(args, compute)), "method": args.method}
+    m1, m2 = (args.m1, args.m2) if split else (args.m, None)
+    key = CountKey.of(w, m1=m1, m2=m2, connected=True)
+    provenance = {
+        "enum": "enumeration", "comparison": "closed-form", "inversion": "inversion"
+    }[args.method]
+    value = _with_cache(args, key, provenance, compute)
+    return {"count": str(value), "method": args.method}
 
 
 def _cmd_verify_comparison(args) -> dict:

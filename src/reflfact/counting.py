@@ -14,6 +14,11 @@ Three independent routes are implemented and cross-checked in tests:
   expresses total counts as multinomial convolutions of connected
   counts over partitions of the element.
 
+One cache holds, for the 16 groups used most recently, the rounds
+0..m of every DP, which a count at a larger m extends from the last
+one, and the inversion's memo.  `Options.max_dp_cells` bounds the
+cells a DP's kept rounds hold.
+
 All counts are arbitrary-precision integers.
 """
 
@@ -43,98 +48,78 @@ from .groups import (
     partitions,
     relabel_to_dense,
 )
-from .indexing import GroupIndexer, class_count, class_key
+from .indexing import class_count, class_key
 from .kernels import encode_reflections
 
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
 
 
 @dataclass(frozen=True)
-class CountingLimits:
-    """Budgets above which computations are refused instead of attempted."""
+class Options:
+    """Execution knobs shared by the counting entry points: a count whose
+    kernel would keep more than max_dp_cells cells is refused instead of
+    attempted."""
 
     max_dp_cells: int = DEFAULT_MAX_DP_CELLS
-
-
-DEFAULT_LIMITS = CountingLimits()
-
-
-@dataclass(frozen=True)
-class Options:
-    """Execution knobs shared by the counting entry points."""
-
-    limits: CountingLimits = DEFAULT_LIMITS
 
 
 DEFAULT_OPTIONS = Options()
 
 
 def _check_cells(what: str, cells: int, params: GroupParams, m: int,
-                 limits: CountingLimits) -> None:
-    if cells > limits.max_dp_cells:
+                 opts: Options) -> None:
+    if cells > opts.max_dp_cells:
         raise ResourceLimitError(
             f"{what} over {params} up to m={m} needs {cells} cells "
-            f"(limit {limits.max_dp_cells})"
+            f"(limit {opts.max_dp_cells})"
         )
 
 
-_dp_cache: dict = {}
-_enum_cache: dict = {}
-_connected_cache: dict = {}
+# GroupParams -> {name: what that function keeps of the group}: the rounds
+# of each `_kernels_pure` kernel, and connected_from_all's memo by (class
+# key, m).  Least recently used group first.
+_cache: dict = {}
 _CACHE_SLOTS = 16
 
 
 def clear_caches() -> None:
     _kernels_pure._classes.cache_clear()
-    _dp_cache.clear()
-    _enum_cache.clear()
-    _connected_cache.clear()
+    _cache.clear()
 
 
-def _cache_put(cache: dict, key, value):
-    if len(cache) >= _CACHE_SLOTS:
-        cache.pop(next(iter(cache)))
-    cache[key] = value
-    return value
+def _group(params: GroupParams) -> dict:
+    """The group's record, made the most recently used; beyond
+    _CACHE_SLOTS groups the least recently used one is dropped."""
+    record = _cache.pop(params, {})
+    _cache[params] = record
+    if len(_cache) > _CACHE_SLOTS:
+        del _cache[next(iter(_cache))]
+    return record
 
 
-def _dp_tables(params: GroupParams, m: int, kind: str, opts: Options):
-    """Tables keyed by colored cycle type.  kind 'total': rounds[j][key]
-    for j <= m (a cached table with more rounds serves too; one with
-    fewer is extended from its last round); kind 'refined': table[m2][key]
-    at round m."""
-    _check_cells("class DP", class_count(params) * (m + 1), params, m, opts.limits)
-    key = (params, kind) if kind == "total" else (params, kind, m)
-    tables = _dp_cache.pop(key, None)
-    if tables is None or len(tables) <= m:
-        refl = encode_reflections(params)
-        if kind == "total":
-            tables = _kernels_pure.dp_total(params.r, params.s, params.n, refl, m, tables)
-        else:
-            tables = _kernels_pure.dp_refined(params.r, params.s, params.n, refl, m)
-    return _cache_put(_dp_cache, key, tables)
-
-
-def _enum_tables(params: GroupParams, m: int, opts: Options):
-    """(total[m2][g], conn[m2][g]) over all m-tuples, dense over the group,
-    from the component-partition DP."""
-    _check_cells("connected DP", params.group_order() * (m + 1), params, m, opts.limits)
-    key = (params, m)
-    if key in _enum_cache:
-        return _enum_cache[key]
-    refl = encode_reflections(params)
-    result = _kernels_pure.dp_components(
-        params.r, params.s, params.n, refl, m, opts.limits.max_dp_cells
-    )
-    return _cache_put(_enum_cache, key, result)
+def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
+    """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
+    over the group: its cached rounds, extended from the last one when
+    they stop short of m.  The kernel is looked up at call time, so a
+    rebinding of the module's name is seen.  A refused extension leaves
+    the cached rounds as they were."""
+    record = _group(params)
+    rounds = record.get(kernel)
+    if rounds is None or len(rounds) <= m:
+        budget = (opts.max_dp_cells,) if kernel == "dp_components" else ()
+        rounds = record[kernel] = getattr(_kernels_pure, kernel)(
+            params.r, params.s, params.n, encode_reflections(params), m, *budget, rounds
+        )
+    return rounds
 
 
 def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """Number of m-tuples of reflections multiplying to w."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    rounds = _dp_tables(w.params, m, "total", opts)
-    return rounds[m][class_key(w.perm, w.exps, w.params.r)]
+    p = w.params
+    _check_cells("class DP", class_count(p) * (m + 1), p, m, opts)
+    return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)]
 
 
 def count_refined(
@@ -144,16 +129,36 @@ def count_refined(
     factors (and m1 swap factors)."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    table = _dp_tables(w.params, m1 + m2, "refined", opts)
-    return table[m2][class_key(w.perm, w.exps, w.params.r)]
+    p, m = w.params, m1 + m2
+    # rounds 0..m are kept, and round j has j+1 rows
+    _check_cells("refined class DP", class_count(p) * (m + 1) * (m + 2) // 2, p, m, opts)
+    return _rounds(p, m, "dp_refined", opts)[m][m2][class_key(w.perm, w.exps, p.r)]
+
+
+def _components(params: GroupParams, m: int, opts: Options) -> dict:
+    """Round m of the connected DP over the group: {(perm0, exps,
+    labels): counts by m2}."""
+    if m < 0:
+        raise ValidationError("m must be nonnegative")
+    return _rounds(params, m, "dp_components", opts)[m]
+
+
+def _one_block(w: GroupElement, m: int, opts: Options) -> list[int]:
+    """Counts by m2 of the m-tuples with product w whose swap factors
+    join all n vertices: the one-block state of w in the connected DP."""
+    state = (tuple(v - 1 for v in w.perm), tuple(w.exps), (0,) * w.params.n)
+    return _components(w.params, m, opts).get(state, [])
 
 
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """count_all recomputed by the component-partition DP (cross-check
-    path)."""
-    total, _ = _enum_tables(w.params, m, opts)
-    g = GroupIndexer(w.params).index_of(w)
-    return sum(total[m2][g] for m2 in range(m + 1))
+    path): the states of w under every partition."""
+    perm0, exps = tuple(v - 1 for v in w.perm), tuple(w.exps)
+    return sum(
+        sum(counts)
+        for (p0, e, _), counts in _components(w.params, m, opts).items()
+        if p0 == perm0 and e == exps
+    )
 
 
 def count_connected_enum(
@@ -163,8 +168,8 @@ def count_connected_enum(
     oracle."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    _, conn = _enum_tables(w.params, m1 + m2, opts)
-    return conn[m2][GroupIndexer(w.params).index_of(w)]
+    counts = _one_block(w, m1 + m2, opts)
+    return counts[m2] if m2 < len(counts) else 0
 
 
 def count_connected_total_enum(
@@ -172,9 +177,7 @@ def count_connected_total_enum(
 ) -> int:
     """Connected count over all diagonal/swap splits, by the
     component-partition DP."""
-    _, conn = _enum_tables(w.params, m, opts)
-    g = GroupIndexer(w.params).index_of(w)
-    return sum(conn[m2][g] for m2 in range(m + 1))
+    return sum(_one_block(w, m, opts))
 
 
 def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
@@ -198,15 +201,16 @@ def connected_from_all(
     """Connected count obtained by inverting the partition product formula:
     subtract, from the total count, every way of splitting the element into
     two or more independent blocks with connected factorizations.  The
-    connected count is a class function too, so the cache is keyed by
-    colored cycle type."""
+    connected count is a class function too, so each group's memo is
+    keyed by colored cycle type."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
 
     def f_tilde(elem: GroupElement, mm: int) -> int:
-        key = (elem.params, class_key(elem.perm, elem.exps, elem.params.r), mm)
-        if key in _connected_cache:
-            return _connected_cache[key]
+        memo = _group(elem.params).setdefault("connected_from_all", {})
+        key = (class_key(elem.perm, elem.exps, elem.params.r), mm)
+        if key in memo:
+            return memo[key]
         parts = partitions(elem)
         value = count_all(elem, mm, opts)
         for part in parts:
@@ -218,19 +222,13 @@ def connected_from_all(
                 vec = [f_tilde(sub, j) for j in range(mm + 1)]
                 acc = _binomial_convolve(acc, vec, mm)
             value -= acc[mm]
-        _cache_put_connected(key, value)
+        memo[key] = value
         return value
 
     result = f_tilde(w, m)
     if table is not None:
         table.insert(CountKey.of(w, m1=m, m2=None, connected=True), result, "inversion")
     return result
-
-
-def _cache_put_connected(key, value):
-    if len(_connected_cache) > 200000:
-        _connected_cache.clear()
-    _connected_cache[key] = value
 
 
 def all_from_connected(

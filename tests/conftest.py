@@ -14,6 +14,7 @@ from reflfact import (
     multiply,
     reflections,
 )
+from reflfact.indexing import GroupIndexer
 
 
 @pytest.fixture(scope="session")
@@ -78,3 +79,21 @@ def all_elements(params: GroupParams):
         for exps in itertools.product(range(r), repeat=n):
             if sum(exps) % s == 0:
                 yield GroupElement(params, perm, exps)
+
+
+def dense_tables(params: GroupParams, states: dict, m: int):
+    """(total, conn) dense over the group, as `enum_bucketed` returns them
+    for m factors, from round m of `dp_components`: total sums a
+    product's states over every partition, conn takes the one-block
+    state."""
+    indexer = GroupIndexer(params)
+    total = [[0] * indexer.size for _ in range(m + 1)]
+    conn = [[0] * indexer.size for _ in range(m + 1)]
+    for (perm0, exps, labels), counts in states.items():
+        g = indexer.rank(perm0, exps)
+        connected = max(labels) == 0
+        for m2, c in enumerate(counts):
+            total[m2][g] += c
+            if connected:
+                conn[m2][g] += c
+    return total, conn

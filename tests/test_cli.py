@@ -132,10 +132,18 @@ def test_fit_command(capsys):
     assert verdict["verdict"]["winners"] == ["derived"]
 
 
-def test_exit_codes(capsys):
+def test_exit_codes(capsys, tmp_path):
     # usage: unknown flag
     code, _, _ = run_cli(capsys, "count", "--bogus")
     assert code == EXIT_USAGE
+    # usage: --cache belongs to the count commands only
+    cache = tmp_path / "x.jsonl"
+    for argv in (
+        ["reflections", "--r", "1", "--s", "1", "--n", "2"],
+        ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
+    ):
+        code, _, _ = run_cli(capsys, *argv, "--cache", str(cache))
+        assert code == EXIT_USAGE and not cache.exists(), argv[0]
     # usage: inconsistent flag combination
     code, _, err = run_cli(
         capsys, "count-connected", "--r", "1", "--s", "1", "--n", "2",
@@ -154,6 +162,12 @@ def test_exit_codes(capsys):
         "--omega", "{not json", "--m", "1",
     )
     assert code == EXIT_VALIDATION
+    # validation: negative m on the connected DP route
+    code, _, err = run_cli(
+        capsys, "count-connected", "--r", "2", "--s", "1", "--n", "3",
+        "--omega", '{"perm":[2,3,1],"exps":[0,1,1]}', "--m", "-1", "--method", "enum",
+    )
+    assert code == EXIT_VALIDATION and "nonnegative" in err
     # resource refusal
     code, _, err = run_cli(
         capsys, "count", "--r", "6", "--s", "1", "--n", "4",

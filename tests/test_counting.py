@@ -18,7 +18,6 @@ from reflfact import (
     reflections,
 )
 from reflfact.counting import (
-    CountingLimits,
     CountKey,
     CountTable,
     Options,
@@ -34,7 +33,7 @@ from reflfact.counting import (
 )
 from reflfact import _kernels_pure
 from reflfact._kernels_pure import enum_bucketed
-from reflfact.indexing import GroupIndexer, class_key
+from reflfact.indexing import GroupIndexer, class_count
 from reflfact.kernels import encode_reflections
 
 from conftest import all_elements, fold_product
@@ -200,7 +199,7 @@ def test_parity_vanishing_sn():
 def test_resource_limits():
     p = GroupParams(6, 2, 4)
     w = identity(p)
-    tiny = Options(limits=CountingLimits(max_dp_cells=10))
+    tiny = Options(max_dp_cells=10)
     with pytest.raises(ResourceLimitError):
         count_all(w, 3, tiny)
     with pytest.raises(ResourceLimitError):
@@ -208,15 +207,47 @@ def test_resource_limits():
 
 
 def test_connected_dp_budget_bounds_live_states():
-    # the dense tables of S_4 up to m=3 need 24*4 = 96 cells; the DP's 30
-    # live states at round 3 with 4 m2 slots each hold 120
+    # S_4 has no diagonal reflections, so each live state holds one slot:
+    # rounds 0..3 keep 1 + 6 + 17 + 30 = 54 cells
     clear_caches()
     w = identity(GroupParams(1, 1, 4))
     with pytest.raises(ResourceLimitError):
-        count_connected_total_enum(w, 3, Options(limits=CountingLimits(max_dp_cells=119)))
-    assert count_connected_total_enum(
-        w, 3, Options(limits=CountingLimits(max_dp_cells=120))
-    ) == connected_from_all(w, 3)
+        count_connected_total_enum(w, 3, Options(max_dp_cells=53))
+    assert count_connected_total_enum(w, 3, Options(max_dp_cells=54)) == connected_from_all(w, 3)
+    clear_caches()
+
+
+def test_refused_extension_keeps_cached_rounds(monkeypatch):
+    clear_caches()
+    w = identity(GroupParams(1, 1, 4))
+    assert count_connected_total_enum(w, 2) == connected_from_all(w, 2)
+    given = []
+    original = _kernels_pure.dp_components
+
+    def recording(*args):
+        given.append(args[-1])
+        return original(*args)
+
+    monkeypatch.setattr(_kernels_pure, "dp_components", recording)
+    with pytest.raises(ResourceLimitError):
+        count_connected_total_enum(w, 3, Options(max_dp_cells=53))
+    assert count_connected_total_enum(w, 2) == connected_from_all(w, 2)  # no kernel call
+    assert count_connected_total_enum(w, 3, Options(max_dp_cells=54)) == connected_from_all(w, 3)
+    assert len(given) == 2 and given[1] is given[0] and len(given[0]) == 3
+    clear_caches()
+
+
+def test_refined_budget_counts_kept_rounds():
+    # the refined DP keeps rounds 0..3 with j+1 diagonal-count rows in round
+    # j, 10 rows of classes in all; the total DP keeps 4
+    clear_caches()
+    p = GroupParams(2, 1, 3)
+    w = identity(p)
+    cells = class_count(p) * 10
+    with pytest.raises(ResourceLimitError):
+        count_refined(w, 2, 1, Options(max_dp_cells=cells - 1))
+    refined = [count_refined(w, 3 - m2, m2, Options(max_dp_cells=cells)) for m2 in range(4)]
+    assert sum(refined) == count_all(w, 3, Options(max_dp_cells=cells - 1))
     clear_caches()
 
 
@@ -227,25 +258,39 @@ def test_connected_dp_beyond_enumeration_reach():
         assert count_connected_total_enum(w, 8) == connected_from_all(w, 8)
 
 
-def test_total_dp_extends_cached_rounds(monkeypatch):
-    # connected_from_all asks for m = 0, 1, 2, ... in turn: each round of
-    # the group's total table is computed once, not again for every larger m
-    clear_caches()
+ROUND_QUERIES = {
+    "dp_total": count_all,
+    "dp_refined": lambda w, m: [count_refined(w, m - m2, m2) for m2 in range(m + 1)],
+    "dp_components": count_connected_total_enum,
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(ROUND_QUERIES))
+def test_total_dp_extends_cached_rounds(monkeypatch, kernel):
+    # connected_from_all and comparison_mismatches ask for m = 0, 1, 2, ...
+    # in turn: each round of each kernel over the group is computed once,
+    # not again for every larger m
     p = GroupParams(2, 1, 3)
-    full = _kernels_pure.dp_total(p.r, p.s, p.n, encode_reflections(p), 5)
+    query = ROUND_QUERIES[kernel]
+    elements = list(all_elements(p))
+    expected = []
+    for m in range(6):
+        clear_caches()
+        expected.append([query(w, m) for w in elements])
+    clear_caches()
+    budget = (10**7,) if kernel == "dp_components" else ()
+    full = getattr(_kernels_pure, kernel)(p.r, p.s, p.n, encode_reflections(p), 5, *budget)
     built = []
-    original = _kernels_pure.dp_total
+    original = getattr(_kernels_pure, kernel)
 
     def recording(*args):
         rounds = original(*args)
         built.extend(rounds)
         return rounds
 
-    monkeypatch.setattr(_kernels_pure, "dp_total", recording)
-    elements = list(all_elements(p))
+    monkeypatch.setattr(_kernels_pure, kernel, recording)
     for m in range(6):
-        for w in elements:
-            assert count_all(w, m) == full[m][class_key(w.perm, w.exps, p.r)]
+        assert [query(w, m) for w in elements] == expected[m]
     distinct = list({id(table): table for table in built}.values())
     assert distinct == full
     clear_caches()

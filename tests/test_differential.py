@@ -18,7 +18,7 @@ from reflfact.kernels import encode_reflections
 from reflfact.series import comparison_refined
 from reflfact._kernels_pure import dp_components, enum_bucketed
 
-from conftest import all_elements
+from conftest import all_elements, dense_tables
 
 SMALL_GROUPS = [
     (r, s, n)
@@ -36,7 +36,8 @@ def test_routes_agree(group, m):
     r, s, n = group
     params = GroupParams(r, s, n)
     refl = encode_reflections(params)
-    assert dp_components(r, s, n, refl, m, 10**7) == enum_bucketed(r, s, n, refl, m)
+    states = dp_components(r, s, n, refl, m, 10**7)[m]
+    assert dense_tables(params, states, m) == enum_bucketed(r, s, n, refl, m)
     for w in all_elements(params):
         assert count_all(w, m) == count_all_by_enum(w, m)
         assert connected_from_all(w, m) == count_connected_total_enum(w, m)

@@ -8,7 +8,7 @@ from reflfact._kernels_pure import dp_components, dp_total, enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count, class_key, perm_rank, perm_unrank
 from reflfact.kernels import encode_reflections
 
-from conftest import all_elements
+from conftest import all_elements, dense_tables
 
 CONFIGS = [
     (1, 1, 1),
@@ -58,9 +58,11 @@ def test_class_dp_covers_every_colored_cycle_type(r, s, n):
 
 @pytest.mark.parametrize("r,s,n", CONFIGS)
 def test_connected_dp_matches_enumeration(r, s, n):
-    refl = encode_reflections(GroupParams(r, s, n))
+    params = GroupParams(r, s, n)
+    refl = encode_reflections(params)
+    rounds = dp_components(r, s, n, refl, 3, 10**6)
     for m in range(4):
-        assert dp_components(r, s, n, refl, m, 10**6) == enum_bucketed(r, s, n, refl, m)
+        assert dense_tables(params, rounds[m], m) == enum_bucketed(r, s, n, refl, m)
 
 
 def test_enum_m0_slice_convention():
