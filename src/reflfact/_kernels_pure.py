@@ -83,16 +83,18 @@ def dp_total(r, s, n, refl, m, rounds=None):
 def dp_refined(r, s, n, refl, m, rounds=None):
     """rounds[j][m2][key] for j <= m: the j-tuples whose product has
     colored cycle type key and which hold m2 diagonal factors, so round j
-    has j+1 rows.  Earlier rounds are extended as in `dp_total`."""
+    has j+1 rows, or only the m2 = 0 row when the group has no diagonal
+    reflections.  Earlier rounds are extended as in `dp_total`."""
     keys, moves = _classes(r, s, n, tuple(refl))
     zero = [0] * len(keys)
+    diagonal = any(is_diag for is_diag, _, _, _ in refl)
     rounds = list(rounds or [[dict(zip(keys, [1] + zero[1:]))]])
     cur = [list(row.values()) for row in rounds[-1]]
     for _ in range(len(rounds), m + 1):
         cur = [
             [sum(swaps * same[c] + diags * less[c] for c, swaps, diags in row)
              for row in moves]
-            for same, less in zip(cur + [zero], [zero] + cur)
+            for same, less in zip(cur + [zero] if diagonal else cur, [zero] + cur)
         ]
         rounds.append([dict(zip(keys, row)) for row in cur])
     return rounds

@@ -17,7 +17,9 @@ Three independent routes are implemented and cross-checked in tests:
 One cache holds, for the 16 groups used most recently, the rounds
 0..m of every DP, which a count at a larger m extends from the last
 one, and the inversion's memo.  `Options.max_dp_cells` bounds the
-cells a DP's kept rounds hold.
+cells a DP's kept rounds hold.  Every count reads the cache through one
+lookup, which checks that bound first, also for a cached count; a
+cached count then costs one read by the element's colored cycle type.
 
 All counts are arbitrary-precision integers.
 """
@@ -30,6 +32,7 @@ import json
 import math
 import os
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -66,19 +69,11 @@ class Options:
 DEFAULT_OPTIONS = Options()
 
 
-def _check_cells(what: str, cells: int, params: GroupParams, m: int,
-                 opts: Options) -> None:
-    if cells > opts.max_dp_cells:
-        raise ResourceLimitError(
-            f"{what} over {params} up to m={m} needs {cells} cells "
-            f"(limit {opts.max_dp_cells})"
-        )
-
-
-# GroupParams -> {name: what that function keeps of the group}: the rounds
-# of each `_kernels_pure` kernel, and connected_from_all's memo by (class
-# key, m).  Least recently used group first.
-_cache: dict = {}
+# GroupParams.triple -> {name: what that function keeps of the group}: the
+# rounds of each `_kernels_pure` kernel, and connected_from_all's memo by
+# (class key, m); also the group's class count, which the budget checks
+# read.  Least recently used group first.
+_cache: OrderedDict = OrderedDict()
 _CACHE_SLOTS = 16
 
 
@@ -87,30 +82,49 @@ def clear_caches() -> None:
     _cache.clear()
 
 
-def _group(params: GroupParams) -> dict:
-    """The group's record, made the most recently used; beyond
-    _CACHE_SLOTS groups the least recently used one is dropped."""
-    record = _cache.pop(params, {})
-    _cache[params] = record
-    if len(_cache) > _CACHE_SLOTS:
-        del _cache[next(iter(_cache))]
+def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
+    """The group's record, which every cached count is read from.  It
+    becomes the most recently used (beyond _CACHE_SLOTS groups the least
+    recently used one is dropped), and the cells `kernel` keeps up to m
+    are checked against the budget first: class_count * (m+1) for the
+    class DP and for connected_from_all's memo, which stands for the
+    totals it was built from, and as many per diagonal-count row for the
+    refined DP, j+1 rows in round j in a group with diagonal reflections.
+    The connected DP checks its own cells while it runs."""
+    record = _cache.get(params.triple)
+    if record is None:
+        record = _cache[params.triple] = {"class_count": class_count(params)}
+        if len(_cache) > _CACHE_SLOTS:
+            _cache.popitem(last=False)
+    else:
+        _cache.move_to_end(params.triple)
+    if kernel != "dp_components":
+        cells = record["class_count"] * (m + 1)
+        if kernel == "dp_refined" and params.q > 1:
+            cells = cells * (m + 2) // 2
+        if cells > opts.max_dp_cells:
+            what = "refined class DP" if kernel == "dp_refined" else "class DP"
+            raise ResourceLimitError(
+                f"{what} over {params} up to m={m} needs {cells} cells "
+                f"(limit {opts.max_dp_cells})"
+            )
     return record
 
 
-def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
-    """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
-    over the group: its cached rounds, extended from the last one when
+def _round(params: GroupParams, m: int, kernel: str, opts: Options):
+    """Round m of the `_kernels_pure` kernel named `kernel` over the group,
+    from its cached rounds, which are extended from the last one when
     they stop short of m.  The kernel is looked up at call time, so a
     rebinding of the module's name is seen.  A refused extension leaves
     the cached rounds as they were."""
-    record = _group(params)
+    record = _group(params, m, kernel, opts)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
         budget = (opts.max_dp_cells,) if kernel == "dp_components" else ()
         rounds = record[kernel] = getattr(_kernels_pure, kernel)(
             params.r, params.s, params.n, encode_reflections(params), m, *budget, rounds
         )
-    return rounds
+    return rounds[m]
 
 
 def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
@@ -118,8 +132,7 @@ def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     if m < 0:
         raise ValidationError("m must be nonnegative")
     p = w.params
-    _check_cells("class DP", class_count(p) * (m + 1), p, m, opts)
-    return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)]
+    return _round(p, m, "dp_total", opts)[class_key(w.perm, w.exps, p.r)]
 
 
 def count_refined(
@@ -129,10 +142,9 @@ def count_refined(
     factors (and m1 swap factors)."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    p, m = w.params, m1 + m2
-    # rounds 0..m are kept, and round j has j+1 rows
-    _check_cells("refined class DP", class_count(p) * (m + 1) * (m + 2) // 2, p, m, opts)
-    return _rounds(p, m, "dp_refined", opts)[m][m2][class_key(w.perm, w.exps, p.r)]
+    rows = _round(w.params, m1 + m2, "dp_refined", opts)
+    # a group without diagonal reflections keeps the m2 = 0 row only
+    return rows[m2][class_key(w.perm, w.exps, w.params.r)] if m2 < len(rows) else 0
 
 
 def _components(params: GroupParams, m: int, opts: Options) -> dict:
@@ -140,7 +152,7 @@ def _components(params: GroupParams, m: int, opts: Options) -> dict:
     labels): counts by m2}."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    return _rounds(params, m, "dp_components", opts)[m]
+    return _round(params, m, "dp_components", opts)
 
 
 def _one_block(w: GroupElement, m: int, opts: Options) -> list[int]:
@@ -205,30 +217,34 @@ def connected_from_all(
     keyed by colored cycle type."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-
-    def f_tilde(elem: GroupElement, mm: int) -> int:
-        memo = _group(elem.params).setdefault("connected_from_all", {})
-        key = (class_key(elem.perm, elem.exps, elem.params.r), mm)
-        if key in memo:
-            return memo[key]
-        parts = partitions(elem)
-        value = count_all(elem, mm, opts)
-        for part in parts:
-            if len(part.blocks) < 2:
-                continue
-            acc = [1 if j == 0 else 0 for j in range(mm + 1)]
-            for block in part.blocks:
-                sub = relabel_to_dense(elem, block)
-                vec = [f_tilde(sub, j) for j in range(mm + 1)]
-                acc = _binomial_convolve(acc, vec, mm)
-            value -= acc[mm]
-        memo[key] = value
-        return value
-
-    result = f_tilde(w, m)
+    result = _f_tilde(w, m, opts)
     if table is not None:
         table.insert(CountKey.of(w, m1=m, m2=None, connected=True), result, "inversion")
     return result
+
+
+def _f_tilde(w: GroupElement, m: int, opts: Options) -> int:
+    """connected_from_all's recursion over the blocks of w, memoized."""
+    memo = _group(w.params, m, "connected_from_all", opts).setdefault(
+        "connected_from_all", {}
+    )
+    key = (class_key(w.perm, w.exps, w.params.r), m)
+    value = memo.get(key)
+    if value is not None:
+        return value
+    parts = partitions(w)
+    value = count_all(w, m, opts)
+    for part in parts:
+        if len(part.blocks) < 2:
+            continue
+        acc = [1 if j == 0 else 0 for j in range(m + 1)]
+        for block in part.blocks:
+            sub = relabel_to_dense(w, block)
+            vec = [_f_tilde(sub, j, opts) for j in range(m + 1)]
+            acc = _binomial_convolve(acc, vec, m)
+        value -= acc[m]
+    memo[key] = value
+    return value
 
 
 def all_from_connected(

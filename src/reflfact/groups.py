@@ -11,32 +11,69 @@ JSON); internal helpers use 0-based tuples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class GroupParams:
+
+class _Frozen:
+    """Immutable slotted value: attributes are set once, in __init__, and
+    assigning or deleting one raises FrozenInstanceError as a frozen
+    dataclass does.  Copies and pickles go back through the validating
+    constructor."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class GroupParams(_Frozen):
     """The triple (r, s, n) with s | r; fixes one group G(r,s,n)."""
 
-    r: int
-    s: int
-    n: int
+    __slots__ = ("r", "s", "n", "q", "triple", "_vertices")
+    _fields = ("r", "s", "n")
 
-    def __post_init__(self):
-        if self.r < 1 or self.s < 1 or self.n < 1:
-            raise ValidationError(f"r, s, n must be positive, got {self}")
-        if self.r % self.s != 0:
-            raise ValidationError(f"s must divide r, got r={self.r}, s={self.s}")
+    def __init__(self, r: int, s: int, n: int):
+        if r < 1 or s < 1 or n < 1:
+            raise ValidationError(
+                f"r, s, n must be positive, got GroupParams(r={r!r}, s={s!r}, n={n!r})"
+            )
+        if r % s != 0:
+            raise ValidationError(f"s must divide r, got r={r}, s={s}")
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "n", n)
+        # order r/s of the cyclic group the entry product lands in
+        _set(self, "q", r // s)
+        # the triple as a tuple, which hashes and compares in C
+        _set(self, "triple", (r, s, n))
+        _set(self, "_vertices", frozenset(range(1, n + 1)))
 
-    @property
-    def q(self) -> int:
-        """Order r/s of the cyclic group the entry product lands in."""
-        return self.r // self.s
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.triple == other.triple
+
+    def __hash__(self):
+        return hash(self.triple)
 
     def group_order(self) -> int:
         return math.factorial(self.n) * self.r**self.n // self.s
@@ -45,26 +82,35 @@ class GroupParams:
         return (self.n * (self.n - 1) // 2) * self.r + self.n * (self.q - 1)
 
 
-@dataclass(frozen=True)
-class GroupElement:
-    """A group element as (perm, exps): v_i -> zeta^exps[i] v_perm[i]."""
+class GroupElement(_Frozen):
+    """A group element as (perm, exps): v_i -> zeta^exps[i] v_perm[i].
+    Every construction is validated."""
 
-    params: GroupParams
-    perm: tuple[int, ...]  # 1-based images
-    exps: tuple[int, ...]
+    __slots__ = ("params", "perm", "exps")
+    _fields = __slots__
 
-    def __post_init__(self):
-        n, r, s = self.params.n, self.params.r, self.params.s
-        if len(self.perm) != n or len(self.exps) != n:
+    def __init__(self, params: GroupParams, perm: tuple[int, ...], exps: tuple[int, ...]):
+        n, r, s = params.n, params.r, params.s
+        if len(perm) != n or len(exps) != n:
             raise ValidationError(f"perm/exps must have length n={n}")
-        if sorted(self.perm) != list(range(1, n + 1)):
-            raise ValidationError(f"perm is not a bijection of 1..{n}: {self.perm}")
-        if any(not 0 <= e < r for e in self.exps):
-            raise ValidationError(f"exponents must lie in [0,{r}): {self.exps}")
-        if sum(self.exps) % s != 0:
-            raise ValidationError(
-                f"exponent sum {sum(self.exps)} not divisible by s={s}"
-            )
+        # n entries that cover 1..n: a bijection
+        if frozenset(perm) != params._vertices:
+            raise ValidationError(f"perm is not a bijection of 1..{n}: {perm}")
+        if min(exps) < 0 or max(exps) >= r:
+            raise ValidationError(f"exponents must lie in [0,{r}): {exps}")
+        if sum(exps) % s != 0:
+            raise ValidationError(f"exponent sum {sum(exps)} not divisible by s={s}")
+        _set(self, "params", params)
+        _set(self, "perm", perm)  # 1-based images
+        _set(self, "exps", exps)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.params, self.perm, self.exps) == (other.params, other.perm, other.exps)
+
+    def __hash__(self):
+        return hash((self.params, self.perm, self.exps))
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -145,10 +191,15 @@ def product(factors: Iterable[GroupElement], params: GroupParams) -> GroupElemen
     return acc
 
 
+@functools.lru_cache(maxsize=64)
+def _symmetric_group(n: int) -> GroupParams:
+    """G(1,1,n) = S_n, built once per n."""
+    return GroupParams(1, 1, n)
+
+
 def permutation_part(w: GroupElement) -> GroupElement:
     """Forget the root-of-unity entries: the image in G(1,1,n) = S_n."""
-    params = GroupParams(1, 1, w.params.n)
-    return GroupElement(params, w.perm, (0,) * w.params.n)
+    return GroupElement(_symmetric_group(w.params.n), w.perm, (0,) * w.params.n)
 
 
 def entry_product(w: GroupElement) -> int:

@@ -17,6 +17,7 @@ on these classes.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .groups import GroupElement, GroupParams
@@ -88,23 +89,32 @@ class GroupIndexer:
         return 0
 
     def __iter__(self):
-        return (self.element_at(i) for i in range(self.size))
+        """The elements in index order: permutations in lexicographic
+        (Lehmer) order, and under each one the exponent vectors in
+        `_exps_unrank` order, listed once."""
+        params = self.params
+        block = [tuple(self._exps_unrank(i)) for i in range(self.exp_block)]
+        for perm in itertools.permutations(range(1, params.n + 1)):
+            for exps in block:
+                yield GroupElement(params, perm, exps)
 
 
 def class_key(perm, exps, r: int) -> tuple[tuple[int, int], ...]:
-    """Colored cycle type of the element (perm, exps), perm 1-based."""
+    """Colored cycle type of the element (perm, exps), perm a 1-based
+    permutation."""
     seen = [False] * len(perm)
     key = []
-    for start in range(len(perm)):
-        length = color = 0
-        i = start
-        while not seen[i]:
+    for start, i in enumerate(perm):
+        if seen[start]:
+            continue
+        length, color = 1, exps[start]
+        i -= 1
+        while i != start:
             seen[i] = True
             length += 1
             color += exps[i]
             i = perm[i] - 1
-        if length:
-            key.append((length, color % r))
+        key.append((length, color % r))
     key.sort()
     return tuple(key)
 

@@ -53,6 +53,8 @@ class EgfSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
+        if self.order < 0:
+            raise ValidationError(f"series order must be nonnegative, got {self.order}")
         if len(self.coeffs) != self.order + 1:
             raise ValidationError("coefficient array must have length order+1")
 
@@ -179,8 +181,8 @@ def comparison_refined(
     """Connected refined count computed from the S_n connected count:
     r^(m1-n+1) * n^m2 * C(m1+m2, m1) * (cyclic count at m2) * (S_n count at m1).
 
-    Evaluated in exact rationals; a non-integer result would indicate a
-    bug and raises."""
+    Evaluated in exact integers; when m1 < n-1 the division by r^(n-1-m1)
+    must be exact, and a remainder would indicate a bug and raises."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
     p = w.params
@@ -188,21 +190,27 @@ def comparison_refined(
     if sn_count == 0:
         return 0
     value = (
-        Fraction(p.r) ** (m1 - p.n + 1)
-        * p.n**m2
+        p.n**m2
         * math.comb(m1 + m2, m1)
         * cyclic_count(p.q, entry_product(w), m2)
         * sn_count
     )
-    if value.denominator != 1:
+    shift = m1 - p.n + 1
+    if shift >= 0:
+        return value * p.r**shift
+    quotient, remainder = divmod(value, p.r**-shift)
+    if remainder:
         raise ConsistencyError(
-            f"comparison value for m1={m1}, m2={m2} is not integral: {value}"
+            f"comparison value for m1={m1}, m2={m2} is not integral: "
+            f"{Fraction(value, p.r**-shift)}"
         )
-    return value.numerator
+    return quotient
 
 
 def comparison_total(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """Connected count at m as the sum of refined comparisons over splits."""
+    if m < 0:
+        raise ValidationError("m must be nonnegative")
     return sum(comparison_refined(w, m1, m - m1, opts) for m1 in range(m + 1))
 
 
@@ -253,6 +261,8 @@ def comparison_mismatches(
     connected oracle (the component-partition DP behind
     `count_connected_enum`) for every element of the group and every split
     with m1+m2 <= max_m.  Returns (number of checks, mismatches)."""
+    if max_m < 0:
+        raise ValidationError("max_m must be nonnegative")
     indexer = GroupIndexer(params)
     checks = 0
     bad: list[ComparisonMismatch] = []

@@ -168,6 +168,19 @@ def test_exit_codes(capsys, tmp_path):
         "--omega", '{"perm":[2,3,1],"exps":[0,1,1]}', "--m", "-1", "--method", "enum",
     )
     assert code == EXIT_VALIDATION and "nonnegative" in err
+    # validation: negative sizes on every other route that takes one
+    omega = ["--omega", '{"perm":[2,3,1],"exps":[0,1,1]}']
+    group = ["--r", "2", "--s", "1", "--n", "3"]
+    for argv in (
+        ["count-connected", *group, *omega, "--m", "-1", "--method", "comparison"],
+        ["verify-comparison", *group, "--max-m", "-1"],
+        ["series", "--kind", "connected", *group, *omega, "--order", "-1"],
+        ["series", "--kind", "cyclic", "--q", "2", "--order", "-1"],
+        ["series", "--kind", "sn-long-cycle", "--n", "3", "--order", "-1"],
+        ["series", "--kind", "long-cycle", *group, "--order", "-1"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_VALIDATION and "nonnegative" in err and not out, argv
     # resource refusal
     code, _, err = run_cli(
         capsys, "count", "--r", "6", "--s", "1", "--n", "4",
@@ -180,6 +193,16 @@ def test_exit_codes(capsys, tmp_path):
         "--omega", '{"perm":[2,3,1],"exps":[0,0,0]}', "--m", "4",
         "--method", "enum", "--max-dp-cells", "10",
     )
+    assert code == EXIT_RESOURCE
+
+
+def test_refined_budget_without_diagonal_reflections(capsys):
+    # S_4 keeps one refined row per round: 5 classes * 41 rounds at m = 40
+    base = ["--r", "1", "--s", "1", "--n", "4", "--omega", '{"perm":[1,2,3,4],"exps":[0,0,0,0]}']
+    total = run_json(capsys, "count", *base, "--m", "40", "--max-dp-cells", "205")
+    refined = ["count-refined", *base, "--m1", "40", "--m2", "0"]
+    assert run_json(capsys, *refined, "--max-dp-cells", "205") == total
+    code, _, _ = run_cli(capsys, *refined, "--max-dp-cells", "204")
     assert code == EXIT_RESOURCE
 
 

@@ -31,7 +31,7 @@ from reflfact.counting import (
     count_refined,
     populate_connected_table,
 )
-from reflfact import _kernels_pure
+from reflfact import _kernels_pure, counting
 from reflfact._kernels_pure import enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count
 from reflfact.kernels import encode_reflections
@@ -293,6 +293,69 @@ def test_total_dp_extends_cached_rounds(monkeypatch, kernel):
         assert [query(w, m) for w in elements] == expected[m]
     distinct = list({id(table): table for table in built}.values())
     assert distinct == full
+    clear_caches()
+
+
+def test_refined_dp_keeps_one_row_without_diagonal_reflections():
+    # S_4 has no diagonal reflections: the refined DP keeps the m2 = 0 row
+    # only, 5 classes * 41 rounds = 205 cells at m = 40, as the total DP
+    clear_caches()
+    p = GroupParams(1, 1, 4)
+    w = identity(p)
+    refl = encode_reflections(p)
+    rounds = _kernels_pure.dp_refined(1, 1, 4, refl, 6)
+    assert [len(rows) for rows in rounds] == [1] * 7
+    assert [rows[0] for rows in rounds] == _kernels_pure.dp_total(1, 1, 4, refl, 6)
+    cells = class_count(p) * 41
+    with pytest.raises(ResourceLimitError):
+        count_refined(w, 40, 0, Options(max_dp_cells=cells - 1))
+    assert count_refined(w, 40, 0, Options(max_dp_cells=cells)) == count_all(w, 40)
+    assert count_refined(w, 38, 2) == count_refined(w, 0, 4) == 0
+    for v in all_elements(GroupParams(1, 1, 3)):
+        total, _ = brute_counts(v, 3)
+        assert [count_refined(v, 3 - m2, m2) for m2 in range(4)] == [total.get(0, 0), 0, 0, 0]
+    clear_caches()
+
+
+def test_cache_evicts_the_least_recently_used_group():
+    clear_caches()
+    groups = [GroupParams(1, 1, n) for n in range(1, 9)]
+    groups += [GroupParams(2, 1, n) for n in range(1, 6)]
+    groups += [GroupParams(3, 1, n) for n in range(1, 5)]
+    assert len(set(groups)) == 17
+    for p in groups[:16]:
+        count_all(identity(p), 1)
+    count_all(identity(groups[0]), 1)  # the oldest becomes the most recent
+    count_all(identity(groups[16]), 1)  # a 17th group drops groups[1]
+    assert list(counting._cache) == [p.triple for p in groups[2:16] + [groups[0], groups[16]]]
+    # two groups alternating, as S_n and G(r,s,n) do in comparison_mismatches
+    for _ in range(3):
+        count_all(identity(groups[9]), 1)
+        connected_from_all(identity(GroupParams(1, 1, 6)), 1)
+    assert list(counting._cache)[-2:] == [groups[9].triple, (1, 1, 6)]
+    assert len(counting._cache) == 16
+    clear_caches()
+
+
+def test_warm_cache_never_bypasses_the_budget():
+    clear_caches()
+    p = GroupParams(2, 1, 3)
+    w = identity(p)
+    classes = class_count(p)
+    total, inverted = count_all(w, 3), connected_from_all(w, 3)
+    refined = [count_refined(w, 3 - m2, m2) for m2 in range(4)]
+    # every answer at m = 3 is cached now; each is still refused beyond
+    # the cells it needs: 4 rounds of classes, and 10 rows for refined counts
+    for cells, query in (
+        (4 * classes, lambda opts: count_all(w, 3, opts)),
+        (4 * classes, lambda opts: connected_from_all(w, 3, opts)),
+        (10 * classes, lambda opts: count_refined(w, 2, 1, opts)),
+    ):
+        with pytest.raises(ResourceLimitError):
+            query(Options(max_dp_cells=cells - 1))
+        query(Options(max_dp_cells=cells))
+    assert count_all(w, 3) == total and connected_from_all(w, 3) == inverted
+    assert [count_refined(w, 3 - m2, m2) for m2 in range(4)] == refined
     clear_caches()
 
 

@@ -1,7 +1,11 @@
 """Group arithmetic, homomorphisms, reflections, and element partitions."""
 
+import copy
+import dataclasses
 import json
+import pickle
 import random
+import re
 
 import pytest
 
@@ -55,6 +59,46 @@ def test_element_invariants_enforced():
         GroupElement(p, (1, 2), (0, 2))  # exponent out of range
     with pytest.raises(ValidationError):
         GroupElement(GroupParams(2, 2, 2), (1, 2), (1, 0))  # sum not 0 mod s
+
+
+@pytest.mark.parametrize(
+    "perm,exps,message",
+    [
+        ((1, 1, 3), (0, 0, 0), "perm is not a bijection of 1..3: (1, 1, 3)"),  # duplicate
+        ((1, 2, 4), (0, 0, 0), "perm is not a bijection of 1..3: (1, 2, 4)"),  # out of range
+        ((0, 1, 2), (0, 0, 0), "perm is not a bijection of 1..3: (0, 1, 2)"),
+        ((1, 2), (0, 0, 0), "perm/exps must have length n=3"),
+        ((1, 2, 3), (0, 0), "perm/exps must have length n=3"),
+        ((1, 2, 3), (-1, 1, 0), "exponents must lie in [0,4): (-1, 1, 0)"),
+        ((1, 2, 3), (4, 0, 0), "exponents must lie in [0,4): (4, 0, 0)"),
+        ((1, 2, 3), (1, 0, 0), "exponent sum 1 not divisible by s=2"),
+    ],
+)
+def test_every_construction_is_validated(perm, exps, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        GroupElement(GroupParams(4, 2, 3), perm, exps)
+
+
+def test_params_and_elements_are_immutable_values():
+    p = GroupParams(4, 2, 3)
+    w = GroupElement(p, (3, 1, 2), (3, 2, 1))
+    assert repr(w) == (
+        "GroupElement(params=GroupParams(r=4, s=2, n=3), perm=(3, 1, 2), exps=(3, 2, 1))"
+    )
+    for obj, name in ((p, "r"), (p, "q"), (w, "perm"), (w, "other")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, 1)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(obj, name)
+    q = GroupParams(4, 2, 3)
+    assert q == p and q is not p and hash(q) == hash(p)
+    assert GroupParams(1, 1, 2) != (1, 1, 2) and GroupParams(1, 1, 2) != GroupParams(2, 1, 1)
+    v = GroupElement(q, (3, 1, 2), (3, 2, 1))
+    assert v == w and hash(v) == hash(w) and v != GroupElement(p, (3, 1, 2), (1, 0, 1))
+    assert v != (p, (3, 1, 2), (3, 2, 1))
+    for clone in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+        assert clone == w
+    assert len({p, q, GroupParams(2, 1, 3)}) == 2
 
 
 def test_seven_factor_product(reference_tuple):

@@ -3,7 +3,7 @@ DP over component partitions agrees bit for bit with tuple enumeration."""
 
 import pytest
 
-from reflfact.groups import GroupParams
+from reflfact.groups import GroupParams, permutation_cycles
 from reflfact._kernels_pure import dp_components, dp_total, enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count, class_key, perm_rank, perm_unrank
 from reflfact.kernels import encode_reflections
@@ -46,6 +46,23 @@ def test_group_indexer_bijection():
             seen.add(idx)
         assert len(seen) == indexer.size
         assert indexer.element_at(0).is_identity()
+
+
+@pytest.mark.parametrize(
+    "r,s,n", CONFIGS + [(6, 2, 3), (4, 2, 3), (2, 2, 4), (2, 1, 1), (4, 2, 1)]
+)
+def test_iteration_is_index_order(r, s, n):
+    # the streamed sweep yields exactly the elements element_at gives, in order
+    indexer = GroupIndexer(GroupParams(r, s, n))
+    assert list(indexer) == [indexer.element_at(i) for i in range(indexer.size)]
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3), (2, 1, 4)])
+def test_class_key_is_the_colored_cycle_type(r, s, n):
+    for w in all_elements(GroupParams(r, s, n)):
+        cycles = permutation_cycles(w)
+        expected = sorted((len(c), sum(w.exps[v - 1] for v in c) % r) for c in cycles)
+        assert class_key(w.perm, w.exps, r) == tuple(expected)
 
 
 @pytest.mark.parametrize("r,s,n", CONFIGS)

@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from reflfact import GroupElement, GroupParams, ValidationError, identity
+from reflfact import ConsistencyError, GroupElement, GroupParams, ValidationError, identity
+from reflfact import series
 from reflfact.counting import connected_from_all, count_all, count_connected_enum
+from reflfact.indexing import GroupIndexer
 from reflfact.series import (
     EgfSeries,
     comparison_mismatches,
@@ -115,6 +117,53 @@ COMPARISON_GROUPS = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (6, 2, 2), (2, 1, 3), (4, 
 def test_comparison_formula_exhaustive_spot(r, s, n):
     checks, mismatches = comparison_mismatches(GroupParams(r, s, n), 3)
     assert checks > 0 and mismatches == []
+
+
+def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypatch):
+    params = GroupParams(6, 2, 2)
+    indexer = GroupIndexer(params)
+    order = [
+        (indexer.element_at(i), m1, m - m1)
+        for i in range(indexer.size)
+        for m in range(5)
+        for m1 in range(m + 1)
+    ]
+    assert comparison_mismatches(params, 4) == (len(order), [])
+    # with an oracle that always disagrees, every check is a mismatch, in
+    # the order the checks ran
+    monkeypatch.setattr(
+        series, "count_connected_enum",
+        lambda w, m1, m2, opts: comparison_refined(w, m1, m2, opts) + 1,
+    )
+    checks, bad = comparison_mismatches(params, 4)
+    assert checks == len(order) == 36 * 15
+    assert [(b.element, b.m1, b.m2) for b in bad] == order
+    assert all(b.enumeration == b.formula + 1 for b in bad)
+
+
+def test_comparison_refined_rejects_an_inexact_division(monkeypatch):
+    # r^(m1-n+1) with m1 < n-1 divides; a value r^2 does not divide raises
+    w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
+    monkeypatch.setattr(series, "connected_from_all", lambda w, m, opts: 1)
+    with pytest.raises(ConsistencyError, match="m1=0, m2=0 is not integral: 1/4$"):
+        comparison_refined(w, 0, 0)
+    assert comparison_refined(w, 2, 0) == 1  # 2^0 * 1
+
+
+def test_negative_sizes_rejected():
+    w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 1, 1))
+    for call in (
+        lambda: comparison_total(w, -1),
+        lambda: comparison_mismatches(w.params, -1),
+        lambda: connected_series(w, -1),
+        lambda: cyclic_series(2, 0, -1),
+        lambda: sn_long_cycle_series(3, -1),
+        lambda: long_cycle_series(w.params, 0, -1),
+        lambda: exp_series(1, -1),
+        lambda: EgfSeries(-1, ()),
+    ):
+        with pytest.raises(ValidationError, match="nonnegative"):
+            call()
 
 
 def test_cyclic_series_matches_counts():
