@@ -10,72 +10,53 @@ connected counts by exact interpolation.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    CacheConflictError,
-    ConsistencyError,
-    ReflFactError,
-    ResourceLimitError,
-    UsageError,
-    ValidationError,
-)
-from .groups import (
-    CycleType,
-    ElementPartition,
-    GroupElement,
-    GroupParams,
-    Reflection,
-    cycle_type,
-    entry_product,
-    identity,
-    is_trivial_product,
-    multiply,
-    partitions,
-    permutation_part,
-    product,
-    reflections,
-)
-from .graphs import (
-    DecoratedGraph,
-    Walk,
-    all_walks,
-    evaluate,
-    evaluate_by_walks,
-    graph_of_tuple,
-    is_connected,
-    ordered_walk,
-    tuple_of_graph,
-    walk_weight,
-)
+# name -> the module that defines it, imported on first access (PEP 562),
+# so `python -m reflfact` loads only what its subcommand runs
+_EXPORTS = {
+    "CacheConflictError": "errors",
+    "ConsistencyError": "errors",
+    "CycleType": "groups",
+    "DecoratedGraph": "graphs",
+    "ElementPartition": "groups",
+    "GroupElement": "groups",
+    "GroupParams": "groups",
+    "Reflection": "groups",
+    "ReflFactError": "errors",
+    "ResourceLimitError": "errors",
+    "UsageError": "errors",
+    "ValidationError": "errors",
+    "Walk": "graphs",
+    "all_walks": "graphs",
+    "cycle_type": "groups",
+    "entry_product": "groups",
+    "evaluate": "graphs",
+    "evaluate_by_walks": "graphs",
+    "graph_of_tuple": "graphs",
+    "identity": "groups",
+    "is_connected": "graphs",
+    "is_trivial_product": "groups",
+    "multiply": "groups",
+    "ordered_walk": "graphs",
+    "partitions": "groups",
+    "permutation_part": "groups",
+    "product": "groups",
+    "reflections": "groups",
+    "tuple_of_graph": "graphs",
+    "walk_weight": "graphs",
+}
 
-__all__ = [
-    "CacheConflictError",
-    "ConsistencyError",
-    "CycleType",
-    "DecoratedGraph",
-    "ElementPartition",
-    "GroupElement",
-    "GroupParams",
-    "Reflection",
-    "ReflFactError",
-    "ResourceLimitError",
-    "UsageError",
-    "ValidationError",
-    "Walk",
-    "all_walks",
-    "cycle_type",
-    "entry_product",
-    "evaluate",
-    "evaluate_by_walks",
-    "graph_of_tuple",
-    "identity",
-    "is_connected",
-    "is_trivial_product",
-    "multiply",
-    "ordered_walk",
-    "partitions",
-    "permutation_part",
-    "product",
-    "reflections",
-    "tuple_of_graph",
-    "walk_weight",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS})

@@ -21,7 +21,6 @@ from operator import add
 from .errors import ResourceLimitError
 from .groups import GroupParams
 from .indexing import GroupIndexer, class_key
-from .unionfind import RollbackUnionFind
 
 
 @lru_cache(maxsize=16)
@@ -165,6 +164,8 @@ def enum_bucketed(r, s, n, refl, m):
     m2 diagonal factors; conn additionally requires the tuple's graph to
     be connected on all n vertices.
     """
+    from .unionfind import RollbackUnionFind  # a test reference; counting never loads it
+
     indexer = GroupIndexer(GroupParams(r, s, n))
     total = [[0] * indexer.size for _ in range(m + 1)]
     conn = [[0] * indexer.size for _ in range(m + 1)]

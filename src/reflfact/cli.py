@@ -56,8 +56,9 @@ def _options(args):
 def _with_cache(args, key, provenance: str, compute) -> int:
     """The count under `key`: read from the --cache file when it holds
     it, else compute() inserted with `provenance`, and the file saved.
-    A hit leaves the file untouched."""
-    from .counting import CountTable
+    A hit leaves the file untouched and loads no counting code: only
+    compute() imports `counting`."""
+    from .counttable import CountTable
 
     table = CountTable()
     if args.cache and os.path.exists(args.cache):
@@ -193,38 +194,40 @@ def _cmd_reflections(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
-    from .counting import CountKey, count_all
+    from .counttable import CountKey
 
     params = _params(args)
     w = _element(args, params)
-    opts = _options(args)
     key = CountKey.of(w, m1=args.m, m2=None, connected=False)
-    value = _with_cache(args, key, "dp", lambda: count_all(w, args.m, opts))
-    return {"count": str(value)}
+
+    def compute() -> int:
+        from .counting import count_all
+
+        return count_all(w, args.m, _options(args))
+
+    return {"count": str(_with_cache(args, key, "dp", compute))}
 
 
 def _cmd_count_refined(args) -> dict:
-    from .counting import CountKey, count_refined
+    from .counttable import CountKey
 
     params = _params(args)
     w = _element(args, params)
-    opts = _options(args)
     key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=False)
-    value = _with_cache(args, key, "dp", lambda: count_refined(w, args.m1, args.m2, opts))
-    return {"count": str(value)}
+
+    def compute() -> int:
+        from .counting import count_refined
+
+        return count_refined(w, args.m1, args.m2, _options(args))
+
+    return {"count": str(_with_cache(args, key, "dp", compute))}
 
 
 def _cmd_count_connected(args) -> dict:
-    from .counting import (
-        CountKey,
-        connected_from_all,
-        count_connected_enum,
-        count_connected_total_enum,
-    )
+    from .counttable import CountKey
 
     params = _params(args)
     w = _element(args, params)
-    opts = _options(args)
     split = args.m1 is not None or args.m2 is not None
     if split and (args.m1 is None or args.m2 is None):
         raise UsageError("--m1 and --m2 must be given together")
@@ -236,6 +239,13 @@ def _cmd_count_connected(args) -> dict:
         raise UsageError("--method inversion computes totals; use --m")
 
     def compute() -> int:
+        from .counting import (
+            connected_from_all,
+            count_connected_enum,
+            count_connected_total_enum,
+        )
+
+        opts = _options(args)
         if args.method == "enum":
             if split:
                 return count_connected_enum(w, args.m1, args.m2, opts)

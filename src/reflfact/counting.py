@@ -20,34 +20,26 @@ one, and the inversion's memo.  `Options.max_dp_cells` bounds the
 cells a DP's kept rounds hold.  Every count reads the cache through one
 lookup, which checks that bound first, also for a cached count; a
 cached count then costs one read by the element's colored cycle type.
+The persistent count table, `CountKey` and `CountTable`, lives in
+`reflfact.counttable`, which loads no kernel; both are re-exported here.
 
 All counts are arbitrary-precision integers.
 """
 
 from __future__ import annotations
 
-import contextlib
-import fcntl
-import json
 import math
-import os
-import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Optional
+from itertools import accumulate
 
-from . import __version__ as _tool_version
 from . import _kernels_pure
-from .errors import (
-    CacheConflictError,
-    ConsistencyError,
-    MissingCountError,
-    ResourceLimitError,
-    ValidationError,
-)
+from .counttable import CountKey, CountTable
+from .errors import MissingCountError, ResourceLimitError, ValidationError
 from .groups import (
     GroupElement,
     GroupParams,
+    _Frozen,
+    _set,
     partitions,
     relabel_to_dense,
 )
@@ -57,13 +49,15 @@ from .kernels import encode_reflections
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
 
 
-@dataclass(frozen=True)
-class Options:
+class Options(_Frozen):
     """Execution knobs shared by the counting entry points: a count whose
     kernel would keep more than max_dp_cells cells is refused instead of
     attempted."""
 
-    max_dp_cells: int = DEFAULT_MAX_DP_CELLS
+    __slots__ = _fields = ("max_dp_cells",)
+
+    def __init__(self, max_dp_cells: int = DEFAULT_MAX_DP_CELLS):
+        _set(self, "max_dp_cells", max_dp_cells)
 
 
 DEFAULT_OPTIONS = Options()
@@ -71,8 +65,10 @@ DEFAULT_OPTIONS = Options()
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
 # rounds of each `_kernels_pure` kernel, and connected_from_all's memo by
-# (class key, m); also the group's class count, which the budget checks
-# read.  Least recently used group first.
+# (class key, m); also what the budget checks read: the group's class
+# count, and under "dp_components_cells" the cells the connected DP's
+# rounds 0..j hold, for each kept round j.  Least recently used group
+# first.
 _cache: OrderedDict = OrderedDict()
 _CACHE_SLOTS = 16
 
@@ -90,7 +86,9 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
     class DP and for connected_from_all's memo, which stands for the
     totals it was built from, and as many per diagonal-count row for the
     refined DP, j+1 rows in round j in a group with diagonal reflections.
-    The connected DP checks its own cells while it runs."""
+    The connected DP's cells are known only once its rounds are kept:
+    a kept round is checked here, and the DP checks a round it extends
+    to while it runs."""
     record = _cache.get(params.triple)
     if record is None:
         record = _cache[params.triple] = {"class_count": class_count(params)}
@@ -98,7 +96,17 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
             _cache.popitem(last=False)
     else:
         _cache.move_to_end(params.triple)
-    if kernel != "dp_components":
+    if kernel == "dp_components":
+        try:
+            cells = record["dp_components_cells"][m]
+        except (KeyError, IndexError):  # round m not kept yet: the DP checks it
+            cells = 0
+        if cells > opts.max_dp_cells:
+            raise ResourceLimitError(
+                f"connected DP over {params} up to round {m} holds {cells} cells "
+                f"(limit {opts.max_dp_cells})"
+            )
+    else:
         cells = record["class_count"] * (m + 1)
         if kernel == "dp_refined" and params.q > 1:
             cells = cells * (m + 2) // 2
@@ -124,6 +132,13 @@ def _round(params: GroupParams, m: int, kernel: str, opts: Options):
         rounds = record[kernel] = getattr(_kernels_pure, kernel)(
             params.r, params.s, params.n, encode_reflections(params), m, *budget, rounds
         )
+        if kernel == "dp_components":
+            # a state keeps j+1 diagonal-count slots in round j, or one
+            # when the group has no diagonal reflections
+            record["dp_components_cells"] = list(accumulate(
+                len(states) * (j + 1 if params.q > 1 else 1)
+                for j, states in enumerate(rounds)
+            ))
     return rounds[m]
 
 
@@ -293,154 +308,3 @@ def populate_connected_table(
                     "inversion",
                 )
     return table
-
-
-# ---------------------------------------------------------------------------
-# Persistent count table
-
-
-@dataclass(frozen=True)
-class CountKey:
-    """Identifies one cached count.  m2 is None for totals over all splits
-    (the key then means: m1 factors of any kind)."""
-
-    r: int
-    s: int
-    n: int
-    perm: tuple[int, ...]
-    exps: tuple[int, ...]
-    m1: int
-    m2: Optional[int]
-    connected: bool
-
-    @classmethod
-    def of(
-        cls, w: GroupElement, m1: int, m2: Optional[int], connected: bool
-    ) -> "CountKey":
-        return cls(
-            w.params.r, w.params.s, w.params.n, w.perm, w.exps, m1, m2, connected
-        )
-
-    def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "n": self.n,
-            "perm": list(self.perm),
-            "exps": list(self.exps),
-            "m1": self.m1,
-            "m2": self.m2,
-            "connected": self.connected,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CountKey":
-        try:
-            return cls(
-                int(data["r"]),
-                int(data["s"]),
-                int(data["n"]),
-                tuple(int(x) for x in data["perm"]),
-                tuple(int(x) for x in data["exps"]),
-                int(data["m1"]),
-                None if data["m2"] is None else int(data["m2"]),
-                bool(data["connected"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed count key: {exc}") from exc
-
-
-@dataclass
-class CountTable:
-    """In-memory count store with provenance tracking and JSON-lines
-    persistence.  Conflicting values for one key are rejected.  Inserts
-    are serialized through a lock; readers see plain dict snapshots."""
-
-    entries: dict = field(default_factory=dict)  # CountKey -> (int, set[str])
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    def insert(self, key: CountKey, value: int, provenance: str) -> None:
-        if value < 0:
-            raise ValidationError(f"counts are nonnegative, got {value}")
-        with self._lock:
-            if key in self.entries:
-                old_value, provs = self.entries[key]
-                if old_value != value:
-                    raise ConsistencyError(
-                        f"conflicting counts for {key}: {old_value} ({sorted(provs)}) "
-                        f"vs {value} ({provenance})"
-                    )
-                provs.add(provenance)
-            else:
-                self.entries[key] = (value, {provenance})
-
-    def get(self, key: CountKey) -> Optional[int]:
-        entry = self.entries.get(key)
-        return entry[0] if entry else None
-
-    def provenances(self, key: CountKey) -> set[str]:
-        entry = self.entries.get(key)
-        return set(entry[1]) if entry else set()
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def save(self, path) -> None:
-        """Merge this table into the file at `path`.  Under an exclusive
-        lock on `<path>.lock`, the file as it is now is read back and
-        merged with the conflict rule of `load`, so runs sharing one path
-        keep each other's entries.  The result goes to a temporary file
-        beside `path`, which is then renamed over `path`: a save that
-        fails partway leaves the previous file intact."""
-        path = os.fspath(path)
-        with open(f"{path}.lock", "a") as lock:
-            fcntl.flock(lock, fcntl.LOCK_EX)
-            merged = CountTable.load(path) if os.path.exists(path) else CountTable()
-            for key, (value, provs) in self.entries.items():
-                for prov in provs:
-                    try:
-                        merged.insert(key, value, prov)
-                    except ConsistencyError as exc:
-                        raise CacheConflictError(f"{path}: {exc}") from exc
-            merged._write(path)
-
-    def _write(self, path: str) -> None:
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for key in sorted(self.entries, key=lambda k: json.dumps(k.to_json())):
-                    value, provs = self.entries[key]
-                    for prov in sorted(provs):
-                        record = {
-                            "key": key.to_json(),
-                            "value": str(value),
-                            "provenance": prov,
-                            "tool_version": _tool_version,
-                        }
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
-
-    @classmethod
-    def load(cls, path) -> "CountTable":
-        table = cls()
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                    key = CountKey.from_json(record["key"])
-                    value = int(record["value"])
-                    prov = str(record["provenance"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                    raise ValidationError(f"{path}:{lineno}: bad record: {exc}") from exc
-                try:
-                    table.insert(key, value, prov)
-                except ConsistencyError as exc:
-                    raise CacheConflictError(f"{path}:{lineno}: {exc}") from exc
-        return table

@@ -1,0 +1,194 @@
+"""The persistent count table: counts keyed by element, factor counts and
+kind, with provenance, kept in a JSON-lines file.
+
+This module loads no kernel, so a CLI count answered from its --cache
+file runs no counting code.  `reflfact.counting` re-exports both names.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import json
+import os
+import threading
+from typing import Optional
+
+from . import __version__ as _tool_version
+from .errors import CacheConflictError, ConsistencyError, ValidationError
+from .groups import GroupElement, _Frozen, _set, json_int
+
+
+class CountKey(_Frozen):
+    """Identifies one cached count.  m2 is None for totals over all splits
+    (the key then means: m1 factors of any kind)."""
+
+    __slots__ = _fields = ("r", "s", "n", "perm", "exps", "m1", "m2", "connected")
+
+    def __init__(
+        self,
+        r: int,
+        s: int,
+        n: int,
+        perm: tuple[int, ...],
+        exps: tuple[int, ...],
+        m1: int,
+        m2: Optional[int],
+        connected: bool,
+    ):
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "n", n)
+        _set(self, "perm", perm)
+        _set(self, "exps", exps)
+        _set(self, "m1", m1)
+        _set(self, "m2", m2)
+        _set(self, "connected", connected)
+
+    @classmethod
+    def of(
+        cls, w: GroupElement, m1: int, m2: Optional[int], connected: bool
+    ) -> "CountKey":
+        return cls(
+            w.params.r, w.params.s, w.params.n, w.perm, w.exps, m1, m2, connected
+        )
+
+    def to_json(self) -> dict:
+        return {
+            "r": self.r,
+            "s": self.s,
+            "n": self.n,
+            "perm": list(self.perm),
+            "exps": list(self.exps),
+            "m1": self.m1,
+            "m2": self.m2,
+            "connected": self.connected,
+        }
+
+    @classmethod
+    def from_json(cls, data: dict) -> "CountKey":
+        try:
+            connected = data["connected"]
+            if connected.__class__ is not bool:
+                raise ValidationError(f"expected true or false, got {connected!r}")
+            return cls(
+                json_int(data["r"]),
+                json_int(data["s"]),
+                json_int(data["n"]),
+                tuple(json_int(x) for x in data["perm"]),
+                tuple(json_int(x) for x in data["exps"]),
+                json_int(data["m1"]),
+                None if data["m2"] is None else json_int(data["m2"]),
+                connected,
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValidationError(f"malformed count key: {exc}") from exc
+
+
+class CountTable:
+    """In-memory count store with provenance tracking and JSON-lines
+    persistence.  Conflicting values for one key are rejected.  Inserts
+    are serialized through a lock; readers see plain dict snapshots."""
+
+    def __init__(self, entries: dict | None = None):
+        self.entries = {} if entries is None else entries  # CountKey -> (int, set[str])
+        self._lock = threading.Lock()
+
+    def insert(self, key: CountKey, value: int, provenance: str) -> None:
+        if value < 0:
+            raise ValidationError(f"counts are nonnegative, got {value}")
+        with self._lock:
+            if key in self.entries:
+                old_value, provs = self.entries[key]
+                if old_value != value:
+                    raise ConsistencyError(
+                        f"conflicting counts for {key}: {old_value} ({sorted(provs)}) "
+                        f"vs {value} ({provenance})"
+                    )
+                provs.add(provenance)
+            else:
+                self.entries[key] = (value, {provenance})
+
+    def get(self, key: CountKey) -> Optional[int]:
+        entry = self.entries.get(key)
+        return entry[0] if entry else None
+
+    def provenances(self, key: CountKey) -> set[str]:
+        entry = self.entries.get(key)
+        return set(entry[1]) if entry else set()
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+    def save(self, path) -> None:
+        """Merge this table into the file at `path`.  Under an exclusive
+        lock on `<path>.lock`, the file as it is now is read back and
+        merged with the conflict rule of `load`, so runs sharing one path
+        keep each other's entries.  The result goes to a temporary file
+        beside `path`, which is then renamed over `path`: a save that
+        fails partway leaves the previous file intact.  A file that
+        cannot be opened, read or written raises ValidationError."""
+        import fcntl  # only a save locks: a cache hit never loads it
+
+        path = os.fspath(path)
+        try:
+            with open(f"{path}.lock", "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                merged = CountTable.load(path) if os.path.exists(path) else CountTable()
+                for key, (value, provs) in self.entries.items():
+                    for prov in provs:
+                        try:
+                            merged.insert(key, value, prov)
+                        except ConsistencyError as exc:
+                            raise CacheConflictError(f"{path}: {exc}") from exc
+                merged._write(path)
+        except OSError as exc:
+            raise ValidationError(f"cannot save count cache {path}: {exc}") from exc
+
+    def _write(self, path: str) -> None:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                for key in sorted(self.entries, key=lambda k: json.dumps(k.to_json())):
+                    value, provs = self.entries[key]
+                    for prov in sorted(provs):
+                        record = {
+                            "key": key.to_json(),
+                            "value": str(value),
+                            "provenance": prov,
+                            "tool_version": _tool_version,
+                        }
+                        fh.write(json.dumps(record, sort_keys=True) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
+            raise
+
+    @classmethod
+    def load(cls, path) -> "CountTable":
+        """The table held in the file at `path`.  A malformed record, or a
+        file that cannot be opened or decoded as UTF-8, raises
+        ValidationError; two values for one key, CacheConflictError."""
+        table = cls()
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        record = json.loads(line)
+                        key = CountKey.from_json(record["key"])
+                        value = int(record["value"])
+                        prov = str(record["provenance"])
+                    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                        raise ValidationError(
+                            f"{path}:{lineno}: bad record: {exc}"
+                        ) from exc
+                    try:
+                        table.insert(key, value, prov)
+                    except ConsistencyError as exc:
+                        raise CacheConflictError(f"{path}:{lineno}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read count cache {path}: {exc}") from exc
+        return table

@@ -11,24 +11,29 @@ the image vertex and the walk's signed label sum is the exponent.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConsistencyError, ValidationError
-from .groups import GroupElement, GroupParams, Reflection, product
+from .groups import (
+    GroupElement,
+    GroupParams,
+    Reflection,
+    _Frozen,
+    _set,
+    json_int,
+    product,
+)
 from .unionfind import UnionFind
 
 
-@dataclass(frozen=True)
-class DecoratedGraph:
+class DecoratedGraph(_Frozen):
     """Ordered labeled multigraph; edges are (i, j, label) with i <= j."""
 
-    params: GroupParams
-    edges: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("params", "edges")
 
-    def __post_init__(self):
-        p = self.params
-        for idx, (i, j, k) in enumerate(self.edges):
+    def __init__(self, params: GroupParams, edges: tuple[tuple[int, int, int], ...]):
+        p = params
+        for idx, (i, j, k) in enumerate(edges):
             if not (1 <= i <= j <= p.n):
                 raise ValidationError(f"edge {idx} endpoints out of range: {(i, j)}")
             if i == j:
@@ -38,6 +43,8 @@ class DecoratedGraph:
                     )
             elif not 0 <= k < p.r:
                 raise ValidationError(f"edge {idx} label must lie in [0, r={p.r}): {k}")
+        _set(self, "params", params)
+        _set(self, "edges", edges)
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -53,20 +60,24 @@ class DecoratedGraph:
     @classmethod
     def from_json(cls, data: dict) -> "DecoratedGraph":
         try:
-            params = GroupParams(data["r"], data["s"], data["n"])
-            edges = tuple((int(i), int(j), int(k)) for i, j, k in data["edges"])
+            params = GroupParams(*(json_int(data[name]) for name in ("r", "s", "n")))
+            edges = tuple(
+                (json_int(i), json_int(j), json_int(k)) for i, j, k in data["edges"]
+            )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
         return cls(params, edges)
 
 
-@dataclass(frozen=True)
-class Walk:
+class Walk(_Frozen):
     """A directed edge walk; steps are (edge index, tail, head) with
     strictly increasing edge indices."""
 
-    start: int
-    steps: tuple[tuple[int, int, int], ...]
+    __slots__ = _fields = ("start", "steps")
+
+    def __init__(self, start: int, steps: tuple[tuple[int, int, int], ...]):
+        _set(self, "start", start)
+        _set(self, "steps", steps)
 
     @property
     def end(self) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import FrozenInstanceError, dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ValidationError
@@ -23,26 +23,56 @@ _set = object.__setattr__
 
 
 class _Frozen:
-    """Immutable slotted value: attributes are set once, in __init__, and
-    assigning or deleting one raises FrozenInstanceError as a frozen
-    dataclass does.  Copies and pickles go back through the validating
-    constructor."""
+    """Immutable slotted value, the package's one value idiom: attributes
+    are set once, in __init__, and assigning or deleting one raises
+    `dataclasses.FrozenInstanceError`.  Equality, hash and repr go over
+    `_fields` as a frozen dataclass's do: equal only to an instance of
+    the same class, hashed as the tuple of the fields.  Copies and
+    pickles go back through the validating constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls._fields)
+        # the fields as one tuple, read in C; for a single name attrgetter
+        # gives the bare value, which hashes differently
+        cls._values = get if len(cls._fields) > 1 else staticmethod(lambda obj: (get(obj),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return self.__class__, tuple(getattr(self, f) for f in self._fields)
+        return self.__class__, self._values(self)
 
     def __repr__(self):
         fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
         return f"{self.__class__.__qualname__}({fields})"
+
+
+def json_int(value) -> int:
+    """`value` if it is a JSON integer; a bool, float or string is refused,
+    not coerced."""
+    if value.__class__ is not int:
+        raise ValidationError(f"expected an integer, got {value!r}")
+    return value
 
 
 class GroupParams(_Frozen):
@@ -104,14 +134,6 @@ class GroupElement(_Frozen):
         _set(self, "perm", perm)  # 1-based images
         _set(self, "exps", exps)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.params, self.perm, self.exps) == (other.params, other.perm, other.exps)
-
-    def __hash__(self):
-        return hash((self.params, self.perm, self.exps))
-
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
 
@@ -152,18 +174,18 @@ class GroupElement(_Frozen):
             raise ValidationError(f"element JSON must be an object, got {type(data)}")
         if params is None:
             try:
-                params = GroupParams(data["r"], data["s"], data["n"])
+                params = GroupParams(*(json_int(data[name]) for name in ("r", "s", "n")))
             except KeyError as exc:
                 raise ValidationError(f"element JSON missing field {exc}") from exc
         else:
             for name, want in (("r", params.r), ("s", params.s), ("n", params.n)):
-                if name in data and data[name] != want:
+                if name in data and json_int(data[name]) != want:
                     raise ValidationError(
                         f"element JSON has {name}={data[name]} but expected {want}"
                     )
         try:
-            perm = tuple(int(x) for x in data["perm"])
-            exps = tuple(int(x) for x in data["exps"])
+            perm = tuple(json_int(x) for x in data["perm"])
+            exps = tuple(json_int(x) for x in data["exps"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed element JSON: {exc}") from exc
         return cls(params, perm, exps)
@@ -214,17 +236,17 @@ def is_trivial_product(w: GroupElement) -> bool:
     return entry_product(w) == 0
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(_Frozen):
     """Multiset of cycle lengths of the underlying permutation."""
 
-    parts: tuple[int, ...]
+    __slots__ = _fields = ("parts",)
 
-    def __post_init__(self):
-        if any(p < 1 for p in self.parts):
-            raise ValidationError(f"cycle lengths must be positive: {self.parts}")
-        if tuple(sorted(self.parts, reverse=True)) != self.parts:
-            raise ValidationError(f"parts must be sorted descending: {self.parts}")
+    def __init__(self, parts: tuple[int, ...]):
+        if any(p < 1 for p in parts):
+            raise ValidationError(f"cycle lengths must be positive: {parts}")
+        if tuple(sorted(parts, reverse=True)) != parts:
+            raise ValidationError(f"parts must be sorted descending: {parts}")
+        _set(self, "parts", parts)
 
     @property
     def ell(self) -> int:
@@ -263,8 +285,7 @@ def cycle_type(w: GroupElement) -> CycleType:
     return CycleType.of(len(c) for c in permutation_cycles(w))
 
 
-@dataclass(frozen=True)
-class Reflection:
+class Reflection(_Frozen):
     """One reflection generator.
 
     A swap (i < j) transposes coordinates i and j with twist k,
@@ -273,25 +294,26 @@ class Reflection:
     exist only when s < r.
     """
 
-    params: GroupParams
-    i: int
-    j: int  # j == i marks a diagonal reflection
-    k: int
+    __slots__ = _fields = ("params", "i", "j", "k")  # j == i marks a diagonal
 
-    def __post_init__(self):
-        p = self.params
-        if not 1 <= self.i <= p.n or not 1 <= self.j <= p.n:
+    def __init__(self, params: GroupParams, i: int, j: int, k: int):
+        _set(self, "params", params)
+        _set(self, "i", i)
+        _set(self, "j", j)
+        _set(self, "k", k)
+        # the messages show the reflection, so it is checked once built
+        if not 1 <= i <= params.n or not 1 <= j <= params.n:
             raise ValidationError(f"reflection vertices out of range: {self}")
-        if self.i == self.j:
-            if not 0 < self.k < p.q:
+        if i == j:
+            if not 0 < k < params.q:
                 raise ValidationError(
-                    f"diagonal label must satisfy 0 < k < r/s={p.q}: {self}"
+                    f"diagonal label must satisfy 0 < k < r/s={params.q}: {self}"
                 )
         else:
-            if self.i > self.j:
+            if i > j:
                 raise ValidationError(f"swap must have i < j: {self}")
-            if not 0 <= self.k < p.r:
-                raise ValidationError(f"swap label must satisfy 0 <= k < r={p.r}: {self}")
+            if not 0 <= k < params.r:
+                raise ValidationError(f"swap label must satisfy 0 <= k < r={params.r}: {self}")
 
     @property
     def is_diagonal(self) -> bool:
@@ -319,10 +341,10 @@ class Reflection:
         if not isinstance(data, dict):
             raise ValidationError(f"reflection JSON must be an object: {data!r}")
         if "swap" in data:
-            i, j, k = (int(x) for x in data["swap"])
+            i, j, k = (json_int(x) for x in data["swap"])
             return cls(params, i, j, k)
         if "diag" in data:
-            i, k = (int(x) for x in data["diag"])
+            i, k = (json_int(x) for x in data["diag"])
             return cls(params, i, i, k)
         raise ValidationError(f"reflection JSON needs 'swap' or 'diag': {data!r}")
 
@@ -343,13 +365,17 @@ def reflections(params: GroupParams) -> list[Reflection]:
     return out
 
 
-@dataclass(frozen=True)
-class ElementPartition:
+class ElementPartition(_Frozen):
     """A set partition of the vertices into unions of cycles, together with
     the restriction of the element to each block (identity off-block)."""
 
-    blocks: tuple[tuple[int, ...], ...]
-    restrictions: tuple[GroupElement, ...]
+    __slots__ = _fields = ("blocks", "restrictions")
+
+    def __init__(
+        self, blocks: tuple[tuple[int, ...], ...], restrictions: tuple[GroupElement, ...]
+    ):
+        _set(self, "blocks", blocks)
+        _set(self, "restrictions", restrictions)
 
 
 def restrict_to_block(w: GroupElement, block: Sequence[int]) -> GroupElement:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -34,7 +33,7 @@ from .errors import (
     UnderdeterminedFitError,
     ValidationError,
 )
-from .groups import CycleType, GroupElement, GroupParams
+from .groups import CycleType, GroupElement, GroupParams, _Frozen, _set
 from .series import cyclic_count
 
 NORMALIZATIONS = ("printed", "derived")
@@ -45,8 +44,7 @@ NORMALIZATIONS = ("printed", "derived")
 INV_SUM = "inv_sum"
 
 
-@dataclass(frozen=True)
-class SymmetricLaurentPoly:
+class SymmetricLaurentPoly(_Frozen):
     """Symmetric function stored in the monomial symmetric basis.
 
     `terms` maps sorted-descending exponent vectors (length nvars,
@@ -55,9 +53,17 @@ class SymmetricLaurentPoly:
     unstable two-cycle convention.
     """
 
-    nvars: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
-    inv_sum_coeff: Fraction = Fraction(0)
+    __slots__ = _fields = ("nvars", "terms", "inv_sum_coeff")
+
+    def __init__(
+        self,
+        nvars: int,
+        terms: tuple[tuple[tuple[int, ...], Fraction], ...],
+        inv_sum_coeff: Fraction = Fraction(0),
+    ):
+        _set(self, "nvars", nvars)
+        _set(self, "terms", terms)
+        _set(self, "inv_sum_coeff", inv_sum_coeff)
 
     @classmethod
     def from_dict(
@@ -305,13 +311,15 @@ def _poly_from_solution(ell: int, basis, solution) -> SymmetricLaurentPoly:
 # Fit reports
 
 
-@dataclass(frozen=True)
-class FitSample:
-    ctype: CycleType
-    n: int
-    m: int
-    count: int
-    normalized: Fraction
+class FitSample(_Frozen):
+    __slots__ = _fields = ("ctype", "n", "m", "count", "normalized")
+
+    def __init__(self, ctype: CycleType, n: int, m: int, count: int, normalized: Fraction):
+        _set(self, "ctype", ctype)
+        _set(self, "n", n)
+        _set(self, "m", m)
+        _set(self, "count", count)
+        _set(self, "normalized", normalized)
 
     def to_json(self) -> dict:
         return {
@@ -323,20 +331,49 @@ class FitSample:
         }
 
 
-@dataclass(frozen=True)
-class FitReport:
-    g: Fraction
-    ell: int
-    r: int
-    s: int
-    trivial_product: Optional[bool]  # None for plain S_n fits
-    normalization: str
-    polynomial: SymmetricLaurentPoly
-    window: tuple[Fraction, Fraction]
-    window_ok: bool
-    samples: tuple[FitSample, ...]
-    training_indices: tuple[int, ...]
-    holdout_residuals: tuple[Fraction, ...]
+class FitReport(_Frozen):
+    __slots__ = _fields = (
+        "g",
+        "ell",
+        "r",
+        "s",
+        "trivial_product",
+        "normalization",
+        "polynomial",
+        "window",
+        "window_ok",
+        "samples",
+        "training_indices",
+        "holdout_residuals",
+    )
+
+    def __init__(
+        self,
+        g: Fraction,
+        ell: int,
+        r: int,
+        s: int,
+        trivial_product: Optional[bool],  # None for plain S_n fits
+        normalization: str,
+        polynomial: SymmetricLaurentPoly,
+        window: tuple[Fraction, Fraction],
+        window_ok: bool,
+        samples: tuple[FitSample, ...],
+        training_indices: tuple[int, ...],
+        holdout_residuals: tuple[Fraction, ...],
+    ):
+        _set(self, "g", g)
+        _set(self, "ell", ell)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "trivial_product", trivial_product)
+        _set(self, "normalization", normalization)
+        _set(self, "polynomial", polynomial)
+        _set(self, "window", window)
+        _set(self, "window_ok", window_ok)
+        _set(self, "samples", samples)
+        _set(self, "training_indices", training_indices)
+        _set(self, "holdout_residuals", holdout_residuals)
 
     @property
     def n_values(self) -> tuple[int, ...]:
@@ -563,18 +600,32 @@ def collect_samples(
     return out
 
 
-@dataclass(frozen=True)
-class NormalizationVerdict:
+class NormalizationVerdict(_Frozen):
     """Outcome of fitting under both normalizations at several n."""
 
-    g: Fraction
-    ell: int
-    r: int
-    s: int
-    n_values: tuple[int, ...]
-    reports: dict  # (normalization, trivial_product) -> FitReport
-    failures: dict  # (normalization, trivial_product) -> str
-    winners: tuple[str, ...]
+    __slots__ = _fields = (
+        "g", "ell", "r", "s", "n_values", "reports", "failures", "winners"
+    )
+
+    def __init__(
+        self,
+        g: Fraction,
+        ell: int,
+        r: int,
+        s: int,
+        n_values: tuple[int, ...],
+        reports: dict,  # (normalization, trivial_product) -> FitReport
+        failures: dict,  # (normalization, trivial_product) -> str
+        winners: tuple[str, ...],
+    ):
+        _set(self, "g", g)
+        _set(self, "ell", ell)
+        _set(self, "r", r)
+        _set(self, "s", s)
+        _set(self, "n_values", n_values)
+        _set(self, "reports", reports)
+        _set(self, "failures", failures)
+        _set(self, "winners", winners)
 
     def to_json(self) -> dict:
         return {

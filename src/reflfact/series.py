@@ -10,7 +10,6 @@ long-cycle formulas).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import Options, DEFAULT_OPTIONS, connected_from_all, count_connected_enum
@@ -18,6 +17,8 @@ from .errors import ConsistencyError, ValidationError
 from .groups import (
     GroupElement,
     GroupParams,
+    _Frozen,
+    _set,
     entry_product,
     permutation_part,
 )
@@ -43,20 +44,20 @@ def cyclic_count(q: int, t: int, m: int) -> int:
     return base
 
 
-@dataclass(frozen=True)
-class EgfSeries:
+class EgfSeries(_Frozen):
     """Truncated exponential generating series with exact rational
     coefficients: sum of coeffs[m] * x^m for m <= order, where
     coeffs[m] = (count at m) / m!."""
 
-    order: int
-    coeffs: tuple[Fraction, ...]
+    __slots__ = _fields = ("order", "coeffs")
 
-    def __post_init__(self):
-        if self.order < 0:
-            raise ValidationError(f"series order must be nonnegative, got {self.order}")
-        if len(self.coeffs) != self.order + 1:
+    def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
+        if order < 0:
+            raise ValidationError(f"series order must be nonnegative, got {order}")
+        if len(coeffs) != order + 1:
             raise ValidationError("coefficient array must have length order+1")
+        _set(self, "order", order)
+        _set(self, "coeffs", coeffs)
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int) -> "EgfSeries":
@@ -245,13 +246,15 @@ def long_cycle_series(params: GroupParams, t: int, order: int) -> EgfSeries:
     return cyc * core ** (params.n - 1) * scale
 
 
-@dataclass(frozen=True)
-class ComparisonMismatch:
-    element: GroupElement
-    m1: int
-    m2: int
-    formula: int
-    enumeration: int
+class ComparisonMismatch(_Frozen):
+    __slots__ = _fields = ("element", "m1", "m2", "formula", "enumeration")
+
+    def __init__(self, element: GroupElement, m1: int, m2: int, formula: int, enumeration: int):
+        _set(self, "element", element)
+        _set(self, "m1", m1)
+        _set(self, "m2", m2)
+        _set(self, "formula", formula)
+        _set(self, "enumeration", enumeration)
 
 
 def comparison_mismatches(

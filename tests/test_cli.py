@@ -162,6 +162,34 @@ def test_exit_codes(capsys, tmp_path):
         "--omega", "{not json", "--m", "1",
     )
     assert code == EXIT_VALIDATION
+    # validation: JSON integers must be integers, not floats, bools or strings
+    group2 = ["--r", "1", "--s", "1", "--n", "2"]
+    for omega in (
+        '{"perm":[2,1.5],"exps":[0,0]}',
+        '{"perm":"21","exps":[0,0]}',
+        '{"perm":[2,true],"exps":[0,0]}',
+        '{"perm":[2,1],"exps":[0,false]}',
+        '{"perm":[2,1],"exps":[0,0],"n":2.0}',
+    ):
+        code, out, err = run_cli(capsys, "count", *group2, "--omega", omega, "--m", "1")
+        assert code == EXIT_VALIDATION and not out, omega
+    for graph in (
+        {"r": 1, "s": 1, "n": 2, "edges": [[1, 2.0, 0]]},
+        {"r": 1, "s": 1, "n": 2, "edges": [[1, 2, False]]},
+        {"r": 1, "s": 1, "n": "2", "edges": [[1, 2, 0]]},
+        {"r": 1, "s": 1, "n": 2, "edges": ["120"]},
+    ):
+        code, out, err = run_cli(capsys, "walks", "--graph", json.dumps(graph))
+        assert code == EXIT_VALIDATION and not out, graph
+    # validation: a cache file that cannot be opened, written or decoded
+    not_utf8 = tmp_path / "latin1.jsonl"
+    not_utf8.write_bytes(b"\xff\xfe\n")
+    for path in (tmp_path / "missing" / "c.jsonl", tmp_path, not_utf8):
+        code, out, err = run_cli(
+            capsys, "count", *group2, "--omega", '{"perm":[2,1],"exps":[0,0]}',
+            "--m", "1", "--cache", str(path),
+        )
+        assert code == EXIT_VALIDATION and str(path) in err and not out, path
     # validation: negative m on the connected DP route
     code, _, err = run_cli(
         capsys, "count-connected", "--r", "2", "--s", "1", "--n", "3",
@@ -306,13 +334,17 @@ import contextlib, io, json, sys
 from reflfact import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("reflfact."))]))
+print(json.dumps([code, sorted(
+    m for m in sys.modules
+    if m.startswith("reflfact.") or m in ("dataclasses", "inspect")
+)]))
 """
 
 
 def _modules_after(*argv):
-    """The reflfact modules a fresh interpreter holds after one cli.main
-    call; the test process itself has imported all of them."""
+    """The reflfact modules, and `dataclasses` and `inspect` if loaded, that
+    a fresh interpreter holds after one successful cli.main call; the test
+    process itself has imported all of them."""
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _LIST_MODULES, json.dumps(argv)],
@@ -326,9 +358,14 @@ def _modules_after(*argv):
     return set(modules)
 
 
-def test_subcommands_import_only_what_they_run(reference_graph):
+def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph):
     group = ["--r", "2", "--s", "1", "--n", "2"]
     omega = ["--omega", '{"perm":[2,1],"exps":[0,1]}']
+    # no value class is a dataclass: no process loads dataclasses, nor
+    # inspect through it
+    unused = {"dataclasses", "inspect"}
+    cache = str(tmp_path / "counts.jsonl")
+    hits = []
     for argv in (
         ["count", *group, *omega, "--m", "2"],
         ["count-refined", *group, *omega, "--m1", "1", "--m2", "1"],
@@ -336,12 +373,35 @@ def test_subcommands_import_only_what_they_run(reference_graph):
     ):
         loaded = _modules_after(*argv)
         assert "reflfact.counting" in loaded
-        assert not loaded & {"reflfact.polyfit", "reflfact.series"}, argv
+        assert not loaded & {"reflfact.polyfit", "reflfact.series", *unused}, argv
+        run_json(capsys, *argv, "--cache", cache)
+        hits.append([*argv, "--cache", cache])
+    # a count answered from the --cache file loads no counting code
     for argv in (
+        *hits,
+        ["--version"],
+        ["--help"],
         ["reflections", *group],
         ["walks", "--graph", json.dumps(reference_graph.to_json())],
     ):
-        assert "reflfact.counting" not in _modules_after(*argv), argv
+        loaded = _modules_after(*argv)
+        assert not loaded & {"reflfact.counting", "reflfact._kernels_pure", *unused}, argv
+    for argv in (
+        ["verify-comparison", *group, "--max-m", "1"],
+        ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
+        ["fit", "--g", "0", "--ell", "1", "--n-values", "2,3"],
+    ):
+        assert not _modules_after(*argv) & unused, argv
+    # the package itself resolves its names on first access
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys, reflfact; print(json.dumps(sorted(sys.modules)))"],
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert [m for m in json.loads(proc.stdout) if m.startswith("reflfact.")] == []
 
 
 def test_max_dp_cells_default_matches_library():

@@ -2,6 +2,7 @@
 cross-checks.  The in-file brute force is the independent oracle."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -344,18 +345,33 @@ def test_warm_cache_never_bypasses_the_budget():
     classes = class_count(p)
     total, inverted = count_all(w, 3), connected_from_all(w, 3)
     refined = [count_refined(w, 3 - m2, m2) for m2 in range(4)]
+    connected = count_connected_total_enum(w, 3)
+    split = [count_connected_enum(w, 3 - m2, m2) for m2 in range(4)]
+    # the connected DP's rounds 0..3: live states times j+1 slots in round j
+    states = [len(r) for r in counting._cache[p.triple]["dp_components"][:4]]
+    dp_cells = sum(count * (j + 1) for j, count in enumerate(states))
     # every answer at m = 3 is cached now; each is still refused beyond
-    # the cells it needs: 4 rounds of classes, and 10 rows for refined counts
+    # the cells it needs: 4 rounds of classes, 10 rows for refined counts,
+    # and the connected DP's kept states
     for cells, query in (
         (4 * classes, lambda opts: count_all(w, 3, opts)),
         (4 * classes, lambda opts: connected_from_all(w, 3, opts)),
         (10 * classes, lambda opts: count_refined(w, 2, 1, opts)),
+        (dp_cells, lambda opts: count_connected_total_enum(w, 3, opts)),
+        (dp_cells, lambda opts: count_connected_enum(w, 2, 1, opts)),
     ):
         with pytest.raises(ResourceLimitError):
             query(Options(max_dp_cells=cells - 1))
         query(Options(max_dp_cells=cells))
     assert count_all(w, 3) == total and connected_from_all(w, 3) == inverted
     assert [count_refined(w, 3 - m2, m2) for m2 in range(4)] == refined
+    assert count_connected_total_enum(w, 3) == connected
+    assert [count_connected_enum(w, 3 - m2, m2) for m2 in range(4)] == split
+    # a cold cache refuses the same budget
+    clear_caches()
+    with pytest.raises(ResourceLimitError):
+        count_connected_total_enum(w, 3, Options(max_dp_cells=dp_cells - 1))
+    assert count_connected_total_enum(w, 3, Options(max_dp_cells=dp_cells)) == connected
     clear_caches()
 
 
@@ -438,6 +454,20 @@ def test_count_table_file_roundtrip(tmp_path):
     second = tmp_path / "cache2.jsonl"
     loaded.save(second)
     assert path.read_text() == second.read_text()
+
+
+def test_count_table_load_refuses_coerced_key_fields(tmp_path):
+    p = GroupParams(2, 1, 2)
+    key = CountKey.of(GroupElement(p, (2, 1), (0, 1)), 1, 1, False).to_json()
+    path = tmp_path / "cache.jsonl"
+    for field, value in (
+        ("r", 2.0), ("n", "2"), ("m1", True), ("m2", 1.0), ("perm", [2, 1.0]),
+        ("exps", "01"), ("connected", "false"), ("connected", 0),
+    ):
+        record = {"key": {**key, field: value}, "value": "4", "provenance": "dp"}
+        path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValidationError, match="bad record"):
+            CountTable.load(path)
 
 
 def test_count_table_failed_save_keeps_previous_file(tmp_path):

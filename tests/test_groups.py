@@ -306,6 +306,13 @@ def test_element_json_roundtrip():
         assert GroupElement.from_json({"perm": list(w.perm), "exps": list(w.exps)}, p) == w
     with pytest.raises(ValidationError):
         GroupElement.from_json({"perm": [1, 2], "exps": [0, 0], "r": 3}, GroupParams(2, 1, 2))
+    for data in (
+        {"perm": [2, 1], "exps": [0, 1.0], "r": 2, "s": 1, "n": 2},
+        {"perm": [2, 1], "exps": [0, 1], "r": 2, "s": True, "n": 2},
+        {"perm": [2, 1], "exps": [0, 1], "r": 2, "s": 1, "n": "2"},
+    ):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            GroupElement.from_json(data)
 
 
 def test_reflection_json_roundtrip():
@@ -316,6 +323,10 @@ def test_reflection_json_roundtrip():
     assert Reflection.from_json({"diag": [2, 1]}, p) == Reflection(p, 2, 2, 1)
     with pytest.raises(ValidationError):
         Reflection.from_json({"twist": [1]}, p)
+    # JSON integers are not coerced from floats, bools or strings
+    for data in ({"swap": [1, 2, 3.0]}, {"swap": [1, True, 3]}, {"diag": ["2", 1]}):
+        with pytest.raises(ValidationError, match="expected an integer"):
+            Reflection.from_json(data, p)
 
 
 def test_exhaustive_small_group_closure():

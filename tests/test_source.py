@@ -16,3 +16,16 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_module_level_dataclasses_import():
+    # dataclasses pulls in inspect, ast and dis at import: values derive from
+    # groups._Frozen, and only an assignment to one imports dataclasses
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
+    ]
+    assert found == []
