@@ -3,9 +3,9 @@
 Core objects: group elements as generalized permutation matrices,
 reflection tuples as decorated graphs with ordered edge walks, exact
 factorization counts (total and refined by a DP over colored cycle
-types, connected by a DP over component partitions), closed-form and
-generating-series cross-checks, and symmetric-polynomial recovery of
-connected counts by exact interpolation.
+types, connected by a DP over orbits of component-partition states),
+closed-form and generating-series cross-checks, and symmetric-polynomial
+recovery of connected counts by exact interpolation.
 """
 
 __version__ = "0.1.0"

@@ -1,14 +1,17 @@
 """Pure-Python kernels: the class-level DP over colored cycle types, the
-connected DP over (product, component partition) states, and the
-exhaustive tuple enumeration that tests check the connected DP against.
+connected DP over G(r,1,n)-orbits of (product, component partition)
+states, and the exhaustive tuple enumeration that tests check the
+connected DP against.
 
 The class DP works on the G(r,1,n)-conjugacy classes of G(r,s,n), named
 by `reflfact.indexing.class_key`; its tables map class keys to counts.
-The connected DP's tables map its live states to counts.  Both DPs
-return their rounds 0..m, and given the rounds of an earlier call they
-compute only the rounds after its last.  The enumeration fills tables
-dense over the group, indexed by `reflfact.indexing.GroupIndexer`.
-Counts here are Python ints, so these kernels never overflow.
+The connected DP's tables map orbit keys to orbit masses, the counts of
+(tuple, state) pairs over the whole orbit; `reflfact.counting` divides
+a mass by the size of the element's class.  Both DPs return their
+rounds 0..m, and given the rounds of an earlier call they compute only
+the rounds after its last.  The enumeration fills tables dense over the
+group, indexed by `reflfact.indexing.GroupIndexer`.  Counts here are
+Python ints, so these kernels never overflow.
 
 Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
 """
@@ -16,7 +19,6 @@ Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
 
 from .errors import ResourceLimitError
 from .groups import GroupParams
@@ -99,65 +101,111 @@ def dp_refined(r, s, n, refl, m, rounds=None):
     return rounds
 
 
-def dp_components(r, s, n, refl, m, max_cells, rounds=None):
-    """rounds[j] = {(perm0, exps, labels): counts by m2} for j <= m: the
-    live states after j factors, by a forward DP that applies one more
-    factor per round.
+def _orbit_key(perm0, exps, labels, r):
+    """The orbit of the state (perm0, exps, labels) under G(r,1,n): the
+    sorted tuple, over the blocks of labels, of each block's colored
+    cycle type.  Every cycle lies inside one block, since only swap
+    factors move vertices and each one joins the blocks it touches, so
+    the key is a complete conjugacy invariant."""
+    blocks: dict = {}
+    seen = [False] * len(perm0)
+    for start in range(len(perm0)):
+        if seen[start]:
+            continue
+        length, color, i = 0, 0, start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            color += exps[i]
+            i = perm0[i]
+        blocks.setdefault(labels[start], []).append((length, color % r))
+    return tuple(sorted(tuple(sorted(cycles)) for cycles in blocks.values()))
+
+
+def orbit_graph(r, s, n, refl, max_orbits):
+    """The G(r,1,n)-orbits of the connected DP's states, in the order a
+    breadth-first search from the identity finds them, named by
+    `_orbit_key`, and the orbit graph: moves[o] lists (o2, swaps,
+    diagonals), the numbers of swap and of diagonal reflections t that
+    take one representative state of o into o2.
 
     A state is the product so far (perm0, exps) together with the
     partition of the vertices into the components the swap factors have
-    joined, as labels[v] = least vertex of v's component; the tuples
-    whose swap factors join every vertex end in the one-block state,
-    labels (0,)*n.  A state counts its tuples by m2, the number of
-    diagonal factors, in j+1 slots at round j, or in one slot when the
-    group has no diagonal reflections.  Earlier rounds are extended as
-    in `dp_total`.  When the kept rounds would hold more than max_cells
-    states times slots, ResourceLimitError is raised and the rounds
-    given are left as they were.
-    """
-    diagonal = any(is_diag for is_diag, _, _, _ in refl)
-    rounds = list(rounds or [{(tuple(range(n)), (0,) * n, tuple(range(n))): [1]}])
-    held = sum(len(states) * (j + 1 if diagonal else 1) for j, states in enumerate(rounds))
-    cur = rounds[-1]
-    for j in range(len(rounds), m + 1):
-        slots = j + 1 if diagonal else 1
-        nxt: dict = {}
-        for (perm0, exps, labels), counts in cur.items():
-            same, shifted = (counts + [0], [0] + counts) if diagonal else (counts, None)
-            for is_diag, a, b, k in refl:
-                ia = perm0.index(a)
-                new_exps = list(exps)
-                if is_diag:
-                    new_exps[ia] = (new_exps[ia] + s * k) % r
-                    key = (perm0, tuple(new_exps), labels)
-                    moved = shifted
-                else:
-                    ib = perm0.index(b)
-                    new_perm = list(perm0)
-                    new_perm[ia], new_perm[ib] = b, a
-                    new_exps[ia] = (new_exps[ia] + k) % r
-                    new_exps[ib] = (new_exps[ib] - k) % r
-                    keep, drop = sorted((labels[a], labels[b]))
-                    new_labels = labels if keep == drop else tuple(
-                        keep if x == drop else x for x in labels
-                    )
-                    key = (tuple(new_perm), tuple(new_exps), new_labels)
-                    moved = same
-                old = nxt.get(key)
-                nxt[key] = moved if old is None else list(map(add, old, moved))
-            if held + len(nxt) * slots > max_cells:
-                raise ResourceLimitError(
-                    f"connected DP over {GroupParams(r, s, n)} up to round {j} "
-                    f"holds {held + len(nxt) * slots} cells (limit {max_cells})"
+    joined, as labels[v] = least vertex of v's component.  Conjugating
+    a state by G(r,1,n) permutes R, so any representative will do.
+    ResourceLimitError is raised as soon as more than max_orbits orbits
+    are found."""
+    reps = [(tuple(range(n)), (0,) * n, tuple(range(n)))]
+    keys = [_orbit_key(*reps[0], r)]
+    index = {keys[0]: 0}
+    moves = []
+    for perm0, exps, labels in reps:  # grows while it is walked
+        counts: dict = {}
+        for is_diag, a, b, k in refl:
+            ia = perm0.index(a)
+            new_exps = list(exps)
+            if is_diag:
+                new_exps[ia] = (new_exps[ia] + s * k) % r
+                state = (perm0, tuple(new_exps), labels)
+            else:
+                ib = perm0.index(b)
+                new_perm = list(perm0)
+                new_perm[ia], new_perm[ib] = b, a
+                new_exps[ia] = (new_exps[ia] + k) % r
+                new_exps[ib] = (new_exps[ib] - k) % r
+                keep, drop = sorted((labels[a], labels[b]))
+                new_labels = labels if keep == drop else tuple(
+                    keep if x == drop else x for x in labels
                 )
-        held += len(nxt) * slots
-        rounds.append(nxt)
+                state = (tuple(new_perm), tuple(new_exps), new_labels)
+            key = _orbit_key(*state, r)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+                reps.append(state)
+                if len(keys) > max_orbits:
+                    raise ResourceLimitError(
+                        f"connected DP over {GroupParams(r, s, n)} finds more than "
+                        f"{max_orbits} state orbits, the most the cell budget allows"
+                    )
+            counts.setdefault(index[key], [0, 0])[is_diag] += 1
+        moves.append([(o, swaps, diags) for o, (swaps, diags) in counts.items()])
+    return keys, moves
+
+
+def dp_orbits(graph, m, rounds=None):
+    """rounds[j][key] = counts by m2 for j <= m: over all j-tuples of
+    reflections, the number of (tuple, state) pairs whose state lies in
+    the orbit key of `orbit_graph`'s graph, for m2 diagonal factors.
+    Every state of an orbit is reached by the same number of tuples, so
+    this is the orbit's size times that number.
+
+    F_j(o2) = sum over o of F_(j-1)(o) * (reflections taking o into o2),
+    read off the graph.  Round j has j+1 slots per orbit, or one slot
+    when the group has no diagonal reflections.  Earlier rounds are
+    extended as in `dp_total`."""
+    keys, moves = graph
+    diagonal = any(diags for row in moves for _, _, diags in row)
+    rounds = list(rounds or [dict(zip(keys, [[1]] + [[0]] * (len(keys) - 1)))])
+    cur = list(rounds[-1].values())
+    for j in range(len(rounds), m + 1):
+        nxt = [[0] * (j + 1 if diagonal else 1) for _ in keys]
+        for counts, row in zip(cur, moves):
+            if not any(counts):
+                continue
+            for o, swaps, diags in row:
+                target = nxt[o]
+                for i, c in enumerate(counts):
+                    target[i] += swaps * c
+                    if diags:
+                        target[i + 1] += diags * c
+        rounds.append(dict(zip(keys, nxt)))
         cur = nxt
     return rounds
 
 
 def enum_bucketed(r, s, n, refl, m):
-    """Enumerate all m-tuples: the reference `dp_components` is tested
+    """Enumerate all m-tuples: the reference the connected DP is tested
     against.
 
     Returns (total, conn): total[m2][g] counts tuples with product g and

@@ -85,8 +85,8 @@ def _add_budget(parser: argparse.ArgumentParser, with_cache=False) -> None:
         default=5 * 10**7,  # counting.DEFAULT_MAX_DP_CELLS; a test pins the two
         help="cells a kernel's kept rounds 0..m may hold: one per class and "
         "round for total counts, one per class, round and diagonal count for "
-        "refined counts, one per live state and diagonal-count slot in each "
-        "round for the connected DP",
+        "refined counts and one per orbit of states, round and diagonal "
+        "count for the connected DP",
     )
     if with_cache:
         parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
@@ -311,7 +311,6 @@ def _cmd_series(args) -> dict:
         sn_long_cycle_series,
     )
 
-    opts = _options(args)
     if args.kind == "cyclic":
         q = args.q
         if q is None:
@@ -336,7 +335,7 @@ def _cmd_series(args) -> dict:
             raise UsageError("kind=connected needs --r, --s, --n, --omega")
         params = GroupParams(args.r, args.s, args.n)
         w = GroupElement.from_json(_load_json_arg(args.omega), params)
-        series = connected_series(w, args.order, opts)
+        series = connected_series(w, args.order, _options(args))
         meta = {"r": args.r, "s": args.s, "n": args.n}
     payload = {"kind": args.kind, **meta, **series.to_json()}
     return payload

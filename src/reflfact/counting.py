@@ -6,20 +6,23 @@ Three independent routes are implemented and cross-checked in tests:
 * dynamic programming over colored cycle types (total and refined
   counts): every count is constant on G(r,1,n)-conjugacy classes, so
   the tables hold one cell per class and round, not per element;
-* a DP over (product, component partition) states that applies one
-  reflection per round and merges the vertices each swap factor joins
-  (the trusted oracle for connected counts; it agrees with exhaustive
-  tuple enumeration in tests);
+* a DP over G(r,1,n)-orbits of (product, component partition) states,
+  which applies one reflection per round and merges the vertices each
+  swap factor joins (the trusted oracle for connected counts): an
+  orbit's mass, divided by the size of the element's class, is the
+  count of one state; it agrees in tests with the element-level DP
+  over the states themselves and with exhaustive tuple enumeration;
 * recursive inversion of the disjoint-block product formula, which
   expresses total counts as multinomial convolutions of connected
   counts over partitions of the element.
 
 One cache holds, for the 16 groups used most recently, the rounds
 0..m of every DP, which a count at a larger m extends from the last
-one, and the inversion's memo.  `Options.max_dp_cells` bounds the
-cells a DP's kept rounds hold.  Every count reads the cache through one
-lookup, which checks that bound first, also for a cached count; a
-cached count then costs one read by the element's colored cycle type.
+one, the connected DP's orbit graph, and the inversion's memo.
+`Options.max_dp_cells` bounds the cells a DP's kept rounds hold.  Every
+count reads the cache through one lookup, which checks that bound
+first, also for a cached count, and before any round runs; a cached
+count then costs one read by the element's colored cycle type.
 The persistent count table, `CountKey` and `CountTable`, lives in
 `reflfact.counttable`, which loads no kernel; both are re-exported here.
 
@@ -30,11 +33,11 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from itertools import accumulate
+from itertools import chain, groupby
 
 from . import _kernels_pure
 from .counttable import CountKey, CountTable
-from .errors import MissingCountError, ResourceLimitError, ValidationError
+from .errors import ConsistencyError, MissingCountError, ResourceLimitError, ValidationError
 from .groups import (
     GroupElement,
     GroupParams,
@@ -66,9 +69,8 @@ DEFAULT_OPTIONS = Options()
 # GroupParams.triple -> {name: what that function keeps of the group}: the
 # rounds of each `_kernels_pure` kernel, and connected_from_all's memo by
 # (class key, m); also what the budget checks read: the group's class
-# count, and under "dp_components_cells" the cells the connected DP's
-# rounds 0..j hold, for each kept round j.  Least recently used group
-# first.
+# count, and under "orbits" the connected DP's orbit graph.  Least
+# recently used group first.
 _cache: OrderedDict = OrderedDict()
 _CACHE_SLOTS = 16
 
@@ -86,9 +88,10 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
     class DP and for connected_from_all's memo, which stands for the
     totals it was built from, and as many per diagonal-count row for the
     refined DP, j+1 rows in round j in a group with diagonal reflections.
-    The connected DP's cells are known only once its rounds are kept:
-    a kept round is checked here, and the DP checks a round it extends
-    to while it runs."""
+    The connected DP keeps as many slots per state orbit as the refined
+    DP keeps rows per class.  Its orbit graph is built here on first use,
+    and the search is refused as soon as the orbits it has found need
+    more cells than the budget."""
     record = _cache.get(params.triple)
     if record is None:
         record = _cache[params.triple] = {"class_count": class_count(params)}
@@ -96,50 +99,45 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
             _cache.popitem(last=False)
     else:
         _cache.move_to_end(params.triple)
-    if kernel == "dp_components":
-        try:
-            cells = record["dp_components_cells"][m]
-        except (KeyError, IndexError):  # round m not kept yet: the DP checks it
-            cells = 0
-        if cells > opts.max_dp_cells:
-            raise ResourceLimitError(
-                f"connected DP over {params} up to round {m} holds {cells} cells "
-                f"(limit {opts.max_dp_cells})"
+    slots = m + 1  # per class or orbit, over rounds 0..m
+    if kernel in ("dp_refined", "dp_orbits") and params.q > 1:
+        slots = slots * (m + 2) // 2
+    if kernel == "dp_orbits":
+        graph = record.get("orbits")
+        if graph is None:
+            graph = record["orbits"] = _kernels_pure.orbit_graph(
+                params.r, params.s, params.n, encode_reflections(params),
+                opts.max_dp_cells // slots,
             )
+        cells = len(graph[0]) * slots
     else:
-        cells = record["class_count"] * (m + 1)
-        if kernel == "dp_refined" and params.q > 1:
-            cells = cells * (m + 2) // 2
-        if cells > opts.max_dp_cells:
-            what = "refined class DP" if kernel == "dp_refined" else "class DP"
-            raise ResourceLimitError(
-                f"{what} over {params} up to m={m} needs {cells} cells "
-                f"(limit {opts.max_dp_cells})"
-            )
+        cells = record["class_count"] * slots
+    if cells > opts.max_dp_cells:
+        what = {"dp_orbits": "connected DP", "dp_refined": "refined class DP"}.get(
+            kernel, "class DP"
+        )
+        raise ResourceLimitError(
+            f"{what} over {params} up to m={m} needs {cells} cells "
+            f"(limit {opts.max_dp_cells})"
+        )
     return record
 
 
-def _round(params: GroupParams, m: int, kernel: str, opts: Options):
-    """Round m of the `_kernels_pure` kernel named `kernel` over the group,
-    from its cached rounds, which are extended from the last one when
-    they stop short of m.  The kernel is looked up at call time, so a
-    rebinding of the module's name is seen.  A refused extension leaves
-    the cached rounds as they were."""
+def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
+    """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
+    over the group, from its cached rounds, which are extended from the
+    last one when they stop short of m.  The kernel is looked up at call
+    time, so a rebinding of the module's name is seen.  A refused count
+    runs no round and leaves the cached rounds as they were."""
     record = _group(params, m, kernel, opts)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
-        budget = (opts.max_dp_cells,) if kernel == "dp_components" else ()
-        rounds = record[kernel] = getattr(_kernels_pure, kernel)(
-            params.r, params.s, params.n, encode_reflections(params), m, *budget, rounds
-        )
-        if kernel == "dp_components":
-            # a state keeps j+1 diagonal-count slots in round j, or one
-            # when the group has no diagonal reflections
-            record["dp_components_cells"] = list(accumulate(
-                len(states) * (j + 1 if params.q > 1 else 1)
-                for j, states in enumerate(rounds)
-            ))
-    return rounds[m]
+        if kernel == "dp_orbits":
+            group = (record["orbits"],)
+        else:
+            group = (params.r, params.s, params.n, encode_reflections(params))
+        rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, m, rounds)
+    return rounds
 
 
 def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
@@ -147,7 +145,7 @@ def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     if m < 0:
         raise ValidationError("m must be nonnegative")
     p = w.params
-    return _round(p, m, "dp_total", opts)[class_key(w.perm, w.exps, p.r)]
+    return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)]
 
 
 def count_refined(
@@ -157,54 +155,87 @@ def count_refined(
     factors (and m1 swap factors)."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    rows = _round(w.params, m1 + m2, "dp_refined", opts)
+    rows = _rounds(w.params, m1 + m2, "dp_refined", opts)[m1 + m2]
     # a group without diagonal reflections keeps the m2 = 0 row only
     return rows[m2][class_key(w.perm, w.exps, w.params.r)] if m2 < len(rows) else 0
 
 
-def _components(params: GroupParams, m: int, opts: Options) -> dict:
-    """Round m of the connected DP over the group: {(perm0, exps,
-    labels): counts by m2}."""
-    if m < 0:
+def _class_size(params: GroupParams, key) -> int:
+    """|class| in G(r,1,n) of the colored cycle type key:
+    r^n * n! / prod over (L, c) of m_(L,c)! * (r*L)^m_(L,c), where
+    m_(L,c) is the number of cycles of length L and color c."""
+    r = params.r
+    size = r**params.n * math.factorial(params.n)
+    for (length, _), cycles in groupby(key):
+        mult = len(list(cycles))
+        size //= math.factorial(mult) * (r * length) ** mult
+    return size
+
+
+def _per_element(masses, size: int, key, m: int) -> list[int]:
+    """Orbit masses at m, each divided by `size`, the number of elements
+    in the class key; the division is exact, and a remainder would
+    indicate a bug and raises."""
+    counts = []
+    for mass in masses:
+        count, remainder = divmod(mass, size)
+        if remainder:
+            raise ConsistencyError(
+                f"count of {key} at m={m}: orbit mass {mass} not divisible by {size}"
+            )
+        counts.append(count)
+    return counts
+
+
+def connected_rows(
+    w: GroupElement, max_m: int, opts: Options = DEFAULT_OPTIONS, min_m: int = 0
+) -> list[list[int]]:
+    """The rows for m = min_m..max_m of the connected counts of w by m2,
+    by the orbit DP: the one-block orbit's mass divided by |class(w)|.
+    Row m has m+1 entries, or one (m2 = 0) when the group has no
+    diagonal reflections."""
+    if min_m < 0 or max_m < 0:
         raise ValidationError("m must be nonnegative")
-    return _round(params, m, "dp_components", opts)
-
-
-def _one_block(w: GroupElement, m: int, opts: Options) -> list[int]:
-    """Counts by m2 of the m-tuples with product w whose swap factors
-    join all n vertices: the one-block state of w in the connected DP."""
-    state = (tuple(v - 1 for v in w.perm), tuple(w.exps), (0,) * w.params.n)
-    return _components(w.params, m, opts).get(state, [])
+    key = class_key(w.perm, w.exps, w.params.r)
+    size = _class_size(w.params, key)
+    rounds = _rounds(w.params, max_m, "dp_orbits", opts)
+    return [
+        _per_element(rounds[m].get((key,), []), size, key, m) for m in range(min_m, max_m + 1)
+    ]
 
 
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
-    """count_all recomputed by the component-partition DP (cross-check
-    path): the states of w under every partition."""
-    perm0, exps = tuple(v - 1 for v in w.perm), tuple(w.exps)
-    return sum(
-        sum(counts)
-        for (p0, e, _), counts in _components(w.params, m, opts).items()
-        if p0 == perm0 and e == exps
+    """count_all recomputed by the orbit DP (cross-check path): the
+    masses of every orbit whose product has w's colored cycle type, over
+    |class(w)|."""
+    if m < 0:
+        raise ValidationError("m must be nonnegative")
+    key = class_key(w.perm, w.exps, w.params.r)
+    mass = sum(
+        sum(masses)
+        for orbit, masses in _rounds(w.params, m, "dp_orbits", opts)[m].items()
+        if tuple(sorted(chain.from_iterable(orbit))) == key
     )
+    (count,) = _per_element((mass,), _class_size(w.params, key), key, m)
+    return count
 
 
 def count_connected_enum(
     w: GroupElement, m1: int, m2: int, opts: Options = DEFAULT_OPTIONS
 ) -> int:
-    """Connected refined count by the component-partition DP: the trusted
-    oracle."""
+    """Connected refined count by the orbit DP: the trusted oracle."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    counts = _one_block(w, m1 + m2, opts)
-    return counts[m2] if m2 < len(counts) else 0
+    (row,) = connected_rows(w, m1 + m2, opts, min_m=m1 + m2)
+    return row[m2] if m2 < len(row) else 0
 
 
 def count_connected_total_enum(
     w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS
 ) -> int:
-    """Connected count over all diagonal/swap splits, by the
-    component-partition DP."""
-    return sum(_one_block(w, m, opts))
+    """Connected count over all diagonal/swap splits, by the orbit DP."""
+    (row,) = connected_rows(w, m, opts, min_m=m)
+    return sum(row)
 
 
 def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:

@@ -75,6 +75,13 @@ def json_int(value) -> int:
     return value
 
 
+def _json_ints(values, size: int, field: str) -> list[int]:
+    """`values` if it is a JSON list of `size` integers."""
+    if not isinstance(values, list) or len(values) != size:
+        raise ValidationError(f"'{field}' must be a list of {size} integers, got {values!r}")
+    return [json_int(x) for x in values]
+
+
 class GroupParams(_Frozen):
     """The triple (r, s, n) with s | r; fixes one group G(r,s,n)."""
 
@@ -341,10 +348,10 @@ class Reflection(_Frozen):
         if not isinstance(data, dict):
             raise ValidationError(f"reflection JSON must be an object: {data!r}")
         if "swap" in data:
-            i, j, k = (json_int(x) for x in data["swap"])
+            i, j, k = _json_ints(data["swap"], 3, "swap")
             return cls(params, i, j, k)
         if "diag" in data:
-            i, k = (json_int(x) for x in data["diag"])
+            i, k = _json_ints(data["diag"], 2, "diag")
             return cls(params, i, i, k)
         raise ValidationError(f"reflection JSON needs 'swap' or 'diag': {data!r}")
 

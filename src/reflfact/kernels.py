@@ -2,8 +2,8 @@
 kernel backend.
 
 All kernels are pure Python (`reflfact._kernels_pure`): the class DP for
-total and refined counts and the component-partition DP for connected
-counts.
+total and refined counts and the DP over orbits of component-partition
+states for connected counts.
 """
 
 from __future__ import annotations

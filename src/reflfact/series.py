@@ -5,14 +5,18 @@ formula that reduces connected counts in G(r,s,n) to connected counts
 in S_n, and the series identities that package the same reduction as a
 product of exponential generating functions (including the classical
 long-cycle formulas).
+
+`reflfact.counting` is loaded only by the functions that count, and
+its functions are looked up on it at call time, so the closed forms
+and the long-cycle series load no counting code.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from .counting import Options, DEFAULT_OPTIONS, connected_from_all, count_connected_enum
 from .errors import ConsistencyError, ValidationError
 from .groups import (
     GroupElement,
@@ -22,7 +26,9 @@ from .groups import (
     entry_product,
     permutation_part,
 )
-from .indexing import GroupIndexer
+
+if TYPE_CHECKING:
+    from .counting import Options
 
 
 def cyclic_count(q: int, t: int, m: int) -> int:
@@ -164,38 +170,49 @@ def cyclic_series(q: int, t: int, order: int) -> EgfSeries:
     return series
 
 
+def _sn_connected(base: GroupElement, order: int, opts: "Options | None") -> list[int]:
+    """Connected counts of the S_n element base at m = 0..order, by
+    inversion."""
+    from . import counting
+
+    opts = opts or counting.DEFAULT_OPTIONS
+    return [counting.connected_from_all(base, m, opts) for m in range(order + 1)]
+
+
 def sn_connected_series(
-    w: GroupElement, order: int, opts: Options = DEFAULT_OPTIONS
+    w: GroupElement, order: int, opts: "Options | None" = None
 ) -> EgfSeries:
     """EGF of connected counts of the permutation part, in S_n."""
-    base = permutation_part(w)
-    coeffs = [
-        Fraction(connected_from_all(base, m, opts), math.factorial(m))
-        for m in range(order + 1)
-    ]
+    counts = _sn_connected(permutation_part(w), order, opts)
+    coeffs = [Fraction(count, math.factorial(m)) for m, count in enumerate(counts)]
     return EgfSeries(order, tuple(coeffs))
 
 
 def comparison_refined(
-    w: GroupElement, m1: int, m2: int, opts: Options = DEFAULT_OPTIONS
+    w: GroupElement, m1: int, m2: int, opts: "Options | None" = None
 ) -> int:
     """Connected refined count computed from the S_n connected count:
     r^(m1-n+1) * n^m2 * C(m1+m2, m1) * (cyclic count at m2) * (S_n count at m1).
 
     Evaluated in exact integers; when m1 < n-1 the division by r^(n-1-m1)
     must be exact, and a remainder would indicate a bug and raises."""
+    from . import counting
+
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    p = w.params
-    sn_count = connected_from_all(permutation_part(w), m1, opts)
+    sn_count = counting.connected_from_all(
+        permutation_part(w), m1, opts or counting.DEFAULT_OPTIONS
+    )
+    return _comparison(w.params, entry_product(w), m1, m2, sn_count)
+
+
+def _comparison(p: GroupParams, t: int, m1: int, m2: int, sn_count: int) -> int:
+    """comparison_refined's value in G(r,s,n) = p for an element with
+    entry-product exponent t whose permutation part has S_n connected
+    count sn_count at m1."""
     if sn_count == 0:
         return 0
-    value = (
-        p.n**m2
-        * math.comb(m1 + m2, m1)
-        * cyclic_count(p.q, entry_product(w), m2)
-        * sn_count
-    )
+    value = p.n**m2 * math.comb(m1 + m2, m1) * cyclic_count(p.q, t, m2) * sn_count
     shift = m1 - p.n + 1
     if shift >= 0:
         return value * p.r**shift
@@ -208,7 +225,7 @@ def comparison_refined(
     return quotient
 
 
-def comparison_total(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
+def comparison_total(w: GroupElement, m: int, opts: "Options | None" = None) -> int:
     """Connected count at m as the sum of refined comparisons over splits."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
@@ -216,7 +233,7 @@ def comparison_total(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -
 
 
 def connected_series(
-    w: GroupElement, order: int, opts: Options = DEFAULT_OPTIONS
+    w: GroupElement, order: int, opts: "Options | None" = None
 ) -> EgfSeries:
     """EGF of connected counts of w, as the rescaled product of the cyclic
     series and the S_n connected series."""
@@ -258,23 +275,34 @@ class ComparisonMismatch(_Frozen):
 
 
 def comparison_mismatches(
-    params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS
+    params: GroupParams, max_m: int, opts: "Options | None" = None
 ) -> tuple[int, list[ComparisonMismatch]]:
     """Exhaustively compare the refined comparison formula against the
-    connected oracle (the component-partition DP behind
-    `count_connected_enum`) for every element of the group and every split
-    with m1+m2 <= max_m.  Returns (number of checks, mismatches)."""
+    connected oracle (the orbit DP behind `count_connected_enum`) for
+    every element of the group and every split with m1+m2 <= max_m.
+    Returns (number of checks, mismatches), the mismatches by element in
+    index order, then by m, then by m1.
+
+    Each element is read once: its permutation part, entry product, S_n
+    connected counts for m1 <= max_m and the oracle's row by m2 for each
+    m; every split is then evaluated by the arithmetic of
+    `comparison_refined`."""
+    from . import counting
+    from .indexing import GroupIndexer
+
     if max_m < 0:
         raise ValidationError("max_m must be nonnegative")
-    indexer = GroupIndexer(params)
+    opts = opts or counting.DEFAULT_OPTIONS
     checks = 0
     bad: list[ComparisonMismatch] = []
-    for w in indexer:
-        for m in range(max_m + 1):
+    for w in GroupIndexer(params):
+        t = entry_product(w)
+        sn = _sn_connected(permutation_part(w), max_m, opts)
+        for m, row in enumerate(counting.connected_rows(w, max_m, opts)):
             for m1 in range(m + 1):
                 m2 = m - m1
-                formula = comparison_refined(w, m1, m2, opts)
-                enum = count_connected_enum(w, m1, m2, opts)
+                formula = _comparison(params, t, m1, m2, sn[m1])
+                enum = row[m2] if m2 < len(row) else 0
                 checks += 1
                 if formula != enum:
                     bad.append(ComparisonMismatch(w, m1, m2, formula, enum))

@@ -1,7 +1,9 @@
-"""Shared fixtures: the reference seven-edge graph and small-group helpers."""
+"""Shared fixtures: the reference seven-edge graph, small-group helpers,
+and the element-level connected DP that the orbit DP is checked against."""
 
 import itertools
 import random
+from operator import add
 
 import pytest
 
@@ -79,6 +81,49 @@ def all_elements(params: GroupParams):
         for exps in itertools.product(range(r), repeat=n):
             if sum(exps) % s == 0:
                 yield GroupElement(params, perm, exps)
+
+
+def dp_components(r, s, n, refl, m):
+    """rounds[j] = {(perm0, exps, labels): counts by m2} for j <= m: the
+    element-level connected DP, the reference the orbit DP in
+    `reflfact._kernels_pure` is tested against.
+
+    A state is the product so far (perm0, exps) together with the
+    partition of the vertices into the components the swap factors have
+    joined, as labels[v] = least vertex of v's component; the tuples
+    whose swap factors join every vertex end in the one-block state,
+    labels (0,)*n.  A state counts its tuples by m2, the number of
+    diagonal factors, in j+1 slots at round j, or in one slot when the
+    group has no diagonal reflections."""
+    diagonal = any(is_diag for is_diag, _, _, _ in refl)
+    rounds = [{(tuple(range(n)), (0,) * n, tuple(range(n))): [1]}]
+    for _ in range(m):
+        nxt: dict = {}
+        for (perm0, exps, labels), counts in rounds[-1].items():
+            same, shifted = (counts + [0], [0] + counts) if diagonal else (counts, None)
+            for is_diag, a, b, k in refl:
+                ia = perm0.index(a)
+                new_exps = list(exps)
+                if is_diag:
+                    new_exps[ia] = (new_exps[ia] + s * k) % r
+                    key = (perm0, tuple(new_exps), labels)
+                    moved = shifted
+                else:
+                    ib = perm0.index(b)
+                    new_perm = list(perm0)
+                    new_perm[ia], new_perm[ib] = b, a
+                    new_exps[ia] = (new_exps[ia] + k) % r
+                    new_exps[ib] = (new_exps[ib] - k) % r
+                    keep, drop = sorted((labels[a], labels[b]))
+                    new_labels = labels if keep == drop else tuple(
+                        keep if x == drop else x for x in labels
+                    )
+                    key = (tuple(new_perm), tuple(new_exps), new_labels)
+                    moved = same
+                old = nxt.get(key)
+                nxt[key] = moved if old is None else list(map(add, old, moved))
+        rounds.append(nxt)
+    return rounds
 
 
 def dense_tables(params: GroupParams, states: dict, m: int):

@@ -388,10 +388,28 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
         assert not loaded & {"reflfact.counting", "reflfact._kernels_pure", *unused}, argv
     for argv in (
         ["verify-comparison", *group, "--max-m", "1"],
-        ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
+        ["series", "--kind", "connected", *group, *omega, "--order", "3"],
         ["fit", "--g", "0", "--ell", "1", "--n-values", "2,3"],
     ):
-        assert not _modules_after(*argv) & unused, argv
+        loaded = _modules_after(*argv)
+        assert "reflfact.counting" in loaded
+        assert not loaded & unused, argv
+    # the closed-form series count nothing: no counting code is loaded
+    counting_code = {
+        "reflfact.counting",
+        "reflfact.counttable",
+        "reflfact.kernels",
+        "reflfact._kernels_pure",
+        "reflfact.indexing",
+    }
+    for argv in (
+        ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
+        ["series", "--kind", "sn-long-cycle", "--n", "4", "--order", "3"],
+        ["series", "--kind", "long-cycle", *group, "--t", "1", "--order", "3"],
+    ):
+        loaded = _modules_after(*argv)
+        assert "reflfact.series" in loaded
+        assert not loaded & {*counting_code, *unused}, argv
     # the package itself resolves its names on first access
     proc = subprocess.run(
         [sys.executable, "-c",

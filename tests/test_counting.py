@@ -8,6 +8,7 @@ import random
 import pytest
 
 from reflfact import (
+    ConsistencyError,
     GroupElement,
     GroupParams,
     ResourceLimitError,
@@ -208,13 +209,18 @@ def test_resource_limits():
 
 
 def test_connected_dp_budget_bounds_live_states():
-    # S_4 has no diagonal reflections, so each live state holds one slot:
-    # rounds 0..3 keep 1 + 6 + 17 + 30 = 54 cells
+    # S_4 has no diagonal reflections, so each state orbit holds one slot
+    # per round.  Its 14 orbits are the multisets of blocks, each block a
+    # cycle type of its size (1 + 2 + 3 + 5 types of size 1..4): rounds
+    # 0..3 keep 14 * 4 = 56 cells.  55 is refused while the orbit graph
+    # is searched (55 // 4 = 13 orbits), 56 runs.
     clear_caches()
     w = identity(GroupParams(1, 1, 4))
-    with pytest.raises(ResourceLimitError):
-        count_connected_total_enum(w, 3, Options(max_dp_cells=53))
-    assert count_connected_total_enum(w, 3, Options(max_dp_cells=54)) == connected_from_all(w, 3)
+    with pytest.raises(ResourceLimitError, match="more than 13 state orbits"):
+        count_connected_total_enum(w, 3, Options(max_dp_cells=55))
+    assert "orbits" not in counting._cache[(1, 1, 4)]
+    assert count_connected_total_enum(w, 3, Options(max_dp_cells=56)) == connected_from_all(w, 3)
+    assert len(counting._cache[(1, 1, 4)]["orbits"][0]) == 14
     clear_caches()
 
 
@@ -222,19 +228,39 @@ def test_refused_extension_keeps_cached_rounds(monkeypatch):
     clear_caches()
     w = identity(GroupParams(1, 1, 4))
     assert count_connected_total_enum(w, 2) == connected_from_all(w, 2)
+    kept = counting._cache[(1, 1, 4)]["dp_orbits"]
     given = []
-    original = _kernels_pure.dp_components
+    original = _kernels_pure.dp_orbits
 
     def recording(*args):
         given.append(args[-1])
         return original(*args)
 
-    monkeypatch.setattr(_kernels_pure, "dp_components", recording)
-    with pytest.raises(ResourceLimitError):
-        count_connected_total_enum(w, 3, Options(max_dp_cells=53))
+    monkeypatch.setattr(_kernels_pure, "dp_orbits", recording)
+    # refused by the budget check before any round runs
+    with pytest.raises(ResourceLimitError, match="connected DP over .* up to m=3 needs 56 cells"):
+        count_connected_total_enum(w, 3, Options(max_dp_cells=55))
     assert count_connected_total_enum(w, 2) == connected_from_all(w, 2)  # no kernel call
-    assert count_connected_total_enum(w, 3, Options(max_dp_cells=54)) == connected_from_all(w, 3)
-    assert len(given) == 2 and given[1] is given[0] and len(given[0]) == 3
+    assert given == []
+    assert count_connected_total_enum(w, 3, Options(max_dp_cells=56)) == connected_from_all(w, 3)
+    assert len(given) == 1 and given[0] is kept and len(kept) == 3
+    clear_caches()
+
+
+def test_orbit_mass_that_does_not_divide_raises(monkeypatch):
+    # a one-block orbit mass is |class(w)| times w's count: the 3-cycles
+    # of S_3 form a class of 2, so a mass of 1 is a bug, not a count
+    clear_caches()
+    w = GroupElement(GroupParams(1, 1, 3), (2, 3, 1), (0, 0, 0))
+
+    def ones(graph, m, rounds):
+        return [dict.fromkeys(graph[0], [1])] * (m + 1)
+
+    monkeypatch.setattr(_kernels_pure, "dp_orbits", ones)
+    with pytest.raises(ConsistencyError, match="orbit mass 1 not divisible by 2"):
+        count_connected_total_enum(w, 2)
+    with pytest.raises(ConsistencyError, match="not divisible by 2"):
+        count_all_by_enum(w, 2)
     clear_caches()
 
 
@@ -262,7 +288,7 @@ def test_connected_dp_beyond_enumeration_reach():
 ROUND_QUERIES = {
     "dp_total": count_all,
     "dp_refined": lambda w, m: [count_refined(w, m - m2, m2) for m2 in range(m + 1)],
-    "dp_components": count_connected_total_enum,
+    "dp_orbits": count_connected_total_enum,
 }
 
 
@@ -279,8 +305,12 @@ def test_total_dp_extends_cached_rounds(monkeypatch, kernel):
         clear_caches()
         expected.append([query(w, m) for w in elements])
     clear_caches()
-    budget = (10**7,) if kernel == "dp_components" else ()
-    full = getattr(_kernels_pure, kernel)(p.r, p.s, p.n, encode_reflections(p), 5, *budget)
+    refl = encode_reflections(p)
+    if kernel == "dp_orbits":
+        group = (_kernels_pure.orbit_graph(p.r, p.s, p.n, refl, 10**7),)
+    else:
+        group = (p.r, p.s, p.n, refl)
+    full = getattr(_kernels_pure, kernel)(*group, 5)
     built = []
     original = getattr(_kernels_pure, kernel)
 
@@ -347,12 +377,11 @@ def test_warm_cache_never_bypasses_the_budget():
     refined = [count_refined(w, 3 - m2, m2) for m2 in range(4)]
     connected = count_connected_total_enum(w, 3)
     split = [count_connected_enum(w, 3 - m2, m2) for m2 in range(4)]
-    # the connected DP's rounds 0..3: live states times j+1 slots in round j
-    states = [len(r) for r in counting._cache[p.triple]["dp_components"][:4]]
-    dp_cells = sum(count * (j + 1) for j, count in enumerate(states))
+    # the connected DP's rounds 0..3: state orbits times j+1 slots in round j
+    dp_cells = len(counting._cache[p.triple]["orbits"][0]) * 10
     # every answer at m = 3 is cached now; each is still refused beyond
     # the cells it needs: 4 rounds of classes, 10 rows for refined counts,
-    # and the connected DP's kept states
+    # and 10 slots of state orbits
     for cells, query in (
         (4 * classes, lambda opts: count_all(w, 3, opts)),
         (4 * classes, lambda opts: connected_from_all(w, 3, opts)),

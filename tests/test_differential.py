@@ -1,7 +1,8 @@
-"""Differential tests over randomly drawn small groups: the connected DP
-equals tuple enumeration, and on every element each count agrees across
-its independent routes (class DP, connected DP, partition inversion and
-the comparison formula) and with itself whether the cache is cold or
+"""Differential tests over randomly drawn groups: the element-level
+connected DP equals tuple enumeration, the orbit DP equals the
+element-level DP, and on every element each count agrees across its
+independent routes (class DP, orbit DP, partition inversion and the
+comparison formula) and with itself whether the cache is cold or
 warm."""
 
 from hypothesis import given, settings
@@ -17,11 +18,12 @@ from reflfact.counting import (
     count_refined,
 )
 from reflfact.groups import GroupParams
+from reflfact.indexing import GroupIndexer
 from reflfact.kernels import encode_reflections
 from reflfact.series import comparison_refined
-from reflfact._kernels_pure import dp_components, enum_bucketed
+from reflfact._kernels_pure import enum_bucketed
 
-from conftest import all_elements, dense_tables
+from conftest import all_elements, dense_tables, dp_components
 
 SMALL_GROUPS = [
     (r, s, n)
@@ -39,13 +41,47 @@ def test_routes_agree(group, m):
     r, s, n = group
     params = GroupParams(r, s, n)
     refl = encode_reflections(params)
-    states = dp_components(r, s, n, refl, m, 10**7)[m]
+    states = dp_components(r, s, n, refl, m)[m]
     assert dense_tables(params, states, m) == enum_bucketed(r, s, n, refl, m)
     for w in all_elements(params):
         assert count_all(w, m) == count_all_by_enum(w, m)
         assert connected_from_all(w, m) == count_connected_total_enum(w, m)
         for m2 in range(m + 1):
             assert comparison_refined(w, m - m2, m2) == count_connected_enum(w, m - m2, m2)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(st.sampled_from(SMALL_GROUPS), st.integers(0, 5))
+def test_orbit_dp_matches_element_dp(group, m):
+    # per element and per m2: the one-block orbit's mass over |class(w)|
+    # is the element-level DP's one-block state, and the orbits of w's
+    # class hold its states under every partition
+    r, s, n = group
+    params = GroupParams(r, s, n)
+    total, conn = dense_tables(params, dp_components(r, s, n, encode_reflections(params), m)[m], m)
+    indexer = GroupIndexer(params)
+    for w in all_elements(params):
+        g = indexer.index_of(w)
+        assert [count_connected_enum(w, m - m2, m2) for m2 in range(m + 1)] == [
+            row[g] for row in conn
+        ]
+        assert count_all_by_enum(w, m) == sum(row[g] for row in total)
+
+
+LARGER_GROUPS = [(6, 2, 3), (2, 1, 5), (3, 1, 4)]  # 648, 3840 and 1944 elements
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.sampled_from(LARGER_GROUPS), st.integers(0, 6), st.integers(0, 10**6))
+def test_orbit_dp_on_larger_groups(group, m, index):
+    # beyond the element-level DP's reach in a test: the orbit DP against
+    # the comparison formula per m2, and against inversion in total
+    params = GroupParams(*group)
+    indexer = GroupIndexer(params)
+    w = indexer.element_at(index % indexer.size)
+    for m2 in range(m + 1):
+        assert count_connected_enum(w, m - m2, m2) == comparison_refined(w, m - m2, m2)
+    assert count_connected_total_enum(w, m) == connected_from_all(w, m)
 
 
 def _answers(w, m):

@@ -327,6 +327,10 @@ def test_reflection_json_roundtrip():
     for data in ({"swap": [1, 2, 3.0]}, {"swap": [1, True, 3]}, {"diag": ["2", 1]}):
         with pytest.raises(ValidationError, match="expected an integer"):
             Reflection.from_json(data, p)
+    # a field of the wrong shape is refused before it is unpacked
+    for data in ({"swap": [1, 2]}, {"swap": [1, 2, 3, 4]}, {"diag": 5}):
+        with pytest.raises(ValidationError, match="must be a list of"):
+            Reflection.from_json(data, p)
 
 
 def test_exhaustive_small_group_closure():

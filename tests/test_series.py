@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from reflfact import ConsistencyError, GroupElement, GroupParams, ValidationError, identity
-from reflfact import series
+from reflfact import counting
 from reflfact.counting import connected_from_all, count_all, count_connected_enum
 from reflfact.indexing import GroupIndexer
 from reflfact.series import (
@@ -132,8 +132,11 @@ def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypat
     # with an oracle that always disagrees, every check is a mismatch, in
     # the order the checks ran
     monkeypatch.setattr(
-        series, "count_connected_enum",
-        lambda w, m1, m2, opts: comparison_refined(w, m1, m2, opts) + 1,
+        counting, "connected_rows",
+        lambda w, max_m, opts: [
+            [comparison_refined(w, m - m2, m2, opts) + 1 for m2 in range(m + 1)]
+            for m in range(max_m + 1)
+        ],
     )
     checks, bad = comparison_mismatches(params, 4)
     assert checks == len(order) == 36 * 15
@@ -144,7 +147,7 @@ def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypat
 def test_comparison_refined_rejects_an_inexact_division(monkeypatch):
     # r^(m1-n+1) with m1 < n-1 divides; a value r^2 does not divide raises
     w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
-    monkeypatch.setattr(series, "connected_from_all", lambda w, m, opts: 1)
+    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, opts: 1)
     with pytest.raises(ConsistencyError, match="m1=0, m2=0 is not integral: 1/4$"):
         comparison_refined(w, 0, 0)
     assert comparison_refined(w, 2, 0) == 1  # 2^0 * 1

@@ -1,9 +1,12 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "reflfact"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "reflfact"
 
 
 def test_no_assert_statements():
@@ -29,3 +32,29 @@ def test_no_module_level_dataclasses_import():
         or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"
     ]
     assert found == []
+
+
+def test_traced_names_resolve():
+    # the benchmark's tracer wraps these names by getattr and raises when
+    # one is missing, so a kernel or entry point that moves breaks
+    # `--trace 1`; the tracer is loaded by path and not edited
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", ROOT / "perfbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing, absent = [], []
+    for modnames, names in tracing.TARGETS.values():
+        for modname in modnames:
+            try:
+                module = importlib.import_module(modname)
+            except ModuleNotFoundError:
+                absent.append(modname)
+                continue
+            for target in names:
+                owner, _, method = target.partition(".")
+                obj = getattr(module, owner, None)
+                if obj is None or method and not hasattr(obj, method):
+                    missing.append(f"{modname}.{target}")
+    assert missing == []
+    assert absent == ["reflfact._ckernels"]  # no compiled kernels exist
