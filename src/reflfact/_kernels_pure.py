@@ -3,26 +3,39 @@ connected DP over G(r,1,n)-orbits of (product, component partition)
 states, and the exhaustive tuple enumeration that tests check the
 connected DP against.
 
-The class DP works on the G(r,1,n)-conjugacy classes of G(r,s,n), named
-by `reflfact.indexing.class_key`; its tables map class keys to counts.
-The connected DP's tables map orbit keys to orbit masses, the counts of
-(tuple, state) pairs over the whole orbit; `reflfact.counting` divides
-a mass by the size of the element's class.  Both DPs return their
-rounds 0..m, and given the rounds of an earlier call they compute only
-the rounds after its last.  The enumeration fills tables dense over the
-group, indexed by `reflfact.indexing.GroupIndexer`.  Counts here are
+One breadth-first search from the identity, `_search`, builds both DPs'
+graphs.  From one block it finds the class graph of the
+G(r,1,n)-conjugacy classes of G(r,s,n), named by
+`reflfact.indexing.class_key`; the class DP's tables map class keys to
+counts.  From n one-vertex blocks it finds the orbit graph; the
+connected DP's tables map orbit keys to orbit masses, the counts of
+(tuple, state) pairs over the whole orbit, and `reflfact.counting`
+divides a mass by the size of the element's class.  Both DPs return
+their rounds 0..m, and given the rounds of an earlier call they compute
+only the rounds after its last.  The enumeration fills tables dense over
+the group, indexed by `reflfact.indexing.GroupIndexer`.  Counts here are
 Python ints, so these kernels never overflow.
 
-Reflections are passed as (is_diag, a, b, k) with 0-based a <= b.
+Kernels take reflections as `encode_reflections` gives them:
+(is_diag, a, b, k) with 0-based a <= b.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .groups import GroupParams
-from .indexing import GroupIndexer, class_key
+from .groups import GroupParams, reflections
+from .indexing import GroupIndexer
+
+
+def encode_reflections(params: GroupParams) -> list[tuple[int, int, int, int]]:
+    """Reflections in canonical order as (is_diag, a, b, k), 0-based."""
+    return [
+        (1 if ref.is_diagonal else 0, ref.i - 1, ref.j - 1, ref.k)
+        for ref in reflections(params)
+    ]
 
 
 @lru_cache(maxsize=16)
@@ -31,36 +44,11 @@ def _classes(r, s, n, refl):
     search from the identity finds them, and the class graph: moves[c]
     lists (c2, swaps, diagonals), the numbers of swap and of diagonal
     reflections t with t*g in class c2, for one representative g of c.
-    Conjugating g by G(r,1,n) permutes R, so any representative will do.
+    This is the orbit graph of the states with one block, which no swap
+    factor splits or joins, so each orbit key is (class key,).
     Memoized per group, so `refl` is passed as a tuple."""
-    acts = []
-    for (is_diag, a, b, k) in refl:
-        perm = list(range(1, n + 1))
-        exps = [0] * n
-        if is_diag:
-            exps[a] = (s * k) % r
-        else:
-            perm[a], perm[b] = b + 1, a + 1
-            exps[a] = k
-            exps[b] = (-k) % r
-        acts.append((is_diag, perm, exps))
-    reps = [(list(range(1, n + 1)), [0] * n)]
-    keys = [class_key(*reps[0], r)]
-    index = {keys[0]: 0}
-    moves = []
-    for perm, exps in reps:  # grows while it is walked
-        counts: dict = {}
-        for is_diag, tperm, texps in acts:
-            nperm = [tperm[v - 1] for v in perm]
-            nexps = [(exps[i] + texps[perm[i] - 1]) % r for i in range(n)]
-            key = class_key(nperm, nexps, r)
-            if key not in index:
-                index[key] = len(keys)
-                keys.append(key)
-                reps.append((nperm, nexps))
-            counts.setdefault(index[key], [0, 0])[is_diag] += 1
-        moves.append([(c, swaps, diags) for c, (swaps, diags) in counts.items()])
-    return keys, moves
+    keys, moves = _search(r, s, n, refl, (0,) * n, math.inf)
+    return [key for (key,) in keys], moves
 
 
 def dp_total(r, s, n, refl, m, rounds=None):
@@ -119,23 +107,26 @@ def _orbit_key(perm0, exps, labels, r):
             color += exps[i]
             i = perm0[i]
         blocks.setdefault(labels[start], []).append((length, color % r))
+    if len(blocks) == 1:  # as in every class-graph state: no blocks to sort
+        (cycles,) = blocks.values()
+        return (tuple(sorted(cycles)),)
     return tuple(sorted(tuple(sorted(cycles)) for cycles in blocks.values()))
 
 
-def orbit_graph(r, s, n, refl, max_orbits):
-    """The G(r,1,n)-orbits of the connected DP's states, in the order a
-    breadth-first search from the identity finds them, named by
+def _search(r, s, n, refl, labels, max_orbits):
+    """The G(r,1,n)-orbits of the states reached from (identity, labels),
+    in the order a breadth-first search finds them, named by
     `_orbit_key`, and the orbit graph: moves[o] lists (o2, swaps,
     diagonals), the numbers of swap and of diagonal reflections t that
     take one representative state of o into o2.
 
-    A state is the product so far (perm0, exps) together with the
-    partition of the vertices into the components the swap factors have
-    joined, as labels[v] = least vertex of v's component.  Conjugating
-    a state by G(r,1,n) permutes R, so any representative will do.
-    ResourceLimitError is raised as soon as more than max_orbits orbits
-    are found."""
-    reps = [(tuple(range(n)), (0,) * n, tuple(range(n)))]
+    A state is a product (perm0, exps) together with a partition of the
+    vertices into blocks, as labels[v] = least vertex of v's block; a
+    swap factor joins the blocks of the two vertices it moves.
+    Conjugating a state by G(r,1,n) permutes R, so any representative
+    will do.  ResourceLimitError is raised as soon as more than
+    max_orbits orbits are found."""
+    reps = [(tuple(range(n)), (0,) * n, labels)]
     keys = [_orbit_key(*reps[0], r)]
     index = {keys[0]: 0}
     moves = []
@@ -146,23 +137,22 @@ def orbit_graph(r, s, n, refl, max_orbits):
             new_exps = list(exps)
             if is_diag:
                 new_exps[ia] = (new_exps[ia] + s * k) % r
-                state = (perm0, tuple(new_exps), labels)
+                new_perm, new_labels = perm0, labels
             else:
                 ib = perm0.index(b)
                 new_perm = list(perm0)
                 new_perm[ia], new_perm[ib] = b, a
                 new_exps[ia] = (new_exps[ia] + k) % r
                 new_exps[ib] = (new_exps[ib] - k) % r
-                keep, drop = sorted((labels[a], labels[b]))
-                new_labels = labels if keep == drop else tuple(
-                    keep if x == drop else x for x in labels
+                la, lb = labels[a], labels[b]
+                new_labels = labels if la == lb else tuple(
+                    min(la, lb) if x in (la, lb) else x for x in labels
                 )
-                state = (tuple(new_perm), tuple(new_exps), new_labels)
-            key = _orbit_key(*state, r)
+            key = _orbit_key(new_perm, new_exps, new_labels, r)
             if key not in index:
                 index[key] = len(keys)
                 keys.append(key)
-                reps.append(state)
+                reps.append((tuple(new_perm), tuple(new_exps), new_labels))
                 if len(keys) > max_orbits:
                     raise ResourceLimitError(
                         f"connected DP over {GroupParams(r, s, n)} finds more than "
@@ -171,6 +161,12 @@ def orbit_graph(r, s, n, refl, max_orbits):
             counts.setdefault(index[key], [0, 0])[is_diag] += 1
         moves.append([(o, swaps, diags) for o, (swaps, diags) in counts.items()])
     return keys, moves
+
+
+def orbit_graph(r, s, n, refl, max_orbits):
+    """`_search` from n one-vertex blocks: the blocks of a state are the
+    components its swap factors have joined."""
+    return _search(r, s, n, refl, tuple(range(n)), max_orbits)
 
 
 def dp_orbits(graph, m, rounds=None):

@@ -27,16 +27,19 @@ def _emit(payload: dict) -> None:
 
 def _load_json_arg(text: str):
     """Parse inline JSON, or @path to read it from a file."""
+    source = "JSON argument"
     if text.startswith("@"):
+        path = text[1:]
+        source = f"JSON in {path}"
         try:
-            with open(text[1:], "r", encoding="utf-8") as fh:
+            with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ValidationError(f"cannot read {text[1:]}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON argument: {exc}") from exc
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValidationError(f"malformed {source}: {exc}") from exc
 
 
 def _params(args) -> GroupParams:
@@ -428,8 +431,10 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # counts are exact: read and print every digit
     try:
-        payload = _HANDLERS[args.command](args)
+        _emit(_HANDLERS[args.command](args))
     except CliConsistencyFailure as exc:
         _emit(exc.payload)
         print(f"reflfact: {exc}", file=sys.stderr)
@@ -437,7 +442,8 @@ def main(argv=None) -> int:
     except ReflFactError as exc:
         print(f"reflfact: {exc}", file=sys.stderr)
         return exc.exit_code
-    _emit(payload)
+    finally:
+        sys.set_int_max_str_digits(limit)
     return 0
 
 

@@ -47,7 +47,6 @@ from .groups import (
     relabel_to_dense,
 )
 from .indexing import class_count, class_key
-from .kernels import encode_reflections
 
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
 
@@ -67,8 +66,9 @@ DEFAULT_OPTIONS = Options()
 
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
-# rounds of each `_kernels_pure` kernel, and connected_from_all's memo by
-# (class key, m); also what the budget checks read: the group's class
+# rounds of each `_kernels_pure` kernel, connected_from_all's memo by
+# (class key, m), and under "orbits_by_class" count_all_by_enum's orbits
+# by product class; also what the budget checks read: the group's class
 # count, and under "orbits" the connected DP's orbit graph.  Least
 # recently used group first.
 _cache: OrderedDict = OrderedDict()
@@ -106,7 +106,7 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
         graph = record.get("orbits")
         if graph is None:
             graph = record["orbits"] = _kernels_pure.orbit_graph(
-                params.r, params.s, params.n, encode_reflections(params),
+                params.r, params.s, params.n, _kernels_pure.encode_reflections(params),
                 opts.max_dp_cells // slots,
             )
         cells = len(graph[0]) * slots
@@ -135,7 +135,7 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
         if kernel == "dp_orbits":
             group = (record["orbits"],)
         else:
-            group = (params.r, params.s, params.n, encode_reflections(params))
+            group = (params.r, params.s, params.n, _kernels_pure.encode_reflections(params))
         rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, m, rounds)
     return rounds
 
@@ -207,15 +207,19 @@ def connected_rows(
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """count_all recomputed by the orbit DP (cross-check path): the
     masses of every orbit whose product has w's colored cycle type, over
-    |class(w)|."""
+    |class(w)|.  The orbits of each product class are listed once per
+    orbit graph, in the group's record."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
     key = class_key(w.perm, w.exps, w.params.r)
-    mass = sum(
-        sum(masses)
-        for orbit, masses in _rounds(w.params, m, "dp_orbits", opts)[m].items()
-        if tuple(sorted(chain.from_iterable(orbit))) == key
-    )
+    masses = _rounds(w.params, m, "dp_orbits", opts)[m]
+    record = _cache[w.params.triple]  # _rounds has just made it the newest
+    by_class = record.get("orbits_by_class")
+    if by_class is None:
+        by_class = record["orbits_by_class"] = {}
+        for orbit in record["orbits"][0]:
+            by_class.setdefault(tuple(sorted(chain.from_iterable(orbit))), []).append(orbit)
+    mass = sum(sum(masses[orbit]) for orbit in by_class.get(key, ()))
     (count,) = _per_element((mass,), _class_size(w.params, key), key, m)
     return count
 

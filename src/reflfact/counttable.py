@@ -179,8 +179,12 @@ class CountTable:
                     try:
                         record = json.loads(line)
                         key = CountKey.from_json(record["key"])
-                        value = int(record["value"])
-                        prov = str(record["provenance"])
+                        value, prov = record["value"], record["provenance"]
+                        if not (isinstance(value, str) and value.isascii() and value.isdigit()):
+                            raise ValueError(f"value must be ASCII digits, got {value!r}")
+                        if not isinstance(prov, str):
+                            raise ValueError(f"provenance must be a string, got {prov!r}")
+                        value = int(value)
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                         raise ValidationError(
                             f"{path}:{lineno}: bad record: {exc}"

@@ -85,9 +85,6 @@ class GroupIndexer:
             self.params, tuple(p + 1 for p in perm0), tuple(exps)
         )
 
-    def identity_index(self) -> int:
-        return 0
-
     def __iter__(self):
         """The elements in index order: permutations in lexicographic
         (Lehmer) order, and under each one the exponent vectors in

@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 from reflfact.cli import build_parser, main
-from reflfact.counting import DEFAULT_MAX_DP_CELLS
+from reflfact.counting import DEFAULT_MAX_DP_CELLS, clear_caches
 from reflfact.errors import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -190,6 +190,18 @@ def test_exit_codes(capsys, tmp_path):
             "--m", "1", "--cache", str(path),
         )
         assert code == EXIT_VALIDATION and str(path) in err and not out, path
+    # validation: an @file that is not UTF-8 or nests too deeply to parse,
+    # and an exponent of more digits than Python converts by default
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000)
+    for path in (not_utf8, nested):
+        code, out, err = run_cli(capsys, "count", *group2, "--omega", f"@{path}", "--m", "1")
+        assert code == EXIT_VALIDATION and str(path) in err and not out, path
+        code, out, err = run_cli(capsys, "walks", "--graph", f"@{path}")
+        assert code == EXIT_VALIDATION and str(path) in err and not out, path
+    omega = '{"perm":[2,1],"exps":[0,%s]}' % ("9" * 5000)
+    code, out, err = run_cli(capsys, "count", *group2, "--omega", omega, "--m", "1")
+    assert code == EXIT_VALIDATION and "exponents" in err and not out
     # validation: negative m on the connected DP route
     code, _, err = run_cli(
         capsys, "count-connected", "--r", "2", "--s", "1", "--n", "3",
@@ -299,12 +311,28 @@ def test_omega_from_file(capsys, tmp_path):
     assert payload == {"count": "3"}
 
 
-def test_big_count_through_json(capsys):
+def test_big_count_through_json(capsys, tmp_path):
     payload = run_json(
         capsys, "count", "--r", "2", "--s", "1", "--n", "2",
         "--omega", '{"perm":[1,2],"exps":[0,0]}', "--m", "80",
     )
     assert int(payload["count"]) > 2**63
+    # a count of more digits than Python prints by default prints, saves
+    # to the cache and loads back from it; the limit is restored on return
+    limit = sys.get_int_max_str_digits()
+    cache = tmp_path / "counts.jsonl"
+    args = (
+        "count", "--r", "2", "--s", "1", "--n", "2",
+        "--omega", '{"perm":[2,1],"exps":[0,1]}', "--m", "8000", "--cache", str(cache),
+    )
+    count = run_json(capsys, *args)["count"]
+    assert count.isdigit() and len(count) > 4300
+    assert sys.get_int_max_str_digits() == limit
+    before = os.stat(cache)
+    assert run_json(capsys, *args)["count"] == count  # served from cache
+    after = os.stat(cache)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    clear_caches()  # drop the 8001 rounds of big counts
 
 
 def test_fit_half_integer_genus(capsys):
@@ -373,7 +401,10 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
     ):
         loaded = _modules_after(*argv)
         assert "reflfact.counting" in loaded
-        assert not loaded & {"reflfact.polyfit", "reflfact.series", *unused}, argv
+        # the reflections are encoded in _kernels_pure: kernels is not loaded
+        assert not loaded & {
+            "reflfact.polyfit", "reflfact.series", "reflfact.kernels", *unused
+        }, argv
         run_json(capsys, *argv, "--cache", cache)
         hits.append([*argv, "--cache", cache])
     # a count answered from the --cache file loads no counting code

@@ -34,9 +34,8 @@ from reflfact.counting import (
     populate_connected_table,
 )
 from reflfact import _kernels_pure, counting
-from reflfact._kernels_pure import enum_bucketed
+from reflfact._kernels_pure import encode_reflections, enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count
-from reflfact.kernels import encode_reflections
 
 from conftest import all_elements, fold_product
 
@@ -495,6 +494,20 @@ def test_count_table_load_refuses_coerced_key_fields(tmp_path):
     ):
         record = {"key": {**key, field: value}, "value": "4", "provenance": "dp"}
         path.write_text(json.dumps(record) + "\n")
+        with pytest.raises(ValidationError, match="bad record"):
+            CountTable.load(path)
+    # the value is read only as the string of ASCII digits that a save
+    # writes, and the provenance only as a string (the 3-cycle of S_3 at
+    # m = 2, whose count is 3)
+    key = CountKey.of(GroupElement(GroupParams(1, 1, 3), (2, 3, 1), (0, 0, 0)), 2, None, False)
+    good = {"key": key.to_json(), "value": "3", "provenance": "dp"}
+    path.write_text(json.dumps(good) + "\n")
+    assert CountTable.load(path).get(key) == 3
+    for field, value in (
+        ("value", 7.9), ("value", True), ("value", 3), ("value", "1_0"), ("value", " 4 "),
+        ("value", "+6"), ("value", "\u0663"), ("value", ""), ("provenance", 7),
+    ):
+        path.write_text(json.dumps({**good, field: value}) + "\n")
         with pytest.raises(ValidationError, match="bad record"):
             CountTable.load(path)
 

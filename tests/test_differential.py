@@ -19,9 +19,8 @@ from reflfact.counting import (
 )
 from reflfact.groups import GroupParams
 from reflfact.indexing import GroupIndexer
-from reflfact.kernels import encode_reflections
+from reflfact._kernels_pure import encode_reflections, enum_bucketed
 from reflfact.series import comparison_refined
-from reflfact._kernels_pure import enum_bucketed
 
 from conftest import all_elements, dense_tables, dp_components
 

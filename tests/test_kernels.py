@@ -1,13 +1,13 @@
-"""Indexing round trips; the class DP covers every class; the
-element-level connected DP over component partitions (the orbit DP's
-reference) agrees bit for bit with tuple enumeration."""
+"""Indexing round trips; the class DP covers every class, and its class
+graph holds for every element of each class; the element-level connected
+DP over component partitions (the orbit DP's reference) agrees bit for
+bit with tuple enumeration."""
 
 import pytest
 
-from reflfact.groups import GroupParams, permutation_cycles
-from reflfact._kernels_pure import dp_total, enum_bucketed
+from reflfact.groups import GroupParams, multiply, permutation_cycles, reflections
+from reflfact._kernels_pure import _classes, dp_total, encode_reflections, enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count, class_key, perm_rank, perm_unrank
-from reflfact.kernels import encode_reflections
 
 from conftest import all_elements, dense_tables, dp_components
 
@@ -66,12 +66,25 @@ def test_class_key_is_the_colored_cycle_type(r, s, n):
         assert class_key(w.perm, w.exps, r) == tuple(expected)
 
 
-@pytest.mark.parametrize("r,s,n", CONFIGS)
+@pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3)])
 def test_class_dp_covers_every_colored_cycle_type(r, s, n):
     params = GroupParams(r, s, n)
-    keys = {class_key(w.perm, w.exps, r) for w in all_elements(params)}
+    elements = list(all_elements(params))
+    keys = {class_key(w.perm, w.exps, r) for w in elements}
     assert len(keys) == class_count(params)
     assert set(dp_total(r, s, n, encode_reflections(params), 0)[0]) == keys
+    # the class graph's moves hold for every element of each class, not
+    # only for the representative the search found
+    classes, moves = _classes(r, s, n, tuple(encode_reflections(params)))
+    index = {key: c for c, key in enumerate(classes)}
+    refl = [(t.to_element(), t.is_diagonal) for t in reflections(params)]
+    for g in elements:
+        counts: dict = {}
+        for t, is_diag in refl:
+            tg = multiply(t, g)
+            counts.setdefault(index[class_key(tg.perm, tg.exps, r)], [0, 0])[is_diag] += 1
+        row = moves[index[class_key(g.perm, g.exps, r)]]
+        assert counts == {c2: [swaps, diags] for c2, swaps, diags in row}, g
 
 
 @pytest.mark.parametrize("r,s,n", CONFIGS)
