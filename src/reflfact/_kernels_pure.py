@@ -4,17 +4,17 @@ states, and the exhaustive tuple enumeration that tests check the
 connected DP against.
 
 One breadth-first search from the identity, `_search`, builds both DPs'
-graphs.  From one block it finds the class graph of the
-G(r,1,n)-conjugacy classes of G(r,s,n), named by
-`reflfact.indexing.class_key`; the class DP's tables map class keys to
-counts.  From n one-vertex blocks it finds the orbit graph; the
-connected DP's tables map orbit keys to orbit masses, the counts of
-(tuple, state) pairs over the whole orbit, and `reflfact.counting`
-divides a mass by the size of the element's class.  Both DPs return
-their rounds 0..m, and given the rounds of an earlier call they compute
-only the rounds after its last.  The enumeration fills tables dense over
-the group, indexed by `reflfact.indexing.GroupIndexer`.  Counts here are
-Python ints, so these kernels never overflow.
+graphs, and one round loop, `dp_orbits`, steps every DP.  From one
+block the search finds the class graph of the G(r,1,n)-conjugacy
+classes of G(r,s,n), named by `reflfact.indexing.class_key`; run over
+it reversed, the class DPs map class keys to per-element counts.  From
+n one-vertex blocks it finds the orbit graph; the connected DP maps
+orbit keys to orbit masses, the counts of (tuple, state) pairs over the
+whole orbit, which `reflfact.counting` divides by the size of the
+element's class.  Each round maps keys to counts by m2.  The
+enumeration fills tables dense over the group, indexed by
+`reflfact.indexing.GroupIndexer`.  Counts here are Python ints, so
+these kernels never overflow.
 
 Kernels take reflections as `encode_reflections` gives them:
 (is_diag, a, b, k) with 0-based a <= b.
@@ -38,55 +38,48 @@ def encode_reflections(params: GroupParams) -> list[tuple[int, int, int, int]]:
     ]
 
 
-@lru_cache(maxsize=16)
 def _classes(r, s, n, refl):
     """The colored cycle types of G(r,s,n), in the order a breadth-first
     search from the identity finds them, and the class graph: moves[c]
     lists (c2, swaps, diagonals), the numbers of swap and of diagonal
     reflections t with t*g in class c2, for one representative g of c.
     This is the orbit graph of the states with one block, which no swap
-    factor splits or joins, so each orbit key is (class key,).
-    Memoized per group, so `refl` is passed as a tuple."""
+    factor splits or joins, so each orbit key is (class key,)."""
     keys, moves = _search(r, s, n, refl, (0,) * n, math.inf)
     return [key for (key,) in keys], moves
 
 
-def dp_total(r, s, n, refl, m, rounds=None):
-    """rounds[j][key] = number of j-tuples of reflections whose product
-    (rightmost factor applied first) has colored cycle type key, j <= m.
+@lru_cache(maxsize=16)
+def _reversed_classes(r, s, n, refl):
+    """`_classes`' graph with each move (c2, swaps, diagonals) of c turned
+    into a move (c, ...) of c2, as it is and with swaps + diagonals
+    counted as swaps: one graph when the group has no diagonal
+    reflections.  Memoized per group, so `refl` is passed as a tuple."""
+    keys, moves = _classes(r, s, n, refl)
+    back, merged = [[] for _ in keys], [[] for _ in keys]
+    for c, row in enumerate(moves):
+        for c2, swaps, diags in row:
+            back[c2].append((c, swaps, diags))
+            merged[c2].append((c, swaps + diags, 0))
+    return (keys, back), (keys, back if merged == back else merged)
 
-    R is closed under inverses, so N_j(g) = sum over t in R of
-    N_(j-1)(t*g), read off the class graph.  Given the rounds of an
-    earlier call (at least round 0), only the rounds after its last are
-    computed; the list returned holds the earlier round tables as they
-    were."""
-    keys, moves = _classes(r, s, n, tuple(refl))
-    rounds = list(rounds or [dict(zip(keys, [1] + [0] * (len(keys) - 1)))])
-    cur = list(rounds[-1].values())
-    for _ in range(len(rounds), m + 1):
-        cur = [sum((swaps + diags) * cur[c] for c, swaps, diags in row) for row in moves]
-        rounds.append(dict(zip(keys, cur)))
-    return rounds
+
+def dp_total(r, s, n, refl, m, rounds=None):
+    """rounds[j][key] = (N_j(key),), the number of j-tuples of reflections
+    whose product (rightmost factor applied first) has colored cycle
+    type key, for j <= m.  R is closed under inverses, so
+    N_j(g) = sum over t in R of N_(j-1)(t*g): `dp_orbits` over the
+    reversed class graph, with each move's swaps and diagonals in one
+    slot."""
+    return dp_orbits(_reversed_classes(r, s, n, tuple(refl))[1], m, rounds)
 
 
 def dp_refined(r, s, n, refl, m, rounds=None):
-    """rounds[j][m2][key] for j <= m: the j-tuples whose product has
-    colored cycle type key and which hold m2 diagonal factors, so round j
-    has j+1 rows, or only the m2 = 0 row when the group has no diagonal
-    reflections.  Earlier rounds are extended as in `dp_total`."""
-    keys, moves = _classes(r, s, n, tuple(refl))
-    zero = [0] * len(keys)
-    diagonal = any(is_diag for is_diag, _, _, _ in refl)
-    rounds = list(rounds or [[dict(zip(keys, [1] + zero[1:]))]])
-    cur = [list(row.values()) for row in rounds[-1]]
-    for _ in range(len(rounds), m + 1):
-        cur = [
-            [sum(swaps * same[c] + diags * less[c] for c, swaps, diags in row)
-             for row in moves]
-            for same, less in zip(cur + [zero] if diagonal else cur, [zero] + cur)
-        ]
-        rounds.append([dict(zip(keys, row)) for row in cur])
-    return rounds
+    """rounds[j][key][m2] for j <= m: the j-tuples whose product has
+    colored cycle type key and which hold m2 diagonal factors, by
+    `dp_orbits` as in `dp_total`; one slot when the group has no
+    diagonal reflections."""
+    return dp_orbits(_reversed_classes(r, s, n, tuple(refl))[0], m, rounds)
 
 
 def _orbit_key(perm0, exps, labels, r):
@@ -170,32 +163,38 @@ def orbit_graph(r, s, n, refl, max_orbits):
 
 
 def dp_orbits(graph, m, rounds=None):
-    """rounds[j][key] = counts by m2 for j <= m: over all j-tuples of
-    reflections, the number of (tuple, state) pairs whose state lies in
-    the orbit key of `orbit_graph`'s graph, for m2 diagonal factors.
-    Every state of an orbit is reached by the same number of tuples, so
-    this is the orbit's size times that number.
-
-    F_j(o2) = sum over o of F_(j-1)(o) * (reflections taking o into o2),
-    read off the graph.  Round j has j+1 slots per orbit, or one slot
-    when the group has no diagonal reflections.  Earlier rounds are
-    extended as in `dp_total`."""
+    """The round loop of every DP here, over a graph (keys, moves) as
+    `_search` gives it: rounds[j][key] = F_j(key), a tuple by m2 for
+    j <= m, where F_0 is 1 at keys[0] and F_j(o2)[m2] sums, over the
+    moves (o2, swaps, diagonals) of each o, swaps * F_(j-1)(o)[m2] +
+    diagonals * F_(j-1)(o)[m2-1].  Round j has j+1 slots per key, or
+    one when no move counts a diagonal.  On `orbit_graph`'s graph F_j(o)
+    counts (tuple, state) pairs with the state in o: the orbit's size
+    times the tuples reaching one of its states.  Given the rounds of an
+    earlier call (at least round 0), only the rounds after its last are
+    computed; the list returned holds the earlier round tables as they
+    were."""
     keys, moves = graph
     diagonal = any(diags for row in moves for _, _, diags in row)
-    rounds = list(rounds or [dict(zip(keys, [[1]] + [[0]] * (len(keys) - 1)))])
+    rounds = list(rounds or [dict(zip(keys, [(1,)] + [(0,)] * (len(keys) - 1)))])
     cur = list(rounds[-1].values())
     for j in range(len(rounds), m + 1):
-        nxt = [[0] * (j + 1 if diagonal else 1) for _ in keys]
+        zero = (0,) * (j + 1 if diagonal else 1)
+        nxt = [zero] * len(keys)  # a key no move reaches keeps this one tuple
         for counts, row in zip(cur, moves):
             if not any(counts):
                 continue
+            slots = list(enumerate(counts))
             for o, swaps, diags in row:
                 target = nxt[o]
-                for i, c in enumerate(counts):
+                if target is zero:
+                    target = nxt[o] = list(zero)
+                for i, c in slots:
                     target[i] += swaps * c
                     if diags:
                         target[i + 1] += diags * c
-        rounds.append(dict(zip(keys, nxt)))
+        # kept as tuples, which the cyclic GC stops scanning; lists it would not
+        rounds.append(dict(zip(keys, map(tuple, nxt))))
         cur = nxt
     return rounds
 

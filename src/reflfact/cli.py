@@ -197,31 +197,19 @@ def _cmd_reflections(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
+    """count, and count-refined with its m2 diagonal factors."""
     from .counttable import CountKey
 
-    params = _params(args)
-    w = _element(args, params)
-    key = CountKey.of(w, m1=args.m, m2=None, connected=False)
+    w = _element(args, _params(args))
+    m1, m2 = (args.m1, args.m2) if args.command == "count-refined" else (args.m, None)
+    key = CountKey.of(w, m1=m1, m2=m2, connected=False)
 
     def compute() -> int:
-        from .counting import count_all
+        from .counting import count_all, count_refined
 
-        return count_all(w, args.m, _options(args))
-
-    return {"count": str(_with_cache(args, key, "dp", compute))}
-
-
-def _cmd_count_refined(args) -> dict:
-    from .counttable import CountKey
-
-    params = _params(args)
-    w = _element(args, params)
-    key = CountKey.of(w, m1=args.m1, m2=args.m2, connected=False)
-
-    def compute() -> int:
-        from .counting import count_refined
-
-        return count_refined(w, args.m1, args.m2, _options(args))
+        if m2 is None:
+            return count_all(w, m1, _options(args))
+        return count_refined(w, m1, m2, _options(args))
 
     return {"count": str(_with_cache(args, key, "dp", compute))}
 
@@ -366,12 +354,10 @@ def _cmd_fit(args) -> dict:
 
     opts = _options(args)
     g = _parse_genus(args.g)
-    try:
-        n_values = [int(x) for x in args.n_values.split(",") if x]
-    except ValueError as exc:
-        raise ValidationError(f"bad --n-values: {exc}") from exc
-    if not n_values:
-        raise ValidationError("--n-values is empty")
+    pieces = args.n_values.split(",")
+    if not all(x.isascii() and x.isdigit() for x in pieces):
+        raise ValidationError(f"bad --n-values {args.n_values!r}: expected e.g. 2,3,4")
+    n_values = [int(x) for x in pieces]
     if args.normalization == "verdict":
         verdict = normalization_verdict(g, args.ell, args.r, args.s, n_values, opts)
         return {"verdict": verdict.to_json()}
@@ -416,7 +402,7 @@ def _cmd_walks(args) -> dict:
 _HANDLERS = {
     "reflections": _cmd_reflections,
     "count": _cmd_count,
-    "count-refined": _cmd_count_refined,
+    "count-refined": _cmd_count,
     "count-connected": _cmd_count_connected,
     "verify-comparison": _cmd_verify_comparison,
     "series": _cmd_series,

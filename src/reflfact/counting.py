@@ -7,26 +7,22 @@ Three independent routes are implemented and cross-checked in tests:
   counts): every count is constant on G(r,1,n)-conjugacy classes, so
   the tables hold one cell per class and round, not per element;
 * a DP over G(r,1,n)-orbits of (product, component partition) states,
-  which applies one reflection per round and merges the vertices each
-  swap factor joins (the trusted oracle for connected counts): an
-  orbit's mass, divided by the size of the element's class, is the
-  count of one state; it agrees in tests with the element-level DP
-  over the states themselves and with exhaustive tuple enumeration;
+  which merges the vertices each swap factor joins (the trusted oracle
+  for connected counts): an orbit's mass, divided by the size of the
+  element's class, is the count of one state;
 * recursive inversion of the disjoint-block product formula, which
   expresses total counts as multinomial convolutions of connected
   counts over partitions of the element.
 
-One cache holds, for the 16 groups used most recently, the rounds
-0..m of every DP, which a count at a larger m extends from the last
-one, the connected DP's orbit graph, and the inversion's memo.
-`Options.max_dp_cells` bounds the cells a DP's kept rounds hold.  Every
-count reads the cache through one lookup, which checks that bound
-first, also for a cached count, and before any round runs; a cached
-count then costs one read by the element's colored cycle type.
-The persistent count table, `CountKey` and `CountTable`, lives in
-`reflfact.counttable`, which loads no kernel; both are re-exported here.
-
-All counts are arbitrary-precision integers.
+Both DPs are `_kernels_pure.dp_orbits` over a graph, so every kept
+round maps a key to its counts by m2.  One cache holds, for the 16
+groups used most recently, the rounds 0..m of every DP, which a count
+at a larger m extends from the last one, the orbit graph, and the
+inversion's memo.  `Options.max_dp_cells` bounds the cells a DP's kept
+rounds hold; every count checks it before it reads the cache or runs a
+round.  The persistent count table, `CountKey` and `CountTable`, lives
+in `reflfact.counttable`, which loads no kernel; both are re-exported
+here.  All counts are arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -54,11 +50,13 @@ DEFAULT_MAX_DP_CELLS = 5 * 10**7
 class Options(_Frozen):
     """Execution knobs shared by the counting entry points: a count whose
     kernel would keep more than max_dp_cells cells is refused instead of
-    attempted."""
+    attempted.  max_dp_cells must be a nonnegative int."""
 
     __slots__ = _fields = ("max_dp_cells",)
 
     def __init__(self, max_dp_cells: int = DEFAULT_MAX_DP_CELLS):
+        if max_dp_cells.__class__ is not int or max_dp_cells < 0:
+            raise ValidationError(f"max_dp_cells must be a nonnegative int: {max_dp_cells!r}")
         _set(self, "max_dp_cells", max_dp_cells)
 
 
@@ -76,22 +74,24 @@ _CACHE_SLOTS = 16
 
 
 def clear_caches() -> None:
-    _kernels_pure._classes.cache_clear()
+    _kernels_pure._reversed_classes.cache_clear()
     _cache.clear()
 
 
-def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
-    """The group's record, which every cached count is read from.  It
-    becomes the most recently used (beyond _CACHE_SLOTS groups the least
-    recently used one is dropped), and the cells `kernel` keeps up to m
-    are checked against the budget first: class_count * (m+1) for the
-    class DP and for connected_from_all's memo, which stands for the
-    totals it was built from, and as many per diagonal-count row for the
-    refined DP, j+1 rows in round j in a group with diagonal reflections.
-    The connected DP keeps as many slots per state orbit as the refined
-    DP keeps rows per class.  Its orbit graph is built here on first use,
-    and the search is refused as soon as the orbits it has found need
-    more cells than the budget."""
+def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
+    """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
+    over the group, kept under that name in the group's record, which
+    every cached count is read from.  The record becomes the most
+    recently used (beyond _CACHE_SLOTS groups the least recently used one
+    is dropped), and the cells the kernel keeps up to m are checked
+    against the budget first: per class, or per state orbit for the
+    connected DP, one slot in each of rounds 0..m, or j+1 in round j for
+    the refined and connected DPs in a group with diagonal reflections.
+    The orbit graph is built here on first use, and its search is refused
+    as soon as the orbits found need more cells.  Cached rounds that stop
+    short of m are extended from the last one; a refused count runs no
+    round and leaves them as they were.  The kernel is looked up at call
+    time, so a rebinding of the module's name is seen."""
     record = _cache.get(params.triple)
     if record is None:
         record = _cache[params.triple] = {"class_count": class_count(params)}
@@ -100,7 +100,7 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
     else:
         _cache.move_to_end(params.triple)
     slots = m + 1  # per class or orbit, over rounds 0..m
-    if kernel in ("dp_refined", "dp_orbits") and params.q > 1:
+    if kernel != "dp_total" and params.q > 1:
         slots = slots * (m + 2) // 2
     if kernel == "dp_orbits":
         graph = record.get("orbits")
@@ -113,23 +113,11 @@ def _group(params: GroupParams, m: int, kernel: str, opts: Options) -> dict:
     else:
         cells = record["class_count"] * slots
     if cells > opts.max_dp_cells:
-        what = {"dp_orbits": "connected DP", "dp_refined": "refined class DP"}.get(
-            kernel, "class DP"
-        )
+        what = {"dp_orbits": "connected DP", "dp_refined": "refined class DP"}
         raise ResourceLimitError(
-            f"{what} over {params} up to m={m} needs {cells} cells "
-            f"(limit {opts.max_dp_cells})"
+            f"{what.get(kernel, 'class DP')} over {params} up to m={m} needs {cells} "
+            f"cells (limit {opts.max_dp_cells})"
         )
-    return record
-
-
-def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
-    """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
-    over the group, from its cached rounds, which are extended from the
-    last one when they stop short of m.  The kernel is looked up at call
-    time, so a rebinding of the module's name is seen.  A refused count
-    runs no round and leaves the cached rounds as they were."""
-    record = _group(params, m, kernel, opts)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
         if kernel == "dp_orbits":
@@ -145,7 +133,7 @@ def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     if m < 0:
         raise ValidationError("m must be nonnegative")
     p = w.params
-    return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)]
+    return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)][0]
 
 
 def count_refined(
@@ -155,9 +143,10 @@ def count_refined(
     factors (and m1 swap factors)."""
     if m1 < 0 or m2 < 0:
         raise ValidationError("m1 and m2 must be nonnegative")
-    rows = _rounds(w.params, m1 + m2, "dp_refined", opts)[m1 + m2]
-    # a group without diagonal reflections keeps the m2 = 0 row only
-    return rows[m2][class_key(w.perm, w.exps, w.params.r)] if m2 < len(rows) else 0
+    rounds = _rounds(w.params, m1 + m2, "dp_refined", opts)
+    # a group without diagonal reflections keeps the m2 = 0 slot only
+    slots = rounds[m1 + m2][class_key(w.perm, w.exps, w.params.r)]
+    return slots[m2] if m2 < len(slots) else 0
 
 
 def _class_size(params: GroupParams, key) -> int:
@@ -274,10 +263,11 @@ def connected_from_all(
 
 
 def _f_tilde(w: GroupElement, m: int, opts: Options) -> int:
-    """connected_from_all's recursion over the blocks of w, memoized."""
-    memo = _group(w.params, m, "connected_from_all", opts).setdefault(
-        "connected_from_all", {}
-    )
+    """connected_from_all's recursion over the blocks of w, memoized in
+    the group's record beside the totals it is built from, whose budget
+    it shares."""
+    _rounds(w.params, m, "dp_total", opts)
+    memo = _cache[w.params.triple].setdefault("connected_from_all", {})
     key = (class_key(w.perm, w.exps, w.params.r), m)
     value = memo.get(key)
     if value is not None:

@@ -18,6 +18,25 @@ from .errors import CacheConflictError, ConsistencyError, ValidationError
 from .groups import GroupElement, _Frozen, _set, json_int
 
 
+def _digits(value: int) -> str:
+    """str(value), also past the interpreter's int/str digit limit,
+    which is left as it is."""
+    try:
+        return str(value)
+    except ValueError:  # `decimal` converts ints of any size
+        from decimal import Decimal
+        return str(Decimal(value))
+
+
+def _from_digits(text: str) -> int:
+    """int(text) for ASCII digits, as `_digits` writes them."""
+    try:
+        return int(text)
+    except ValueError:
+        from decimal import Decimal
+        return int(Decimal(text))
+
+
 class CountKey(_Frozen):
     """Identifies one cached count.  m2 is None for totals over all splits
     (the key then means: m1 factors of any kind)."""
@@ -101,8 +120,8 @@ class CountTable:
                 old_value, provs = self.entries[key]
                 if old_value != value:
                     raise ConsistencyError(
-                        f"conflicting counts for {key}: {old_value} ({sorted(provs)}) "
-                        f"vs {value} ({provenance})"
+                        f"conflicting counts for {key}: {_digits(old_value)} "
+                        f"({sorted(provs)}) vs {_digits(value)} ({provenance})"
                     )
                 provs.add(provenance)
             else:
@@ -153,7 +172,7 @@ class CountTable:
                     for prov in sorted(provs):
                         record = {
                             "key": key.to_json(),
-                            "value": str(value),
+                            "value": _digits(value),
                             "provenance": prov,
                             "tool_version": _tool_version,
                         }
@@ -184,7 +203,7 @@ class CountTable:
                             raise ValueError(f"value must be ASCII digits, got {value!r}")
                         if not isinstance(prov, str):
                             raise ValueError(f"provenance must be a string, got {prov!r}")
-                        value = int(value)
+                        value = _from_digits(value)
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                         raise ValidationError(
                             f"{path}:{lineno}: bad record: {exc}"

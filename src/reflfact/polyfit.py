@@ -585,7 +585,10 @@ def collect_samples(
     opts: Options = DEFAULT_OPTIONS,
 ) -> list[tuple[CycleType, int, int]]:
     """Measure connected counts for every cycle type with `ell` parts at each
-    requested n, using the canonical representative of each class."""
+    requested n, using the canonical representative of each class.  A
+    repeated n is refused: it would only check a sample against itself."""
+    if len(set(n_values)) < len(n_values):
+        raise ValidationError(f"repeated n in {list(n_values)}")
     out = []
     for n in sorted(n_values):
         if n < ell:

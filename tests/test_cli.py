@@ -221,6 +221,19 @@ def test_exit_codes(capsys, tmp_path):
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == EXIT_VALIDATION and "nonnegative" in err and not out, argv
+    # validation: --n-values holds comma-separated ASCII decimal integers,
+    # none repeated, and a budget is a nonnegative number of cells
+    fit = ["fit", "--g", "0", "--ell", "1"]
+    for n_values in ("\u0663,4", "2,2,3", "2,,3", "2,3,", " 3", "+3", "1_0", "-2", ""):
+        code, out, err = run_cli(capsys, *fit, "--n-values", n_values)
+        assert code == EXIT_VALIDATION and not out, n_values
+    for argv in (
+        [*fit, "--n-values", "2,3"],
+        [*fit, "--n-values", "2,3", "--normalization", "verdict"],
+        ["count", *group, *omega, "--m", "1"],
+    ):
+        code, out, err = run_cli(capsys, *argv, "--max-dp-cells", "-1")
+        assert code == EXIT_VALIDATION and "nonnegative" in err and not out, argv
     # resource refusal
     code, _, err = run_cli(
         capsys, "count", "--r", "6", "--s", "1", "--n", "4",

@@ -4,6 +4,7 @@ cross-checks.  The in-file brute force is the independent oracle."""
 import itertools
 import json
 import random
+import sys
 
 import pytest
 
@@ -232,7 +233,10 @@ def test_refused_extension_keeps_cached_rounds(monkeypatch):
     original = _kernels_pure.dp_orbits
 
     def recording(*args):
-        given.append(args[-1])
+        # the class DP of connected_from_all runs dp_orbits too: record
+        # only the connected DP's calls, on the group's orbit graph
+        if args[0] is counting._cache[(1, 1, 4)]["orbits"]:
+            given.append(args[-1])
         return original(*args)
 
     monkeypatch.setattr(_kernels_pure, "dp_orbits", recording)
@@ -327,15 +331,16 @@ def test_total_dp_extends_cached_rounds(monkeypatch, kernel):
 
 
 def test_refined_dp_keeps_one_row_without_diagonal_reflections():
-    # S_4 has no diagonal reflections: the refined DP keeps the m2 = 0 row
+    # S_4 has no diagonal reflections: the refined DP keeps the m2 = 0 slot
     # only, 5 classes * 41 rounds = 205 cells at m = 40, as the total DP
     clear_caches()
     p = GroupParams(1, 1, 4)
     w = identity(p)
     refl = encode_reflections(p)
     rounds = _kernels_pure.dp_refined(1, 1, 4, refl, 6)
-    assert [len(rows) for rows in rounds] == [1] * 7
-    assert [rows[0] for rows in rounds] == _kernels_pure.dp_total(1, 1, 4, refl, 6)
+    assert [len(table) for table in rounds] == [class_count(p)] * 7
+    assert all(len(slots) == 1 for table in rounds for slots in table.values())
+    assert rounds == _kernels_pure.dp_total(1, 1, 4, refl, 6)
     cells = class_count(p) * 41
     with pytest.raises(ResourceLimitError):
         count_refined(w, 40, 0, Options(max_dp_cells=cells - 1))
@@ -473,9 +478,19 @@ def test_count_table_file_roundtrip(tmp_path):
     table = CountTable()
     table.insert(CountKey.of(w, 1, 1, False), 4, "dp")
     table.insert(CountKey.of(w, 1, 1, True), 4, "enumeration")
+    # a count of more digits than Python converts to and from str by
+    # default, under that default, which save and load leave as it is
+    table.insert(CountKey.of(w, 9, 0, False), 10**5000, "dp")
     path = tmp_path / "cache.jsonl"
-    table.save(path)
-    loaded = CountTable.load(path)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        table.save(path)
+        loaded = CountTable.load(path)
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert f'"value": "1{"0" * 5000}"' in path.read_text()
     assert loaded.entries.keys() == table.entries.keys()
     assert all(loaded.get(k) == table.get(k) for k in table.entries)
     # byte-stable modulo record order: a second save is identical

@@ -1,12 +1,22 @@
-"""Indexing round trips; the class DP covers every class, and its class
-graph holds for every element of each class; the element-level connected
+"""Indexing round trips; the class DP covers every class, its class graph
+holds for every element of each class, and its rounds summed over the
+group count every tuple once; the element-level connected
 DP over component partitions (the orbit DP's reference) agrees bit for
 bit with tuple enumeration."""
+
+import math
 
 import pytest
 
 from reflfact.groups import GroupParams, multiply, permutation_cycles, reflections
-from reflfact._kernels_pure import _classes, dp_total, encode_reflections, enum_bucketed
+from reflfact._kernels_pure import (
+    _classes,
+    dp_refined,
+    dp_total,
+    encode_reflections,
+    enum_bucketed,
+)
+from reflfact.counting import _class_size
 from reflfact.indexing import GroupIndexer, class_count, class_key, perm_rank, perm_unrank
 
 from conftest import all_elements, dense_tables, dp_components
@@ -85,6 +95,26 @@ def test_class_dp_covers_every_colored_cycle_type(r, s, n):
             counts.setdefault(index[class_key(tg.perm, tg.exps, r)], [0, 0])[is_diag] += 1
         row = moves[index[class_key(g.perm, g.exps, r)]]
         assert counts == {c2: [swaps, diags] for c2, swaps, diags in row}, g
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3), (2, 1, 6)])
+def test_class_dp_rounds_sum_over_the_group(r, s, n):
+    # every j-tuple has one product: summed over the group, round j counts
+    # |R|^j tuples, and C(j, m2) * swaps^(j-m2) * diagonals^m2 of them hold
+    # m2 diagonal factors (G(2,1,6) is out of enumeration's reach)
+    params = GroupParams(r, s, n)
+    refl = encode_reflections(params)
+    diagonals = sum(is_diag for is_diag, _, _, _ in refl)
+    swaps = len(refl) - diagonals
+    size = {key: _class_size(params, key) for key in _classes(r, s, n, tuple(refl))[0]}
+    totals, refined = dp_total(r, s, n, refl, 6), dp_refined(r, s, n, refl, 6)
+    for j in range(7):
+        assert sum(size[key] * slots[0] for key, slots in totals[j].items()) == len(refl) ** j
+        for m2 in range(j + 1):
+            held = sum(
+                size[key] * slots[m2] for key, slots in refined[j].items() if m2 < len(slots)
+            )
+            assert held == math.comb(j, m2) * swaps ** (j - m2) * diagonals**m2, (j, m2)
 
 
 @pytest.mark.parametrize("r,s,n", CONFIGS)
