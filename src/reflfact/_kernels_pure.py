@@ -3,21 +3,26 @@ connected DP over G(r,1,n)-orbits of (product, component partition)
 states, and the exhaustive tuple enumeration that tests check the
 connected DP against.
 
-One breadth-first search from the identity, `_search`, builds both DPs'
-graphs, and one round loop, `dp_orbits`, steps every DP.  From one
-block the search finds the class graph of the G(r,1,n)-conjugacy
-classes of G(r,s,n), named by `reflfact.indexing.class_key`; run over
-it reversed, the class DPs map class keys to per-element counts.  From
-n one-vertex blocks it finds the orbit graph; the connected DP maps
-orbit keys to orbit masses, the counts of (tuple, state) pairs over the
-whole orbit, which `reflfact.counting` divides by the size of the
-element's class.  Each round maps keys to counts by m2.  The
-enumeration fills tables dense over the group, indexed by
-`reflfact.indexing.GroupIndexer`.  Counts here are Python ints, so
-these kernels never overflow.
-
-Kernels take reflections as `encode_reflections` gives them:
-(is_diag, a, b, k) with 0-based a <= b.
+One breadth-first search, `_search`, builds both DPs' graphs from cycle
+types, never from group elements.  A state is a sorted tuple of blocks,
+each block a colored cycle type: a sorted tuple of (length, color)
+pairs.  `_block_moves` gives the moves by reflections inside a block:
+a join of (L1, c1) and (L2, c2) gives (L1+L2, c1+c2) by r*L1*L2 swaps;
+a cut of (L, c) into (i, d) and (L-i, c-d), for each d mod r, takes L
+swaps when 2i < L and L/2 when 2i = L; a diagonal move takes (L, c) to
+(L, c+s*k), for k in [1, r/s), by L diagonals.  A swap that joins
+cycles of two blocks merges them, by r*L1*L2 swaps.  From one block of
+n fixed points the search finds the class graph of the
+G(r,1,n)-conjugacy classes of G(r,s,n), named by
+`reflfact.indexing.class_key`; run over it reversed, the class DPs map
+class keys to per-element counts.  From n one-point blocks, the
+components the swap factors have joined, it finds the orbit graph; the
+connected DP maps orbit keys to orbit masses, the counts of (tuple,
+state) pairs over the whole orbit, which `reflfact.counting` divides by
+the size of the element's class.  One round loop, `dp_orbits`, steps
+every DP; each round maps keys to counts by m2.  The enumeration fills
+tables dense over the group, indexed by `reflfact.indexing.GroupIndexer`.
+Counts here are Python ints, so these kernels never overflow.
 """
 
 from __future__ import annotations
@@ -26,36 +31,87 @@ import math
 from functools import lru_cache
 
 from .errors import ResourceLimitError
-from .groups import GroupParams, reflections
+from .groups import GroupParams
 from .indexing import GroupIndexer
 
 
-def encode_reflections(params: GroupParams) -> list[tuple[int, int, int, int]]:
-    """Reflections in canonical order as (is_diag, a, b, k), 0-based."""
-    return [
-        (1 if ref.is_diagonal else 0, ref.i - 1, ref.j - 1, ref.k)
-        for ref in reflections(params)
-    ]
+def _block_moves(r, s, cycles):
+    """(block, swaps, diagonals) for every move of the block `cycles` by
+    the reflections that move only its vertices; a block listed twice
+    adds its counts."""
+    moves = []
+    for x, (length, color) in enumerate(cycles):
+        rest = cycles[:x] + cycles[x + 1 :]
+        for y in range(x, len(rest)):  # a join with each later cycle
+            other, color2 = rest[y]
+            joined = rest[:y] + rest[y + 1 :] + ((length + other, (color + color2) % r),)
+            moves.append((tuple(sorted(joined)), r * length * other, 0))
+        for i in range(1, length // 2 + 1):
+            swaps = length if 2 * i < length else i
+            for d in range(r):
+                cut = rest + ((i, d), (length - i, (color - d) % r))
+                moves.append((tuple(sorted(cut)), swaps, 0))
+        for k in range(1, r // s):
+            moves.append((tuple(sorted(rest + ((length, (color + s * k) % r),))), 0, length))
+    return moves
 
 
-def _classes(r, s, n, refl):
-    """The colored cycle types of G(r,s,n), in the order a breadth-first
-    search from the identity finds them, and the class graph: moves[c]
+def _search(r, s, n, start, max_orbits):
+    """The states reached from `start`, in the order a breadth-first search
+    finds them, and the graph: moves[o] lists (o2, swaps, diagonals), the
+    swap and diagonal reflections that take any member of the orbit o
+    into o2 (conjugation permutes R).  ResourceLimitError is raised as
+    soon as more than max_orbits states are found."""
+    keys, index, moves = [start], {start: 0}, []
+    for key in keys:  # grows while it is walked
+        found = []
+        for b, block in enumerate(key):
+            others = key[:b] + key[b + 1 :]
+            for block2, swaps, diags in _block_moves(r, s, block):
+                found.append((others + (block2,), swaps, diags))
+            for b2 in range(b + 1, len(key)):  # a swap between two blocks merges them
+                other, rest = key[b2], others[: b2 - 1] + others[b2:]
+                for x, (length, color) in enumerate(block):
+                    for y, (length2, color2) in enumerate(other):
+                        merged = block[:x] + block[x + 1 :] + other[:y] + other[y + 1 :]
+                        merged += ((length + length2, (color + color2) % r),)
+                        found.append((rest + (tuple(sorted(merged)),), r * length * length2, 0))
+        counts: dict = {}
+        for target, swaps, diags in found:
+            target = tuple(sorted(target))
+            o = index.get(target)
+            if o is None:
+                o = index[target] = len(keys)
+                keys.append(target)
+                if len(keys) > max_orbits:
+                    raise ResourceLimitError(
+                        f"connected DP over {GroupParams(r, s, n)} finds more than "
+                        f"{max_orbits} state orbits, the most the cell budget allows"
+                    )
+            row = counts.setdefault(o, [0, 0])
+            row[0] += swaps
+            row[1] += diags
+        moves.append([(o, swaps, diags) for o, (swaps, diags) in counts.items()])
+    return keys, moves
+
+
+def _classes(r, s, n):
+    """The colored cycle types of G(r,s,n), in the order `_search` finds
+    them from one block of n fixed points, and the class graph: moves[c]
     lists (c2, swaps, diagonals), the numbers of swap and of diagonal
-    reflections t with t*g in class c2, for one representative g of c.
-    This is the orbit graph of the states with one block, which no swap
-    factor splits or joins, so each orbit key is (class key,)."""
-    keys, moves = _search(r, s, n, refl, (0,) * n, math.inf)
+    reflections t with t*g in class c2, for any g in class c.  No swap
+    splits or joins the one block, so each state is (class key,)."""
+    keys, moves = _search(r, s, n, (((1, 0),) * n,), math.inf)
     return [key for (key,) in keys], moves
 
 
 @lru_cache(maxsize=16)
-def _reversed_classes(r, s, n, refl):
+def _reversed_classes(r, s, n):
     """`_classes`' graph with each move (c2, swaps, diagonals) of c turned
     into a move (c, ...) of c2, as it is and with swaps + diagonals
     counted as swaps: one graph when the group has no diagonal
-    reflections.  Memoized per group, so `refl` is passed as a tuple."""
-    keys, moves = _classes(r, s, n, refl)
+    reflections.  Memoized per group."""
+    keys, moves = _classes(r, s, n)
     back, merged = [[] for _ in keys], [[] for _ in keys]
     for c, row in enumerate(moves):
         for c2, swaps, diags in row:
@@ -64,105 +120,36 @@ def _reversed_classes(r, s, n, refl):
     return (keys, back), (keys, back if merged == back else merged)
 
 
-def dp_total(r, s, n, refl, m, rounds=None):
+# Each kernel takes the earlier rounds before m, so m is the fifth argument
+# of dp_total and dp_refined, where perfbench's tracer reads it by position.
+
+
+def dp_total(r, s, n, rounds, m):
     """rounds[j][key] = (N_j(key),), the number of j-tuples of reflections
     whose product (rightmost factor applied first) has colored cycle
     type key, for j <= m.  R is closed under inverses, so
     N_j(g) = sum over t in R of N_(j-1)(t*g): `dp_orbits` over the
     reversed class graph, with each move's swaps and diagonals in one
-    slot."""
-    return dp_orbits(_reversed_classes(r, s, n, tuple(refl))[1], m, rounds)
+    slot, extending `rounds` as it does."""
+    return dp_orbits(_reversed_classes(r, s, n)[1], rounds, m)
 
 
-def dp_refined(r, s, n, refl, m, rounds=None):
+def dp_refined(r, s, n, rounds, m):
     """rounds[j][key][m2] for j <= m: the j-tuples whose product has
     colored cycle type key and which hold m2 diagonal factors, by
     `dp_orbits` as in `dp_total`; one slot when the group has no
     diagonal reflections."""
-    return dp_orbits(_reversed_classes(r, s, n, tuple(refl))[0], m, rounds)
+    return dp_orbits(_reversed_classes(r, s, n)[0], rounds, m)
 
 
-def _orbit_key(perm0, exps, labels, r):
-    """The orbit of the state (perm0, exps, labels) under G(r,1,n): the
-    sorted tuple, over the blocks of labels, of each block's colored
-    cycle type.  Every cycle lies inside one block, since only swap
-    factors move vertices and each one joins the blocks it touches, so
-    the key is a complete conjugacy invariant."""
-    blocks: dict = {}
-    seen = [False] * len(perm0)
-    for start in range(len(perm0)):
-        if seen[start]:
-            continue
-        length, color, i = 0, 0, start
-        while not seen[i]:
-            seen[i] = True
-            length += 1
-            color += exps[i]
-            i = perm0[i]
-        blocks.setdefault(labels[start], []).append((length, color % r))
-    if len(blocks) == 1:  # as in every class-graph state: no blocks to sort
-        (cycles,) = blocks.values()
-        return (tuple(sorted(cycles)),)
-    return tuple(sorted(tuple(sorted(cycles)) for cycles in blocks.values()))
+def orbit_graph(r, s, n, max_orbits):
+    """`_search` from n one-point blocks: the blocks of a state are the
+    components its swap factors have joined, and a connected tuple ends
+    in a one-block state."""
+    return _search(r, s, n, (((1, 0),),) * n, max_orbits)
 
 
-def _search(r, s, n, refl, labels, max_orbits):
-    """The G(r,1,n)-orbits of the states reached from (identity, labels),
-    in the order a breadth-first search finds them, named by
-    `_orbit_key`, and the orbit graph: moves[o] lists (o2, swaps,
-    diagonals), the numbers of swap and of diagonal reflections t that
-    take one representative state of o into o2.
-
-    A state is a product (perm0, exps) together with a partition of the
-    vertices into blocks, as labels[v] = least vertex of v's block; a
-    swap factor joins the blocks of the two vertices it moves.
-    Conjugating a state by G(r,1,n) permutes R, so any representative
-    will do.  ResourceLimitError is raised as soon as more than
-    max_orbits orbits are found."""
-    reps = [(tuple(range(n)), (0,) * n, labels)]
-    keys = [_orbit_key(*reps[0], r)]
-    index = {keys[0]: 0}
-    moves = []
-    for perm0, exps, labels in reps:  # grows while it is walked
-        counts: dict = {}
-        for is_diag, a, b, k in refl:
-            ia = perm0.index(a)
-            new_exps = list(exps)
-            if is_diag:
-                new_exps[ia] = (new_exps[ia] + s * k) % r
-                new_perm, new_labels = perm0, labels
-            else:
-                ib = perm0.index(b)
-                new_perm = list(perm0)
-                new_perm[ia], new_perm[ib] = b, a
-                new_exps[ia] = (new_exps[ia] + k) % r
-                new_exps[ib] = (new_exps[ib] - k) % r
-                la, lb = labels[a], labels[b]
-                new_labels = labels if la == lb else tuple(
-                    min(la, lb) if x in (la, lb) else x for x in labels
-                )
-            key = _orbit_key(new_perm, new_exps, new_labels, r)
-            if key not in index:
-                index[key] = len(keys)
-                keys.append(key)
-                reps.append((tuple(new_perm), tuple(new_exps), new_labels))
-                if len(keys) > max_orbits:
-                    raise ResourceLimitError(
-                        f"connected DP over {GroupParams(r, s, n)} finds more than "
-                        f"{max_orbits} state orbits, the most the cell budget allows"
-                    )
-            counts.setdefault(index[key], [0, 0])[is_diag] += 1
-        moves.append([(o, swaps, diags) for o, (swaps, diags) in counts.items()])
-    return keys, moves
-
-
-def orbit_graph(r, s, n, refl, max_orbits):
-    """`_search` from n one-vertex blocks: the blocks of a state are the
-    components its swap factors have joined."""
-    return _search(r, s, n, refl, tuple(range(n)), max_orbits)
-
-
-def dp_orbits(graph, m, rounds=None):
+def dp_orbits(graph, rounds, m):
     """The round loop of every DP here, over a graph (keys, moves) as
     `_search` gives it: rounds[j][key] = F_j(key), a tuple by m2 for
     j <= m, where F_0 is 1 at keys[0] and F_j(o2)[m2] sums, over the
@@ -171,7 +158,7 @@ def dp_orbits(graph, m, rounds=None):
     one when no move counts a diagonal.  On `orbit_graph`'s graph F_j(o)
     counts (tuple, state) pairs with the state in o: the orbit's size
     times the tuples reaching one of its states.  Given the rounds of an
-    earlier call (at least round 0), only the rounds after its last are
+    earlier call instead of None, only the rounds after its last are
     computed; the list returned holds the earlier round tables as they
     were."""
     keys, moves = graph
@@ -200,8 +187,9 @@ def dp_orbits(graph, m, rounds=None):
 
 
 def enum_bucketed(r, s, n, refl, m):
-    """Enumerate all m-tuples: the reference the connected DP is tested
-    against.
+    """Enumerate all m-tuples of the reflections refl, each given as
+    (is_diag, a, b, k) with 0-based a <= b: the reference the connected
+    DP is tested against.
 
     Returns (total, conn): total[m2][g] counts tuples with product g and
     m2 diagonal factors; conn additionally requires the tuple's graph to

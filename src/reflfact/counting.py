@@ -14,15 +14,18 @@ Three independent routes are implemented and cross-checked in tests:
   expresses total counts as multinomial convolutions of connected
   counts over partitions of the element.
 
-Both DPs are `_kernels_pure.dp_orbits` over a graph, so every kept
-round maps a key to its counts by m2.  One cache holds, for the 16
-groups used most recently, the rounds 0..m of every DP, which a count
-at a larger m extends from the last one, the orbit graph, and the
-inversion's memo.  `Options.max_dp_cells` bounds the cells a DP's kept
-rounds hold; every count checks it before it reads the cache or runs a
-round.  The persistent count table, `CountKey` and `CountTable`, lives
-in `reflfact.counttable`, which loads no kernel; both are re-exported
-here.  All counts are arbitrary-precision integers.
+Both DPs are `_kernels_pure.dp_orbits` over a graph of colored cycle
+types, which `_kernels_pure` builds by the cut-and-join rules and never
+from group elements; every kept round maps a key to its counts by m2.
+One cache holds, for the 16 groups used most recently, the rounds 0..m
+of every DP, which a count at a larger m extends from the last one, the
+orbit graph, and the inversion's memo.  `Options.max_dp_cells` bounds
+the cells a DP's kept rounds hold; every count checks it before it reads
+the cache or runs a round, and one that a lower bound on the classes
+already puts over it before the classes are counted.  The persistent
+count table, `CountKey` and `CountTable`, lives in
+`reflfact.counttable`, which loads no kernel; both are re-exported here.
+All counts are arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -78,6 +81,13 @@ def clear_caches() -> None:
     _cache.clear()
 
 
+def _refusal(kernel: str, params: GroupParams, m: int, cells, opts: Options):
+    what = {"dp_orbits": "connected DP", "dp_refined": "refined class DP"}.get(kernel, "class DP")
+    return ResourceLimitError(
+        f"{what} over {params} up to m={m} needs {cells} cells (limit {opts.max_dp_cells})"
+    )
+
+
 def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
     """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
     over the group, kept under that name in the group's record, which
@@ -87,44 +97,42 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
     against the budget first: per class, or per state orbit for the
     connected DP, one slot in each of rounds 0..m, or j+1 in round j for
     the refined and connected DPs in a group with diagonal reflections.
-    The orbit graph is built here on first use, and its search is refused
-    as soon as the orbits found need more cells.  Cached rounds that stop
+    A new record is refused before the classes are counted when a lower
+    bound on them (and so on the orbits) exceeds the budget.  The orbit
+    graph is built here on first use, and its search is refused as soon
+    as the orbits found need more cells.  Cached rounds that stop
     short of m are extended from the last one; a refused count runs no
     round and leaves them as they were.  The kernel is looked up at call
     time, so a rebinding of the module's name is seen."""
+    slots = m + 1  # per class or orbit, over rounds 0..m
+    if kernel != "dp_total" and params.q > 1:
+        slots = slots * (m + 2) // 2
     record = _cache.get(params.triple)
     if record is None:
+        # G(r,s,n) has 2^(k-1) classes or more, for the largest k with
+        # k(k+1)/2 <= n: each subset of {2..k}, padded with 1s, is a cycle type
+        least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
+        if least > opts.max_dp_cells:
+            raise _refusal(kernel, params, m, f"at least {least}", opts)
         record = _cache[params.triple] = {"class_count": class_count(params)}
         if len(_cache) > _CACHE_SLOTS:
             _cache.popitem(last=False)
     else:
         _cache.move_to_end(params.triple)
-    slots = m + 1  # per class or orbit, over rounds 0..m
-    if kernel != "dp_total" and params.q > 1:
-        slots = slots * (m + 2) // 2
     if kernel == "dp_orbits":
-        graph = record.get("orbits")
-        if graph is None:
-            graph = record["orbits"] = _kernels_pure.orbit_graph(
-                params.r, params.s, params.n, _kernels_pure.encode_reflections(params),
-                opts.max_dp_cells // slots,
-            )
-        cells = len(graph[0]) * slots
+        if "orbits" not in record:
+            budget = opts.max_dp_cells // slots
+            record["orbits"] = _kernels_pure.orbit_graph(*params.triple, budget)
+        group = (record["orbits"],)
+        cells = len(record["orbits"][0]) * slots
     else:
+        group = params.triple
         cells = record["class_count"] * slots
     if cells > opts.max_dp_cells:
-        what = {"dp_orbits": "connected DP", "dp_refined": "refined class DP"}
-        raise ResourceLimitError(
-            f"{what.get(kernel, 'class DP')} over {params} up to m={m} needs {cells} "
-            f"cells (limit {opts.max_dp_cells})"
-        )
+        raise _refusal(kernel, params, m, cells, opts)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
-        if kernel == "dp_orbits":
-            group = (record["orbits"],)
-        else:
-            group = (params.r, params.s, params.n, _kernels_pure.encode_reflections(params))
-        rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, m, rounds)
+        rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, rounds, m)
     return rounds
 
 

@@ -1,5 +1,5 @@
 """The name of the one kernel backend.  The kernels are pure Python, in
-`reflfact._kernels_pure`, which also encodes the reflections they take."""
+`reflfact._kernels_pure`."""
 
 
 def default_backend_name() -> str:

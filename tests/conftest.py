@@ -1,5 +1,7 @@
 """Shared fixtures: the reference seven-edge graph, small-group helpers,
-and the element-level connected DP that the orbit DP is checked against."""
+the element-level connected DP that the orbit DP is checked against, and
+the element-level search that the cut-and-join graphs are checked
+against."""
 
 import itertools
 import random
@@ -142,3 +144,74 @@ def dense_tables(params: GroupParams, states: dict, m: int):
             if connected:
                 conn[m2][g] += c
     return total, conn
+
+
+def encode_reflections(params: GroupParams) -> list[tuple[int, int, int, int]]:
+    """Reflections in canonical order as (is_diag, a, b, k), 0-based: the
+    form `dp_components`, `element_search` and `enum_bucketed` take."""
+    return [
+        (1 if ref.is_diagonal else 0, ref.i - 1, ref.j - 1, ref.k)
+        for ref in reflections(params)
+    ]
+
+
+def _orbit_key(perm0, exps, labels, r):
+    """The orbit of the state (perm0, exps, labels) under G(r,1,n): the
+    sorted tuple, over the blocks of labels, of each block's colored
+    cycle type.  Every cycle lies inside one block, since only swap
+    factors move vertices and each one joins the blocks it touches, so
+    the key is a complete conjugacy invariant."""
+    blocks: dict = {}
+    seen = [False] * len(perm0)
+    for start in range(len(perm0)):
+        if seen[start]:
+            continue
+        length, color, i = 0, 0, start
+        while not seen[i]:
+            seen[i] = True
+            length += 1
+            color += exps[i]
+            i = perm0[i]
+        blocks.setdefault(labels[start], []).append((length, color % r))
+    return tuple(sorted(tuple(sorted(cycles)) for cycles in blocks.values()))
+
+
+def element_search(r, s, n, refl, labels):
+    """The graph (keys, moves) that `reflfact._kernels_pure._search` builds
+    from cycle types, found instead by multiplying group elements: a
+    breadth-first search over states (perm0, exps, labels) from the
+    identity, labels[v] being the least vertex of v's block, with each
+    state named by `_orbit_key`; moves[o] lists (o2, swaps, diagonals),
+    the swap and diagonal reflections taking one representative of o
+    into o2.  labels (0,)*n gives the class graph and tuple(range(n))
+    the orbit graph."""
+    reps = [(tuple(range(n)), (0,) * n, labels)]
+    keys = [_orbit_key(*reps[0], r)]
+    index = {keys[0]: 0}
+    moves = []
+    for perm0, exps, labels in reps:  # grows while it is walked
+        counts: dict = {}
+        for is_diag, a, b, k in refl:
+            ia = perm0.index(a)
+            new_exps = list(exps)
+            if is_diag:
+                new_exps[ia] = (new_exps[ia] + s * k) % r
+                new_perm, new_labels = perm0, labels
+            else:
+                ib = perm0.index(b)
+                new_perm = list(perm0)
+                new_perm[ia], new_perm[ib] = b, a
+                new_exps[ia] = (new_exps[ia] + k) % r
+                new_exps[ib] = (new_exps[ib] - k) % r
+                la, lb = labels[a], labels[b]
+                new_labels = labels if la == lb else tuple(
+                    min(la, lb) if x in (la, lb) else x for x in labels
+                )
+            key = _orbit_key(new_perm, new_exps, new_labels, r)
+            if key not in index:
+                index[key] = len(keys)
+                keys.append(key)
+                reps.append((tuple(new_perm), tuple(new_exps), new_labels))
+            counts.setdefault(index[key], [0, 0])[is_diag] += 1
+        moves.append([(o, swaps, diags) for o, (swaps, diags) in counts.items()])
+    return keys, moves

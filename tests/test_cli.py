@@ -414,7 +414,7 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
     ):
         loaded = _modules_after(*argv)
         assert "reflfact.counting" in loaded
-        # the reflections are encoded in _kernels_pure: kernels is not loaded
+        # the kernels need no backend name: kernels is not loaded
         assert not loaded & {
             "reflfact.polyfit", "reflfact.series", "reflfact.kernels", *unused
         }, argv

@@ -35,10 +35,10 @@ from reflfact.counting import (
     populate_connected_table,
 )
 from reflfact import _kernels_pure, counting
-from reflfact._kernels_pure import encode_reflections, enum_bucketed
+from reflfact._kernels_pure import enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count
 
-from conftest import all_elements, fold_product
+from conftest import all_elements, encode_reflections, fold_product
 
 
 def brute_counts(w: GroupElement, m: int):
@@ -224,6 +224,28 @@ def test_connected_dp_budget_bounds_live_states():
     clear_caches()
 
 
+def test_count_refused_before_the_classes_are_counted(monkeypatch):
+    # S_2000 has at least 2^61 classes, as 62 * 63 / 2 <= 2000: every count
+    # at m = 1 keeps 2 slots per class or orbit, over the default budget
+    # before class_count, a DP in O(n^2) steps, would run
+    clear_caches()
+
+    def class_count_ran(params):
+        raise AssertionError(f"class_count({params}) ran")
+
+    monkeypatch.setattr(counting, "class_count", class_count_ran)
+    w = identity(GroupParams(1, 1, 2000))
+    for query in (
+        lambda: count_all(w, 1),
+        lambda: count_refined(w, 1, 0),
+        lambda: count_connected_total_enum(w, 1),
+        lambda: connected_from_all(w, 1),
+    ):
+        with pytest.raises(ResourceLimitError, match=f"up to m=1 needs at least {2**62} cells"):
+            query()
+    assert (1, 1, 2000) not in counting._cache
+
+
 def test_refused_extension_keeps_cached_rounds(monkeypatch):
     clear_caches()
     w = identity(GroupParams(1, 1, 4))
@@ -236,7 +258,7 @@ def test_refused_extension_keeps_cached_rounds(monkeypatch):
         # the class DP of connected_from_all runs dp_orbits too: record
         # only the connected DP's calls, on the group's orbit graph
         if args[0] is counting._cache[(1, 1, 4)]["orbits"]:
-            given.append(args[-1])
+            given.append(args[1])
         return original(*args)
 
     monkeypatch.setattr(_kernels_pure, "dp_orbits", recording)
@@ -256,7 +278,7 @@ def test_orbit_mass_that_does_not_divide_raises(monkeypatch):
     clear_caches()
     w = GroupElement(GroupParams(1, 1, 3), (2, 3, 1), (0, 0, 0))
 
-    def ones(graph, m, rounds):
+    def ones(graph, rounds, m):
         return [dict.fromkeys(graph[0], [1])] * (m + 1)
 
     monkeypatch.setattr(_kernels_pure, "dp_orbits", ones)
@@ -308,12 +330,11 @@ def test_total_dp_extends_cached_rounds(monkeypatch, kernel):
         clear_caches()
         expected.append([query(w, m) for w in elements])
     clear_caches()
-    refl = encode_reflections(p)
     if kernel == "dp_orbits":
-        group = (_kernels_pure.orbit_graph(p.r, p.s, p.n, refl, 10**7),)
+        group = (_kernels_pure.orbit_graph(p.r, p.s, p.n, 10**7),)
     else:
-        group = (p.r, p.s, p.n, refl)
-    full = getattr(_kernels_pure, kernel)(*group, 5)
+        group = (p.r, p.s, p.n)
+    full = getattr(_kernels_pure, kernel)(*group, None, 5)
     built = []
     original = getattr(_kernels_pure, kernel)
 
@@ -336,11 +357,10 @@ def test_refined_dp_keeps_one_row_without_diagonal_reflections():
     clear_caches()
     p = GroupParams(1, 1, 4)
     w = identity(p)
-    refl = encode_reflections(p)
-    rounds = _kernels_pure.dp_refined(1, 1, 4, refl, 6)
+    rounds = _kernels_pure.dp_refined(1, 1, 4, None, 6)
     assert [len(table) for table in rounds] == [class_count(p)] * 7
     assert all(len(slots) == 1 for table in rounds for slots in table.values())
-    assert rounds == _kernels_pure.dp_total(1, 1, 4, refl, 6)
+    assert rounds == _kernels_pure.dp_total(1, 1, 4, None, 6)
     cells = class_count(p) * 41
     with pytest.raises(ResourceLimitError):
         count_refined(w, 40, 0, Options(max_dp_cells=cells - 1))

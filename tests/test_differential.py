@@ -3,26 +3,29 @@ connected DP equals tuple enumeration, the orbit DP equals the
 element-level DP, and on every element each count agrees across its
 independent routes (class DP, orbit DP, partition inversion and the
 comparison formula) and with itself whether the cache is cold or
-warm."""
+warm; the same on representatives of groups whose orbit graphs only the
+cut-and-join search reaches in a test."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reflfact.counting import (
     clear_caches,
     connected_from_all,
+    connected_rows,
     count_all,
     count_all_by_enum,
     count_connected_enum,
     count_connected_total_enum,
     count_refined,
 )
-from reflfact.groups import GroupParams
+from reflfact.groups import GroupElement, GroupParams
 from reflfact.indexing import GroupIndexer
-from reflfact._kernels_pure import encode_reflections, enum_bucketed
+from reflfact._kernels_pure import enum_bucketed
 from reflfact.series import comparison_refined
 
-from conftest import all_elements, dense_tables, dp_components
+from conftest import all_elements, dense_tables, dp_components, encode_reflections
 
 SMALL_GROUPS = [
     (r, s, n)
@@ -81,6 +84,37 @@ def test_orbit_dp_on_larger_groups(group, m, index):
     for m2 in range(m + 1):
         assert count_connected_enum(w, m - m2, m2) == comparison_refined(w, m - m2, m2)
     assert count_connected_total_enum(w, m) == connected_from_all(w, m)
+
+
+# (group, cycle lengths, color of the first cycle): the identity, a long
+# cycle, a transposition and an (n-2)-cycle of G(4,1,6) (10146 orbits)
+# and G(6,2,5), and five cycle types of G(2,1,8), whose identity waits
+# for a faster inversion
+REPRESENTATIVES = [
+    *(((4, 1, 6), lengths, color) for lengths, color in (
+        ((1,) * 6, 0), ((6,), 1), ((2, 1, 1, 1, 1), 3), ((4, 1, 1), 2),
+    )),
+    *(((6, 2, 5), lengths, color) for lengths, color in (
+        ((1,) * 5, 0), ((5,), 2), ((2, 1, 1, 1), 4), ((3, 1, 1), 0),
+    )),
+    *(((2, 1, 8), lengths, color) for lengths, color in (
+        ((8,), 1), ((7, 1), 0), ((6, 2), 1), ((4, 4), 0), ((3, 3, 2), 1),
+    )),
+]
+
+
+@pytest.mark.parametrize("group,lengths,color", REPRESENTATIVES)
+def test_orbit_dp_on_representatives_of_larger_groups(group, lengths, color):
+    # for m <= 8, the orbit DP against inversion in total and against the
+    # comparison formula per m2
+    perm, start = [], 1
+    for length in lengths:
+        perm += [*range(start + 1, start + length), start]
+        start += length
+    w = GroupElement(GroupParams(*group), tuple(perm), (color,) + (0,) * (len(perm) - 1))
+    for m, row in enumerate(connected_rows(w, 8)):
+        assert sum(row) == connected_from_all(w, m)
+        assert row == [comparison_refined(w, m - m2, m2) for m2 in range(m + 1)]
 
 
 def _answers(w, m):

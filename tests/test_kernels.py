@@ -1,6 +1,7 @@
-"""Indexing round trips; the class DP covers every class, its class graph
-holds for every element of each class, and its rounds summed over the
-group count every tuple once; the element-level connected
+"""Indexing round trips; the cut-and-join class and orbit graphs equal
+the ones group multiplication gives; the class DP covers every class,
+its class graph holds for every element of each class, and its rounds
+summed over the group count every tuple once; the element-level connected
 DP over component partitions (the orbit DP's reference) agrees bit for
 bit with tuple enumeration."""
 
@@ -9,17 +10,11 @@ import math
 import pytest
 
 from reflfact.groups import GroupParams, multiply, permutation_cycles, reflections
-from reflfact._kernels_pure import (
-    _classes,
-    dp_refined,
-    dp_total,
-    encode_reflections,
-    enum_bucketed,
-)
+from reflfact._kernels_pure import _classes, dp_refined, dp_total, enum_bucketed, orbit_graph
 from reflfact.counting import _class_size
 from reflfact.indexing import GroupIndexer, class_count, class_key, perm_rank, perm_unrank
 
-from conftest import all_elements, dense_tables, dp_components
+from conftest import all_elements, dense_tables, dp_components, element_search, encode_reflections
 
 CONFIGS = [
     (1, 1, 1),
@@ -68,6 +63,28 @@ def test_iteration_is_index_order(r, s, n):
     assert list(indexer) == [indexer.element_at(i) for i in range(indexer.size)]
 
 
+def _by_key(keys, moves):
+    """A graph as a map from key to its sorted moves (target key, swaps,
+    diagonals), free of the order the search found the keys in."""
+    return {
+        key: sorted((keys[o], swaps, diags) for o, swaps, diags in row)
+        for key, row in zip(keys, moves)
+    }
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3), (4, 2, 3), (2, 1, 4), (3, 1, 3)])
+def test_cut_and_join_graphs_match_element_search(r, s, n):
+    # the counting rules on cycle types against real group multiplication
+    refl = encode_reflections(GroupParams(r, s, n))
+    classes, moves = _classes(r, s, n)
+    keys = [(key,) for key in classes]
+    expected = element_search(r, s, n, refl, (0,) * n)
+    assert keys[0] == expected[0][0] and _by_key(keys, moves) == _by_key(*expected)
+    keys, moves = orbit_graph(r, s, n, math.inf)
+    expected = element_search(r, s, n, refl, tuple(range(n)))
+    assert keys[0] == expected[0][0] and _by_key(keys, moves) == _by_key(*expected)
+
+
 @pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3), (2, 1, 4)])
 def test_class_key_is_the_colored_cycle_type(r, s, n):
     for w in all_elements(GroupParams(r, s, n)):
@@ -82,10 +99,10 @@ def test_class_dp_covers_every_colored_cycle_type(r, s, n):
     elements = list(all_elements(params))
     keys = {class_key(w.perm, w.exps, r) for w in elements}
     assert len(keys) == class_count(params)
-    assert set(dp_total(r, s, n, encode_reflections(params), 0)[0]) == keys
+    assert set(dp_total(r, s, n, None, 0)[0]) == keys
     # the class graph's moves hold for every element of each class, not
     # only for the representative the search found
-    classes, moves = _classes(r, s, n, tuple(encode_reflections(params)))
+    classes, moves = _classes(r, s, n)
     index = {key: c for c, key in enumerate(classes)}
     refl = [(t.to_element(), t.is_diagonal) for t in reflections(params)]
     for g in elements:
@@ -106,8 +123,8 @@ def test_class_dp_rounds_sum_over_the_group(r, s, n):
     refl = encode_reflections(params)
     diagonals = sum(is_diag for is_diag, _, _, _ in refl)
     swaps = len(refl) - diagonals
-    size = {key: _class_size(params, key) for key in _classes(r, s, n, tuple(refl))[0]}
-    totals, refined = dp_total(r, s, n, refl, 6), dp_refined(r, s, n, refl, 6)
+    size = {key: _class_size(params, key) for key in _classes(r, s, n)[0]}
+    totals, refined = dp_total(r, s, n, None, 6), dp_refined(r, s, n, None, 6)
     for j in range(7):
         assert sum(size[key] * slots[0] for key, slots in totals[j].items()) == len(refl) ** j
         for m2 in range(j + 1):
