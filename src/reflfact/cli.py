@@ -259,6 +259,7 @@ def _cmd_count_connected(args) -> dict:
 
 
 def _cmd_verify_comparison(args) -> dict:
+    from .indexing import class_count
     from .series import comparison_mismatches
 
     params = _params(args)
@@ -270,9 +271,11 @@ def _cmd_verify_comparison(args) -> dict:
         "n": params.n,
         "max_m": args.max_m,
         "checked": checks,
+        "classes": class_count(params),
         "mismatches": [
             {
                 "omega": bad.element.to_json(),
+                "class_size": bad.class_size,
                 "m1": bad.m1,
                 "m2": bad.m2,
                 "formula": str(bad.formula),

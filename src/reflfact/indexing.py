@@ -11,7 +11,7 @@ The colored cycle type of an element is the sorted tuple of (cycle
 length, sum of the exponents on the cycle mod r) pairs.  It names the
 element's G(r,1,n)-conjugacy class; the reflection set of G(r,s,n) is
 stable under that conjugation, so every factorization count is constant
-on these classes.
+on these classes, and `class_representative` gives one element of each.
 """
 
 from __future__ import annotations
@@ -114,6 +114,21 @@ def class_key(perm, exps, r: int) -> tuple[tuple[int, int], ...]:
         key.append((length, color % r))
     key.sort()
     return tuple(key)
+
+
+def class_representative(params: GroupParams, key) -> GroupElement:
+    """An element of G(r,s,n) = params with colored cycle type key, the
+    inverse of `class_key`: the cycles laid out on consecutive vertices
+    v+1 -> v+2 -> ... -> v+L -> v+1, each cycle's color on its first
+    vertex.  A key that names no class of the group is refused by
+    `GroupElement`'s validation."""
+    perm, exps = [], []
+    for length, color in key:
+        v = len(perm) + 1
+        perm += range(v + 1, v + length)
+        perm.append(v)
+        exps += [color] + [0] * (length - 1)
+    return GroupElement(params, tuple(perm), tuple(exps))
 
 
 @functools.lru_cache(maxsize=64)

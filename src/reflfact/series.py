@@ -264,10 +264,18 @@ def long_cycle_series(params: GroupParams, t: int, order: int) -> EgfSeries:
 
 
 class ComparisonMismatch(_Frozen):
-    __slots__ = _fields = ("element", "m1", "m2", "formula", "enumeration")
+    """A split (m1, m2) at which the comparison formula and the connected
+    oracle disagree on `element` and on every element of its class, of
+    `class_size` elements."""
 
-    def __init__(self, element: GroupElement, m1: int, m2: int, formula: int, enumeration: int):
+    __slots__ = _fields = ("element", "class_size", "m1", "m2", "formula", "enumeration")
+
+    def __init__(
+        self, element: GroupElement, class_size: int, m1: int, m2: int,
+        formula: int, enumeration: int,
+    ):
         _set(self, "element", element)
+        _set(self, "class_size", class_size)
         _set(self, "m1", m1)
         _set(self, "m2", m2)
         _set(self, "formula", formula)
@@ -280,22 +288,38 @@ def comparison_mismatches(
     """Exhaustively compare the refined comparison formula against the
     connected oracle (the orbit DP behind `count_connected_enum`) for
     every element of the group and every split with m1+m2 <= max_m.
-    Returns (number of checks, mismatches), the mismatches by element in
-    index order, then by m, then by m1.
+    Returns (number of element checks, mismatches), the mismatches by
+    class in the class graph's key order, then by m, then by m1.
 
-    Each element is read once: its permutation part, entry product, S_n
-    connected counts for m1 <= max_m and the oracle's row by m2 for each
+    Both sides are class functions, so the sweep goes over the
+    G(r,1,n)-conjugacy classes, the keys of the group's class graph, and
+    a check of one class stands for |class| element checks.  Before any
+    check the class sizes must sum to the group order; a shortfall
+    raises ConsistencyError.  Each class is read once, on one
+    representative: its entry product, the S_n connected counts of its
+    permutation part for m1 <= max_m and the oracle's row by m2 for each
     m; every split is then evaluated by the arithmetic of
-    `comparison_refined`."""
-    from . import counting
-    from .indexing import GroupIndexer
+    `comparison_refined`.  A mismatch names the representative."""
+    from . import _kernels_pure, counting
+    from .indexing import class_representative
 
     if max_m < 0:
         raise ValidationError("max_m must be nonnegative")
     opts = opts or counting.DEFAULT_OPTIONS
+    # the orbit graph, built under the budget, has an orbit for every
+    # class, so the class graph's search below is bounded by it
+    counting._rounds(params, max_m, "dp_orbits", opts)
+    keys = _kernels_pure._reversed_classes(*params.triple)[0][0]
+    sizes = [counting._class_size(params, key) for key in keys]
+    if sum(sizes) != params.group_order():
+        raise ConsistencyError(
+            f"the {len(keys)} classes of {params} hold {sum(sizes)} elements, "
+            f"not {params.group_order()}"
+        )
     checks = 0
     bad: list[ComparisonMismatch] = []
-    for w in GroupIndexer(params):
+    for key, size in zip(keys, sizes):
+        w = class_representative(params, key)
         t = entry_product(w)
         sn = _sn_connected(permutation_part(w), max_m, opts)
         for m, row in enumerate(counting.connected_rows(w, max_m, opts)):
@@ -303,7 +327,7 @@ def comparison_mismatches(
                 m2 = m - m1
                 formula = _comparison(params, t, m1, m2, sn[m1])
                 enum = row[m2] if m2 < len(row) else 0
-                checks += 1
                 if formula != enum:
-                    bad.append(ComparisonMismatch(w, m1, m2, formula, enum))
+                    bad.append(ComparisonMismatch(w, size, m1, m2, formula, enum))
+        checks += size * (max_m + 1) * (max_m + 2) // 2
     return checks, bad

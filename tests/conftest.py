@@ -1,6 +1,7 @@
 """Shared fixtures: the reference seven-edge graph, small-group helpers,
-the element-level connected DP that the orbit DP is checked against, and
-the element-level search that the cut-and-join graphs are checked
+the element-level connected DP that the orbit DP is checked against, the
+element-level search that the cut-and-join graphs are checked against,
+and the element-level comparison sweep that the class sweep is checked
 against."""
 
 import itertools
@@ -18,7 +19,10 @@ from reflfact import (
     multiply,
     reflections,
 )
+from reflfact import counting
+from reflfact.groups import entry_product, permutation_part
 from reflfact.indexing import GroupIndexer
+from reflfact.series import ComparisonMismatch, _comparison, _sn_connected
 
 
 @pytest.fixture(scope="session")
@@ -215,3 +219,27 @@ def element_search(r, s, n, refl, labels):
             counts.setdefault(index[key], [0, 0])[is_diag] += 1
         moves.append([(o, swaps, diags) for o, (swaps, diags) in counts.items()])
     return keys, moves
+
+
+def element_comparison_mismatches(params: GroupParams, max_m: int):
+    """`series.comparison_mismatches` as an element-level sweep, the
+    reference the class sweep is tested against: every element in
+    `GroupIndexer` order is checked at every split with m1+m2 <= max_m.
+    Returns (number of checks, mismatches), the mismatches by element in
+    index order, then by m, then by m1, each of class size 1: it stands
+    for its element only."""
+    opts = counting.DEFAULT_OPTIONS
+    checks = 0
+    bad = []
+    for w in GroupIndexer(params):
+        t = entry_product(w)
+        sn = _sn_connected(permutation_part(w), max_m, opts)
+        for m, row in enumerate(counting.connected_rows(w, max_m, opts)):
+            for m1 in range(m + 1):
+                m2 = m - m1
+                formula = _comparison(params, t, m1, m2, sn[m1])
+                enum = row[m2] if m2 < len(row) else 0
+                checks += 1
+                if formula != enum:
+                    bad.append(ComparisonMismatch(w, 1, m1, m2, formula, enum))
+    return checks, bad

@@ -92,6 +92,7 @@ def test_verify_comparison(capsys):
     )
     assert payload["mismatches"] == []
     assert payload["checked"] == 8 * 21  # |G| elements x splits with m <= 5
+    assert payload["classes"] == 5  # colored cycle types of G(2,1,2)
 
 
 def test_series_kinds(capsys):

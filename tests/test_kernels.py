@@ -1,9 +1,9 @@
-"""Indexing round trips; the cut-and-join class and orbit graphs equal
-the ones group multiplication gives; the class DP covers every class,
-its class graph holds for every element of each class, and its rounds
-summed over the group count every tuple once; the element-level connected
-DP over component partitions (the orbit DP's reference) agrees bit for
-bit with tuple enumeration."""
+"""Indexing round trips; class representatives invert class keys; the
+cut-and-join class and orbit graphs equal the ones group multiplication
+gives; the class DP covers every class, its class graph holds for every
+element of each class, and its rounds summed over the group count every
+tuple once; the element-level connected DP over component partitions
+(the orbit DP's reference) agrees bit for bit with tuple enumeration."""
 
 import math
 
@@ -12,7 +12,14 @@ import pytest
 from reflfact.groups import GroupParams, multiply, permutation_cycles, reflections
 from reflfact._kernels_pure import _classes, dp_refined, dp_total, enum_bucketed, orbit_graph
 from reflfact.counting import _class_size
-from reflfact.indexing import GroupIndexer, class_count, class_key, perm_rank, perm_unrank
+from reflfact.indexing import (
+    GroupIndexer,
+    class_count,
+    class_key,
+    class_representative,
+    perm_rank,
+    perm_unrank,
+)
 
 from conftest import all_elements, dense_tables, dp_components, element_search, encode_reflections
 
@@ -91,6 +98,14 @@ def test_class_key_is_the_colored_cycle_type(r, s, n):
         cycles = permutation_cycles(w)
         expected = sorted((len(c), sum(w.exps[v - 1] for v in c) % r) for c in cycles)
         assert class_key(w.perm, w.exps, r) == tuple(expected)
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS)
+def test_class_representative_inverts_class_key(r, s, n):
+    params = GroupParams(r, s, n)
+    for key in _classes(r, s, n)[0]:
+        rep = class_representative(params, key)  # validated on construction
+        assert rep.params == params and class_key(rep.perm, rep.exps, r) == key
 
 
 @pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3)])

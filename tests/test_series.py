@@ -6,10 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from reflfact import ConsistencyError, GroupElement, GroupParams, ValidationError, identity
-from reflfact import counting
-from reflfact.counting import connected_from_all, count_all, count_connected_enum
-from reflfact.indexing import GroupIndexer
+from reflfact import (
+    ConsistencyError,
+    GroupElement,
+    GroupParams,
+    ResourceLimitError,
+    ValidationError,
+    identity,
+)
+from reflfact import _kernels_pure, counting
+from reflfact._kernels_pure import _reversed_classes
+from reflfact.counting import _class_size, connected_from_all, count_all, count_connected_enum
+from reflfact.indexing import class_key
 from reflfact.series import (
     EgfSeries,
     comparison_mismatches,
@@ -23,7 +31,7 @@ from reflfact.series import (
     sn_long_cycle_series,
 )
 
-from conftest import all_elements
+from conftest import all_elements, element_comparison_mismatches
 
 
 def brute_cyclic(q: int, t: int, m: int) -> int:
@@ -119,18 +127,21 @@ def test_comparison_formula_exhaustive_spot(r, s, n):
     assert checks > 0 and mismatches == []
 
 
+@pytest.mark.parametrize("r,s,n,max_m", [g + (4,) for g in COMPARISON_GROUPS] + [(6, 2, 3, 4)])
+def test_class_sweep_matches_element_sweep(r, s, n, max_m):
+    params = GroupParams(r, s, n)
+    checks, mismatches = comparison_mismatches(params, max_m)
+    assert (checks, mismatches) == element_comparison_mismatches(params, max_m)
+    assert checks == params.group_order() * (max_m + 1) * (max_m + 2) // 2
+
+
 def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypatch):
     params = GroupParams(6, 2, 2)
-    indexer = GroupIndexer(params)
-    order = [
-        (indexer.element_at(i), m1, m - m1)
-        for i in range(indexer.size)
-        for m in range(5)
-        for m1 in range(m + 1)
-    ]
-    assert comparison_mismatches(params, 4) == (len(order), [])
-    # with an oracle that always disagrees, every check is a mismatch, in
-    # the order the checks ran
+    keys = _reversed_classes(*params.triple)[0][0]
+    order = [(key, m1, m - m1) for key in keys for m in range(5) for m1 in range(m + 1)]
+    assert comparison_mismatches(params, 4) == (params.group_order() * 15, [])
+    # with an oracle that always disagrees, every check is a mismatch: one
+    # per class and split, in key order, then by m, then by m1
     monkeypatch.setattr(
         counting, "connected_rows",
         lambda w, max_m, opts: [
@@ -139,9 +150,42 @@ def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypat
         ],
     )
     checks, bad = comparison_mismatches(params, 4)
-    assert checks == len(order) == 36 * 15
-    assert [(b.element, b.m1, b.m2) for b in bad] == order
+    assert checks == params.group_order() * 15 == 36 * 15
+    assert [(class_key(b.element.perm, b.element.exps, 6), b.m1, b.m2) for b in bad] == order
     assert all(b.enumeration == b.formula + 1 for b in bad)
+    assert [b.class_size for b in bad] == [_class_size(params, key) for key, _, _ in order]
+    # each class mismatch, expanded to the elements of its class, gives
+    # exactly the element sweep's mismatches
+    ref_checks, ref_bad = element_comparison_mismatches(params, 4)
+    by_class: dict = {}
+    for w in all_elements(params):
+        by_class.setdefault(class_key(w.perm, w.exps, 6), []).append(w)
+    expanded = [
+        (w, b.m1, b.m2, b.formula, b.enumeration)
+        for b in bad
+        for w in by_class[class_key(b.element.perm, b.element.exps, 6)]
+    ]
+    assert ref_checks == checks == len(expanded) == len(set(expanded))
+    assert set(expanded) == {(b.element, b.m1, b.m2, b.formula, b.enumeration) for b in ref_bad}
+
+
+def test_comparison_sweep_refuses_classes_that_miss_elements(monkeypatch):
+    params = GroupParams(3, 1, 2)
+    (keys, back), merged = _reversed_classes(*params.triple)
+    monkeypatch.setattr(
+        _kernels_pure, "_reversed_classes", lambda r, s, n: ((keys[:-1], back), merged)
+    )
+    with pytest.raises(ConsistencyError, match="classes of G.* hold \\d+ elements, not 18"):
+        comparison_mismatches(params, 2)
+
+
+def test_comparison_sweep_checks_the_budget_before_the_class_search(monkeypatch):
+    def search(r, s, n):
+        raise AssertionError("the class graph was searched")
+
+    monkeypatch.setattr(_kernels_pure, "_reversed_classes", search)
+    with pytest.raises(ResourceLimitError, match="connected DP"):
+        comparison_mismatches(GroupParams(2, 1, 3), 3, counting.Options(max_dp_cells=10))
 
 
 def test_comparison_refined_rejects_an_inexact_division(monkeypatch):

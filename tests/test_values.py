@@ -61,9 +61,10 @@ VALUES = [
         "EgfSeries(order=1, coeffs=(Fraction(0, 1), Fraction(1, 2)))",
     ),
     (
-        ComparisonMismatch(W, 1, 0, 2, 3),
-        (W, 1, 0, 2, 3),
-        f"ComparisonMismatch(element={W_REPR}, m1=1, m2=0, formula=2, enumeration=3)",
+        ComparisonMismatch(W, 4, 1, 0, 2, 3),
+        (W, 4, 1, 0, 2, 3),
+        f"ComparisonMismatch(element={W_REPR}, class_size=4, m1=1, m2=0, formula=2, "
+        "enumeration=3)",
     ),
     (POLY, (1, (((1,), Fraction(1, 2)),), Fraction(0)), POLY_REPR),
     (SAMPLE, (CycleType((2,)), 2, 1, 1, Fraction(1, 4)), SAMPLE_REPR),
