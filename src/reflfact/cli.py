@@ -95,31 +95,22 @@ def _add_budget(parser: argparse.ArgumentParser, with_cache=False) -> None:
         parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="reflfact",
-        description="Exact reflection-factorization counts in G(r,s,n)",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("reflections", help="list the reflection generating set")
-    _add_params(p)
-
-    p = sub.add_parser("count", help="total factorization count f_m")
+def _args_count(p: argparse.ArgumentParser) -> None:
     _add_params(p)
     _add_budget(p, with_cache=True)
     p.add_argument("--omega", required=True, help="element JSON (inline or @file)")
     p.add_argument("--m", type=int, required=True)
 
-    p = sub.add_parser("count-refined", help="refined count by swap/diagonal split")
+
+def _args_count_refined(p: argparse.ArgumentParser) -> None:
     _add_params(p)
     _add_budget(p, with_cache=True)
     p.add_argument("--omega", required=True)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
 
-    p = sub.add_parser("count-connected", help="connected factorization count")
+
+def _args_count_connected(p: argparse.ArgumentParser) -> None:
     _add_params(p)
     _add_budget(p, with_cache=True)
     p.add_argument("--omega", required=True)
@@ -132,16 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="inversion",
     )
 
-    p = sub.add_parser(
-        "verify-comparison",
-        help="exhaustively check the comparison formula against the "
-        "connected DP",
-    )
+
+def _args_verify_comparison(p: argparse.ArgumentParser) -> None:
     _add_params(p)
     _add_budget(p)
     p.add_argument("--max-m", type=int, required=True)
 
-    p = sub.add_parser("series", help="exact truncated generating series")
+
+def _args_series(p: argparse.ArgumentParser) -> None:
     _add_budget(p)
     p.add_argument(
         "--kind",
@@ -156,7 +145,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--omega", help="element JSON (kind=connected)")
 
-    p = sub.add_parser("fit", help="fit the symmetric polynomial behind connected counts")
+
+def _args_fit(p: argparse.ArgumentParser) -> None:
     _add_budget(p)
     p.add_argument("--g", required=True, help="genus parameter (integer or half-integer)")
     p.add_argument("--ell", type=int, required=True)
@@ -178,9 +168,35 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated n to sample, e.g. 2,3,4",
     )
 
-    p = sub.add_parser("walks", help="ordered edge walks of a decorated graph")
+
+def _args_walks(p: argparse.ArgumentParser) -> None:
     p.add_argument("--graph", required=True, help="graph JSON (inline or @file)")
 
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand or, given argv, of what parsing
+    argv can reach: arguments only for the subcommand argv names (its
+    first word that is not an option) and, when argv starts with that
+    name, no other subcommand, since no top-level help or choice error
+    can then list them."""
+    parser = argparse.ArgumentParser(
+        prog="reflfact",
+        description="Exact reflection-factorization counts in G(r,s,n)",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    chosen = None if argv is None else next((a for a in argv if not a.startswith("-")), "")
+    alone = chosen in _SUBCOMMANDS and argv[0] == chosen
+    if alone:
+        # the usage line argparse gives every choice, which an error on an
+        # unrecognized argument prints
+        sub.metavar = "{" + ",".join(_SUBCOMMANDS) + "}"
+    for name, (help_line, add_arguments, _) in _SUBCOMMANDS.items():
+        if alone and name != chosen:
+            continue
+        p = sub.add_parser(name, help=help_line)
+        if chosen in (None, name):
+            add_arguments(p)
     return parser
 
 
@@ -402,20 +418,28 @@ def _cmd_walks(args) -> dict:
     }
 
 
-_HANDLERS = {
-    "reflections": _cmd_reflections,
-    "count": _cmd_count,
-    "count-refined": _cmd_count,
-    "count-connected": _cmd_count_connected,
-    "verify-comparison": _cmd_verify_comparison,
-    "series": _cmd_series,
-    "fit": _cmd_fit,
-    "walks": _cmd_walks,
+# subcommand -> (its help line, the function adding its arguments, its handler)
+_SUBCOMMANDS = {
+    "reflections": ("list the reflection generating set", _add_params, _cmd_reflections),
+    "count": ("total factorization count f_m", _args_count, _cmd_count),
+    "count-refined": ("refined count by swap/diagonal split", _args_count_refined, _cmd_count),
+    "count-connected": (
+        "connected factorization count", _args_count_connected, _cmd_count_connected
+    ),
+    "verify-comparison": (
+        "exhaustively check the comparison formula against the connected DP",
+        _args_verify_comparison,
+        _cmd_verify_comparison,
+    ),
+    "series": ("exact truncated generating series", _args_series, _cmd_series),
+    "fit": ("fit the symmetric polynomial behind connected counts", _args_fit, _cmd_fit),
+    "walks": ("ordered edge walks of a decorated graph", _args_walks, _cmd_walks),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -423,7 +447,7 @@ def main(argv=None) -> int:
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)  # counts are exact: read and print every digit
     try:
-        _emit(_HANDLERS[args.command](args))
+        _emit(_SUBCOMMANDS[args.command][2](args))
     except CliConsistencyFailure as exc:
         _emit(exc.payload)
         print(f"reflfact: {exc}", file=sys.stderr)

@@ -10,16 +10,21 @@ Three independent routes are implemented and cross-checked in tests:
   which merges the vertices each swap factor joins (the trusted oracle
   for connected counts): an orbit's mass, divided by the size of the
   element's class, is the count of one state;
-* recursive inversion of the disjoint-block product formula, which
-  expresses total counts as multinomial convolutions of connected
-  counts over partitions of the element.
+* inversion of the disjoint-block product formula, which expresses
+  total counts as binomial convolutions of connected counts over the
+  blocks of the element: the exponential formula, recursing on the block
+  that holds the first cycle of the colored cycle type, takes each
+  block as a sub-multiset of the cycles and reads the class DP's totals
+  only, so it never runs the orbit DP, lists set partitions or builds a
+  group element.
 
 Both DPs are `_kernels_pure.dp_orbits` over a graph of colored cycle
 types, which `_kernels_pure` builds by the cut-and-join rules and never
 from group elements; every kept round maps a key to its counts by m2.
 One cache holds, for the 16 groups used most recently, the rounds 0..m
 of every DP, which a count at a larger m extends from the last one, the
-orbit graph, and the inversion's memo.  `Options.max_dp_cells` bounds
+orbit graph, and the inversion's memo, which holds no more counts than
+the class DP's rounds beside it.  `Options.max_dp_cells` bounds
 the cells a DP's kept rounds hold; every count checks it before it reads
 the cache or runs a round, and one that a lower bound on the classes
 already puts over it before the classes are counted.  The persistent
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from itertools import chain, groupby
+from itertools import chain, groupby, product
 
 from . import _kernels_pure
 from .counttable import CountKey, CountTable
@@ -67,8 +72,9 @@ DEFAULT_OPTIONS = Options()
 
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
-# rounds of each `_kernels_pure` kernel, connected_from_all's memo by
-# (class key, m), and under "orbits_by_class" count_all_by_enum's orbits
+# rounds of each `_kernels_pure` kernel, connected_from_all's memo (a class
+# key's connected counts for m = 0, 1, ..., no more than the rounds of
+# dp_total beside it), and under "orbits_by_class" count_all_by_enum's orbits
 # by product class; also what the budget checks read: the group's class
 # count, and under "orbits" the connected DP's orbit graph.  Least
 # recently used group first.
@@ -88,15 +94,24 @@ def _refusal(kernel: str, params: GroupParams, m: int, cells, opts: Options):
     )
 
 
+def _keep(triple, record: dict) -> None:
+    """Make `record` the cache's most recently used, under `triple`; beyond
+    _CACHE_SLOTS groups the least recently used one is dropped."""
+    _cache[triple] = record
+    _cache.move_to_end(triple)
+    if len(_cache) > _CACHE_SLOTS:
+        _cache.popitem(last=False)
+
+
 def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
     """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
     over the group, kept under that name in the group's record, which
     every cached count is read from.  The record becomes the most
-    recently used (beyond _CACHE_SLOTS groups the least recently used one
-    is dropped), and the cells the kernel keeps up to m are checked
-    against the budget first: per class, or per state orbit for the
-    connected DP, one slot in each of rounds 0..m, or j+1 in round j for
-    the refined and connected DPs in a group with diagonal reflections.
+    recently used (see `_keep`), and the cells the kernel keeps up to m
+    are checked against the budget first: per class, or per state orbit
+    for the connected DP, one slot in each of rounds 0..m, or j+1 in
+    round j for the refined and connected DPs in a group with diagonal
+    reflections.
     A new record is refused before the classes are counted when a lower
     bound on them (and so on the orbits) exceeds the budget.  The orbit
     graph is built here on first use, and its search is refused as soon
@@ -114,9 +129,8 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
         least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
         if least > opts.max_dp_cells:
             raise _refusal(kernel, params, m, f"at least {least}", opts)
-        record = _cache[params.triple] = {"class_count": class_count(params)}
-        if len(_cache) > _CACHE_SLOTS:
-            _cache.popitem(last=False)
+        record = {"class_count": class_count(params)}
+        _keep(params.triple, record)
     else:
         _cache.move_to_end(params.triple)
     if kernel == "dp_orbits":
@@ -257,42 +271,80 @@ def connected_from_all(
     opts: Options = DEFAULT_OPTIONS,
     table: "CountTable | None" = None,
 ) -> int:
-    """Connected count obtained by inverting the partition product formula:
+    """Connected count obtained by inverting the block product formula:
     subtract, from the total count, every way of splitting the element into
     two or more independent blocks with connected factorizations.  The
-    connected count is a class function too, so each group's memo is
-    keyed by colored cycle type."""
+    connected count is a class function too, so each group's memo maps a
+    colored cycle type to its counts for m = 0, 1, ..., which a call at a
+    larger m extends in place."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    result = _f_tilde(w, m, opts)
+    p = w.params
+    rounds = _rounds(p, m, "dp_total", opts)
+    record = _cache[p.triple]  # _rounds has just made it the newest
+    memo = record.setdefault("connected_from_all", {})
+    key = class_key(w.perm, w.exps, p.r)
+    counts = memo.get(key)
+    if counts is None or len(counts) <= m:
+        counts = _invert(p, key, m, opts, rounds, memo)
+        _keep(p.triple, record)  # the newest again, after the groups the recursion read
+    result = counts[m]
     if table is not None:
         table.insert(CountKey.of(w, m1=m, m2=None, connected=True), result, "inversion")
     return result
 
 
-def _f_tilde(w: GroupElement, m: int, opts: Options) -> int:
-    """connected_from_all's recursion over the blocks of w, memoized in
-    the group's record beside the totals it is built from, whose budget
-    it shares."""
-    _rounds(w.params, m, "dp_total", opts)
-    memo = _cache[w.params.triple].setdefault("connected_from_all", {})
-    key = (class_key(w.perm, w.exps, w.params.r), m)
-    value = memo.get(key)
-    if value is not None:
-        return value
-    parts = partitions(w)
-    value = count_all(w, m, opts)
-    for part in parts:
-        if len(part.blocks) < 2:
-            continue
-        acc = [1 if j == 0 else 0 for j in range(m + 1)]
-        for block in part.blocks:
-            sub = relabel_to_dense(w, block)
-            vec = [_f_tilde(sub, j, opts) for j in range(m + 1)]
-            acc = _binomial_convolve(acc, vec, m)
-        value -= acc[m]
-    memo[key] = value
-    return value
+def _invert(params: GroupParams, key, m: int, opts: Options, rounds, memo) -> list[int]:
+    """connected_from_all's recursion on the block B that holds the first
+    cycle c1 of a class key (the exponential formula): the connected counts
+    of the key are its class-DP totals minus, over every proper B,
+    ways(B) times the binomial convolution of B's connected counts with
+    the totals of the complement.  B is c1 plus a sub-multiset of the
+    other cycles, chosen in prod over cycle types of C(mult, k) ways, and
+    a B whose colors do not sum to 0 mod s has no factorization of its
+    own.  Returns the memo's counts of key, extended to m.  `rounds` and
+    `memo` are those of the group `params`; every smaller group G(r,s,k)
+    the recursion reads is held from its first use to the end of the
+    call, so its budget is checked once and the cache cannot drop it
+    midway."""
+    r, s = params.r, params.s
+    held = {params.n: (rounds, memo)}
+
+    def group(n: int):
+        """(dp_total rounds 0..m, inversion memo) of G(r,s,n)."""
+        if n not in held:
+            sub = GroupParams(r, s, n)
+            sub_rounds = _rounds(sub, m, "dp_total", opts)
+            held[n] = (sub_rounds, _cache[sub.triple].setdefault("connected_from_all", {}))
+        return held[n]
+
+    def connected(key, n: int) -> list[int]:
+        rounds, memo = group(n)
+        counts = memo.setdefault(key, [])
+        start = len(counts)
+        if start > m:
+            return counts
+        new = [rounds[j][key][0] for j in range(start, m + 1)]
+        types = [(cycle, len(list(same))) for cycle, same in groupby(key[1:])]
+        for taken in product(*(range(mult + 1) for _, mult in types)):
+            block, rest, ways = key[:1], (), 1
+            for (cycle, mult), k in zip(types, taken):
+                block += (cycle,) * k
+                rest += (cycle,) * (mult - k)
+                ways *= math.comb(mult, k)
+            if not rest or sum(color for _, color in block) % s:
+                continue  # B is the whole key, or has no factorization
+            size = sum(length for length, _ in block)
+            inner = connected(block, size)
+            rest_rounds = group(n - size)[0]
+            outer = [rest_rounds[j][rest][0] for j in range(m + 1)]
+            joined = _binomial_convolve(inner, outer, m)
+            for j in range(start, m + 1):
+                new[j - start] -= ways * joined[j]
+        counts.extend(new)
+        return counts
+
+    return connected(key, params.n)
 
 
 def all_from_connected(

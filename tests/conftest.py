@@ -1,8 +1,9 @@
 """Shared fixtures: the reference seven-edge graph, small-group helpers,
 the element-level connected DP that the orbit DP is checked against, the
 element-level search that the cut-and-join graphs are checked against,
-and the element-level comparison sweep that the class sweep is checked
-against."""
+the element-level comparison sweep that the class sweep is checked
+against, and the set-partition inversion that the block recursion of
+`counting.connected_from_all` is checked against."""
 
 import itertools
 import random
@@ -20,9 +21,23 @@ from reflfact import (
     reflections,
 )
 from reflfact import counting
-from reflfact.groups import entry_product, permutation_part
-from reflfact.indexing import GroupIndexer
+from reflfact.groups import entry_product, partitions, permutation_part, relabel_to_dense
+from reflfact.indexing import GroupIndexer, class_key
 from reflfact.series import ComparisonMismatch, _comparison, _sn_connected
+
+# small groups, among them groups with s > 1 and with one vertex, that
+# the kernel tests and the inversion's agreement test sweep
+CONFIGS = [
+    (1, 1, 1),
+    (6, 2, 1),
+    (1, 1, 3),
+    (2, 1, 2),
+    (2, 2, 2),
+    (3, 1, 2),
+    (6, 2, 2),
+    (2, 1, 3),
+    (4, 4, 3),
+]
 
 
 @pytest.fixture(scope="session")
@@ -243,3 +258,28 @@ def element_comparison_mismatches(params: GroupParams, max_m: int):
                 if formula != enum:
                     bad.append(ComparisonMismatch(w, 1, m1, m2, formula, enum))
     return checks, bad
+
+
+def partition_connected(w: GroupElement, m: int, memo: dict) -> int:
+    """The connected count of w at m by the set-partition sweep, the
+    reference `counting.connected_from_all` is tested against: the
+    class-DP total minus, for every partition of w's cycles into two or
+    more blocks (`groups.partitions`, which drops a block whose colors do
+    not sum to 0 mod s), the binomial convolution of the blocks'
+    connected counts, each block relabelled into G(r,s,|block|).  memo
+    maps (group, class key, m) to the counts found so far."""
+    p = w.params
+    key = (p.triple, class_key(w.perm, w.exps, p.r), m)
+    if key not in memo:
+        value = counting.count_all(w, m)
+        for part in partitions(w):
+            if len(part.blocks) < 2:
+                continue
+            acc = [1] + [0] * m
+            for block in part.blocks:
+                sub = relabel_to_dense(w, block)
+                vec = [partition_connected(sub, j, memo) for j in range(m + 1)]
+                acc = counting._binomial_convolve(acc, vec, m)
+            value -= acc[m]
+        memo[key] = value
+    return memo[key]

@@ -68,7 +68,7 @@ RANDOM_TUPLE_CONFIGS = [(1, 1, 4), (2, 1, 3), (6, 2, 3), (4, 4, 3)]
 EXHAUSTIVE_COUNT_GROUPS = [(1, 1, 3), (2, 1, 2), (2, 2, 2)]
 COMPARISON_GROUPS = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (6, 2, 2)]
 DEEP_COMPARISON_GROUPS = [(6, 2, 3), (4, 2, 3)]  # at m <= 6
-WIDE_COMPARISON_GROUPS = [(6, 2, 5), (4, 1, 6)]  # at m <= 8
+WIDE_COMPARISON_GROUPS = [(6, 2, 5), (4, 1, 6), (2, 1, 8)]  # at m <= 8
 
 
 def _random_graphs(per_config: int, max_len: int = 8, seed: int = 20240501):
@@ -148,7 +148,7 @@ def test_criterion_5_comparison_formula_desk_scale():
     with criterion(
         5,
         "comparison formula equals the connected DP on four groups (m <= 5), "
-        "on G(6,2,3), G(4,2,3) (m <= 6) and on G(6,2,5), G(4,1,6) (m <= 8)",
+        "on G(6,2,3), G(4,2,3) (m <= 6) and on G(6,2,5), G(4,1,6), G(2,1,8) (m <= 8)",
     ):
         for r, s, n in COMPARISON_GROUPS:
             checks, mismatches = comparison_mismatches(GroupParams(r, s, n), 5)

@@ -1,12 +1,13 @@
 """Command-line interface: outputs, exit codes, cache behavior, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-from reflfact.cli import build_parser, main
+from reflfact.cli import _SUBCOMMANDS, build_parser, main
 from reflfact.counting import DEFAULT_MAX_DP_CELLS, clear_caches
 from reflfact.errors import (
     EXIT_CONSISTENCY,
@@ -477,3 +478,34 @@ def test_max_dp_cells_default_matches_library():
         ["fit", "--g", "0", "--ell", "1", "--n-values", "2"],
     ):
         assert parser.parse_args(argv).max_dp_cells == DEFAULT_MAX_DP_CELLS, argv[0]
+
+
+def test_parser_for_the_chosen_subcommand_prints_as_the_full_one(capsys):
+    # main adds the arguments of the subcommand argv names only, and no
+    # other subcommand when argv starts with it; every help text and usage
+    # error still reads as the full parser's, with the same exit code
+    group = ["--r", "1", "--s", "1", "--n", "2"]
+    helps = [["--help"], ["-h", "count"], ["--version"]]
+    helps += [[name, "--help"] for name in _SUBCOMMANDS]
+    errors = [
+        [], ["bogus"], ["count"],
+        ["reflections", *group, "--bogus"],
+        ["count", *group, "--omega", "{}", "--m", "x"],
+        ["count-connected", *group, "--omega", "{}", "--m", "1", "--method", "bad"],
+        ["walks", "--graph"],
+        ["fit", "--g", "0"],
+    ]
+    cases = [(EXIT_OK, argv) for argv in helps] + [(EXIT_USAGE, argv) for argv in errors]
+    for code, argv in cases:
+        printed = []
+        for parser in (build_parser(), build_parser(argv)):
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:
+                printed.append((exc.code or 0, *capsys.readouterr()))
+        assert printed[0][0] == code and printed[1] == printed[0], argv
+    parser = build_parser(["count", *group])
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == ["count"]
+    args = sub.choices["count"].parse_args([*group, "--omega", "{}", "--m", "1"])
+    assert sorted(vars(args)) == ["cache", "m", "max_dp_cells", "n", "omega", "r", "s"]

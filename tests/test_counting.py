@@ -3,8 +3,10 @@ cross-checks.  The in-file brute force is the independent oracle."""
 
 import itertools
 import json
+import math
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -36,9 +38,9 @@ from reflfact.counting import (
 )
 from reflfact import _kernels_pure, counting
 from reflfact._kernels_pure import enum_bucketed
-from reflfact.indexing import GroupIndexer, class_count
+from reflfact.indexing import GroupIndexer, class_count, class_representative
 
-from conftest import all_elements, encode_reflections, fold_product
+from conftest import CONFIGS, all_elements, encode_reflections, fold_product, partition_connected
 
 
 def brute_counts(w: GroupElement, m: int):
@@ -100,6 +102,75 @@ def test_connected_from_all_examples():
     three_cycle = GroupElement(p3, (2, 3, 1), (0, 0, 0))
     for m in range(5):
         assert connected_from_all(three_cycle, m) == count_all(three_cycle, m)
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3), (4, 2, 3)])
+def test_block_recursion_matches_partition_sweep(r, s, n):
+    # every class, at m <= 6; in G(6,2,3) and G(4,2,3) the mod-s filter
+    # drops blocks, such as a cycle of color 1 on its own
+    clear_caches()
+    params = GroupParams(r, s, n)
+    memo: dict = {}
+    for key in _kernels_pure._classes(r, s, n)[0]:
+        w = class_representative(params, key)
+        for m in range(7):
+            assert connected_from_all(w, m) == partition_connected(w, m, memo), (key, m)
+    clear_caches()
+
+
+def test_inversion_of_identities_at_genus_zero():
+    # a connected factorization of the identity of S_n into 2n-2
+    # transpositions is a genus-0 cover: (2n-2)! * n^(n-3) of them
+    # (Hurwitz; Goulden-Jackson 1997), 22! * 12^9 for S_12, with no DP
+    # on this side
+    clear_caches()
+    for n in range(1, 13):
+        w = identity(GroupParams(1, 1, n))
+        expected = Fraction(math.factorial(2 * n - 2)) * Fraction(n) ** (n - 3)
+        assert connected_from_all(w, 2 * n - 2) == expected, n
+    clear_caches()
+
+
+def test_inversion_of_the_s9_identity_at_genus_one():
+    # 18 transpositions: the genus-1 count, which the genus-1 Hurwitz
+    # formula (Vakil 2001) gives as well
+    clear_caches()
+    assert connected_from_all(identity(GroupParams(1, 1, 9)), 18) == 28229781504707887104000
+    clear_caches()
+
+
+def test_inversion_builds_each_group_once(monkeypatch):
+    # the identity of S_20 reads the totals of S_1..S_20, more groups than
+    # the cache keeps: each is held for the whole call, not rebuilt
+    clear_caches()
+    built = []
+    original = _kernels_pure.dp_total
+
+    def recording(r, s, n, rounds, m):
+        built.append(n)
+        return original(r, s, n, rounds, m)
+
+    monkeypatch.setattr(_kernels_pure, "dp_total", recording)
+    w = identity(GroupParams(1, 1, 20))
+    value = connected_from_all(w, 38)
+    assert sorted(built) == list(range(1, 21))
+    assert list(counting._cache)[-1] == (1, 1, 20)  # kept though read first
+    assert connected_from_all(w, 38) == value and len(built) == 20  # a memo hit
+    clear_caches()
+
+
+def test_inversion_memo_is_bounded_by_the_rounds():
+    # per group, no more counts than the class DP's rounds beside them:
+    # one list per class, each no longer than the rounds
+    clear_caches()
+    connected_from_all(identity(GroupParams(1, 1, 9)), 18)
+    assert sorted(triple[2] for triple in counting._cache) == list(range(1, 10))
+    for triple, record in counting._cache.items():
+        memo, rounds = record["connected_from_all"], record["dp_total"]
+        assert len(rounds) == 19, triple
+        assert len(memo) <= record["class_count"], triple
+        assert all(len(counts) <= len(rounds) for counts in memo.values()), triple
+    clear_caches()
 
 
 def test_all_from_connected_roundtrip_examples():

@@ -88,8 +88,7 @@ def test_orbit_dp_on_larger_groups(group, m, index):
 
 # (group, cycle lengths, color of the first cycle): the identity, a long
 # cycle, a transposition and an (n-2)-cycle of G(4,1,6) (10146 orbits)
-# and G(6,2,5), and five cycle types of G(2,1,8), whose identity waits
-# for a faster inversion
+# and G(6,2,5), and five cycle types of G(2,1,8) and its identity
 REPRESENTATIVES = [
     *(((4, 1, 6), lengths, color) for lengths, color in (
         ((1,) * 6, 0), ((6,), 1), ((2, 1, 1, 1, 1), 3), ((4, 1, 1), 2),
@@ -98,7 +97,7 @@ REPRESENTATIVES = [
         ((1,) * 5, 0), ((5,), 2), ((2, 1, 1, 1), 4), ((3, 1, 1), 0),
     )),
     *(((2, 1, 8), lengths, color) for lengths, color in (
-        ((8,), 1), ((7, 1), 0), ((6, 2), 1), ((4, 4), 0), ((3, 3, 2), 1),
+        ((8,), 1), ((7, 1), 0), ((6, 2), 1), ((4, 4), 0), ((3, 3, 2), 1), ((1,) * 8, 0),
     )),
 ]
 

@@ -21,19 +21,14 @@ from reflfact.indexing import (
     perm_unrank,
 )
 
-from conftest import all_elements, dense_tables, dp_components, element_search, encode_reflections
-
-CONFIGS = [
-    (1, 1, 1),
-    (6, 2, 1),
-    (1, 1, 3),
-    (2, 1, 2),
-    (2, 2, 2),
-    (3, 1, 2),
-    (6, 2, 2),
-    (2, 1, 3),
-    (4, 4, 3),
-]
+from conftest import (
+    CONFIGS,
+    all_elements,
+    dense_tables,
+    dp_components,
+    element_search,
+    encode_reflections,
+)
 
 def test_perm_rank_roundtrip():
     import itertools
