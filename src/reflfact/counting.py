@@ -18,6 +18,12 @@ Three independent routes are implemented and cross-checked in tests:
   only, so it never runs the orbit DP, lists set partitions or builds a
   group element.
 
+Both connected routes answer a whole row: `connected_rows` gives the
+orbit DP's counts by m2 for each m up to max_m, and `connected_totals`
+the inversion's counts for m = 0..max_m, so no caller loops over m
+asking for one count at a time (each such call reads every smaller
+group the element's blocks need, which the cache may have dropped).
+
 Both DPs are `_kernels_pure.dp_orbits` over a graph of colored cycle
 types, which `_kernels_pure` builds by the cut-and-join rules and never
 from group elements; every kept round maps a key to its counts by m2.
@@ -215,6 +221,24 @@ def connected_rows(
     ]
 
 
+def class_sizes(params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS) -> dict:
+    """{class key: |class|} over the G(r,1,n)-conjugacy classes of
+    G(r,s,n) = params, in the class graph's key order, for a sweep that
+    reads `connected_rows` up to max_m.  The orbit DP's budget is checked
+    first, and its rounds run: its graph has an orbit for every class, so
+    the budget bounds the class search too.  Class sizes that do not sum
+    to the group order raise ConsistencyError."""
+    _rounds(params, max_m, "dp_orbits", opts)
+    keys = _kernels_pure._reversed_classes(*params.triple)[0][0]
+    sizes = {key: _class_size(params, key) for key in keys}
+    if sum(sizes.values()) != params.group_order():
+        raise ConsistencyError(
+            f"the {len(keys)} classes of {params} hold {sum(sizes.values())} elements, "
+            f"not {params.group_order()}"
+        )
+    return sizes
+
+
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """count_all recomputed by the orbit DP (cross-check path): the
     masses of every orbit whose product has w's colored cycle type, over
@@ -265,18 +289,9 @@ def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     return out
 
 
-def connected_from_all(
-    w: GroupElement,
-    m: int,
-    opts: Options = DEFAULT_OPTIONS,
-    table: "CountTable | None" = None,
-) -> int:
-    """Connected count obtained by inverting the block product formula:
-    subtract, from the total count, every way of splitting the element into
-    two or more independent blocks with connected factorizations.  The
-    connected count is a class function too, so each group's memo maps a
-    colored cycle type to its counts for m = 0, 1, ..., which a call at a
-    larger m extends in place."""
+def _connected_counts(w: GroupElement, m: int, opts: Options) -> list[int]:
+    """The inversion memo's list of w's connected counts for m' = 0, 1,
+    ..., extended in place to m or beyond; callers must not change it."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
     p = w.params
@@ -288,10 +303,26 @@ def connected_from_all(
     if counts is None or len(counts) <= m:
         counts = _invert(p, key, m, opts, rounds, memo)
         _keep(p.triple, record)  # the newest again, after the groups the recursion read
-    result = counts[m]
-    if table is not None:
-        table.insert(CountKey.of(w, m1=m, m2=None, connected=True), result, "inversion")
-    return result
+    return counts
+
+
+def connected_totals(w: GroupElement, max_m: int, opts: Options = DEFAULT_OPTIONS) -> list[int]:
+    """The connected counts of w for m = 0..max_m, by inverting the block
+    product formula (see `connected_from_all`): one row, read with one
+    inversion, as `connected_rows` reads the orbit DP's.  A copy of the
+    memo's counts, so the caller may change it."""
+    return _connected_counts(w, max_m, opts)[: max_m + 1]
+
+
+def connected_from_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
+    """Connected count obtained by inverting the block product formula:
+    subtract, from the total count, every way of splitting the element into
+    two or more independent blocks with connected factorizations.  The
+    connected count is a class function too, so each group's memo maps a
+    colored cycle type to its counts for m = 0, 1, ..., which a call at a
+    larger m extends in place; a caller that needs several m asks
+    `connected_totals` once."""
+    return _connected_counts(w, m, opts)[m]
 
 
 def _invert(params: GroupParams, key, m: int, opts: Options, rounds, memo) -> list[int]:
@@ -386,10 +417,6 @@ def populate_connected_table(
             if sub in seen:
                 continue
             seen.add(sub)
-            for j in range(max_m + 1):
-                table.insert(
-                    CountKey.of(sub, m1=j, m2=None, connected=True),
-                    connected_from_all(sub, j, opts),
-                    "inversion",
-                )
+            for j, count in enumerate(connected_totals(sub, max_m, opts)):
+                table.insert(CountKey.of(sub, m1=j, m2=None, connected=True), count, "inversion")
     return table

@@ -23,7 +23,7 @@ from .groups import (
     json_int,
     product,
 )
-from .unionfind import UnionFind
+from .unionfind import RollbackUnionFind
 
 
 class DecoratedGraph(_Frozen):
@@ -183,7 +183,7 @@ def evaluate(graph: DecoratedGraph) -> GroupElement:
 
 def is_connected(graph: DecoratedGraph) -> bool:
     """Whether the underlying multigraph on all n vertices is connected."""
-    uf = UnionFind(graph.params.n)
+    uf = RollbackUnionFind(graph.params.n)
     for (i, j, _) in graph.edges:
         if i != j:
             uf.union(i - 1, j - 1)

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import CycleType, GroupElement, GroupParams, _Frozen, _set
+from .indexing import class_representative
 from .series import cyclic_count
 
 NORMALIZATIONS = ("printed", "derived")
@@ -171,6 +172,12 @@ def cycle_type_factor(ctype: CycleType) -> Fraction:
     return value
 
 
+def _scale(m: int, r: int, ctype: CycleType, normalization: str) -> Fraction:
+    """What a connected count at m over a cycle type is divided by under
+    the normalization: prefactor(...) * cycle_type_factor(ctype)."""
+    return prefactor(m, r, ctype.n, normalization) * cycle_type_factor(ctype)
+
+
 def elsv_normalize(
     count: int, m: int, ctype: CycleType, normalization: str, params: GroupParams
 ) -> Fraction:
@@ -178,9 +185,7 @@ def elsv_normalize(
     value of the symmetric polynomial at the cycle type."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    return Fraction(count) / (
-        prefactor(m, params.r, ctype.n, normalization) * cycle_type_factor(ctype)
-    )
+    return Fraction(count) / _scale(m, params.r, ctype, normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +409,9 @@ def _prepare_samples(g, ell, r, normalization, samples) -> list[FitSample]:
             raise ValidationError(
                 f"cycle type {ctype.parts} has {ctype.ell} parts, expected {ell}"
             )
-        n = ctype.n
-        m = tuple_length_for(g, n, ell)
-        normalized = Fraction(count) / (
-            prefactor(m, r, n, normalization) * cycle_type_factor(ctype)
-        )
-        prepared.append(FitSample(ctype, n, m, count, normalized))
+        m = tuple_length_for(g, ctype.n, ell)
+        normalized = Fraction(count) / _scale(m, r, ctype, normalization)
+        prepared.append(FitSample(ctype, ctype.n, m, count, normalized))
     return prepared
 
 
@@ -529,9 +531,9 @@ def predict_connected_count(
         raise ValidationError(
             f"m={m} inconsistent with g={report.g}, n={ctype.n}, ell={report.ell}"
         )
-    value = report.polynomial.evaluate(ctype.parts) * prefactor(
-        m, report.r, ctype.n, report.normalization
-    ) * cycle_type_factor(ctype)
+    value = report.polynomial.evaluate(ctype.parts) * _scale(
+        m, report.r, ctype, report.normalization
+    )
     if value.denominator != 1 or value < 0:
         raise ConsistencyError(f"prediction is not a nonnegative integer: {value}")
     return value.numerator
@@ -545,25 +547,20 @@ def canonical_element(
     params: GroupParams, ctype: CycleType, trivial_product: bool
 ) -> GroupElement:
     """Deterministic representative with the given underlying cycle type and
-    entry-product class: cycles laid out consecutively in increasing
-    length, exponents zero except (for the nontrivial class) one s on the
+    entry-product class: `indexing.class_representative` of the cycles in
+    increasing length, all of color 0 except (for the nontrivial class)
+    the first, of color s, so the exponents are zero except one s on the
     first vertex."""
     if ctype.n != params.n:
         raise ValidationError(f"cycle type sums to {ctype.n}, group has n={params.n}")
-    perm = []
-    start = 1
-    for length in sorted(ctype.parts):
-        block = list(range(start, start + length))
-        perm.extend(block[1:] + block[:1])
-        start += length
-    exps = [0] * params.n
+    pairs = [(length, 0) for length in sorted(ctype.parts)]
     if not trivial_product:
         if params.q < 2:
             raise ValidationError(
                 "nontrivial entry product impossible when r == s"
             )
-        exps[0] = params.s
-    return GroupElement(params, tuple(perm), tuple(exps))
+        pairs[0] = (pairs[0][0], params.s)
+    return class_representative(params, pairs)
 
 
 def partitions_into(n: int, parts: int) -> list[tuple[int, ...]]:

@@ -6,9 +6,12 @@ in S_n, and the series identities that package the same reduction as a
 product of exponential generating functions (including the classical
 long-cycle formulas).
 
-`reflfact.counting` is loaded only by the functions that count, and
-its functions are looked up on it at call time, so the closed forms
-and the long-cycle series load no counting code.
+The S_n connected counts come from `counting.connected_totals` as one
+row for every m up to the order or m asked, so no function here loops
+over m asking for one count at a time.  `reflfact.counting` is loaded
+only by the functions that count, which read its public names on it
+at call time, so the closed forms and the long-cycle series load no
+counting code.
 """
 
 from __future__ import annotations
@@ -175,8 +178,7 @@ def _sn_connected(base: GroupElement, order: int, opts: "Options | None") -> lis
     inversion."""
     from . import counting
 
-    opts = opts or counting.DEFAULT_OPTIONS
-    return [counting.connected_from_all(base, m, opts) for m in range(order + 1)]
+    return counting.connected_totals(base, order, opts or counting.DEFAULT_OPTIONS)
 
 
 def sn_connected_series(
@@ -229,7 +231,9 @@ def comparison_total(w: GroupElement, m: int, opts: "Options | None" = None) -> 
     """Connected count at m as the sum of refined comparisons over splits."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    return sum(comparison_refined(w, m1, m - m1, opts) for m1 in range(m + 1))
+    sn = _sn_connected(permutation_part(w), m, opts)
+    t = entry_product(w)
+    return sum(_comparison(w.params, t, m1, m - m1, sn[m1]) for m1 in range(m + 1))
 
 
 def connected_series(
@@ -293,32 +297,22 @@ def comparison_mismatches(
 
     Both sides are class functions, so the sweep goes over the
     G(r,1,n)-conjugacy classes, the keys of the group's class graph, and
-    a check of one class stands for |class| element checks.  Before any
-    check the class sizes must sum to the group order; a shortfall
-    raises ConsistencyError.  Each class is read once, on one
-    representative: its entry product, the S_n connected counts of its
-    permutation part for m1 <= max_m and the oracle's row by m2 for each
-    m; every split is then evaluated by the arithmetic of
-    `comparison_refined`.  A mismatch names the representative."""
-    from . import _kernels_pure, counting
+    a check of one class stands for |class| element checks; the classes
+    and their sizes come from `counting.class_sizes`, which checks the
+    budget and that the sizes sum to the group order.  Each class is
+    read once, on one representative: its entry product, the row of S_n
+    connected counts of its permutation part for m1 <= max_m and the
+    oracle's rows by m2; every split is then evaluated by the arithmetic
+    of `comparison_refined`.  A mismatch names the representative."""
+    from . import counting
     from .indexing import class_representative
 
     if max_m < 0:
         raise ValidationError("max_m must be nonnegative")
     opts = opts or counting.DEFAULT_OPTIONS
-    # the orbit graph, built under the budget, has an orbit for every
-    # class, so the class graph's search below is bounded by it
-    counting._rounds(params, max_m, "dp_orbits", opts)
-    keys = _kernels_pure._reversed_classes(*params.triple)[0][0]
-    sizes = [counting._class_size(params, key) for key in keys]
-    if sum(sizes) != params.group_order():
-        raise ConsistencyError(
-            f"the {len(keys)} classes of {params} hold {sum(sizes)} elements, "
-            f"not {params.group_order()}"
-        )
     checks = 0
     bad: list[ComparisonMismatch] = []
-    for key, size in zip(keys, sizes):
+    for key, size in counting.class_sizes(params, max_m, opts).items():
         w = class_representative(params, key)
         t = entry_product(w)
         sn = _sn_connected(permutation_part(w), max_m, opts)

@@ -1,39 +1,12 @@
-"""Two disjoint-set variants: a plain one and one supporting rollback.
+"""The disjoint-set forest of the package, with rollback.
 
-The rollback variant deliberately skips path compression so that every
-union can be undone in O(1); it is what the tuple-enumeration DFS (the
-test reference for the connected DP) uses.
+It skips path compression so that every union can be undone in O(1):
+the tuple-enumeration DFS (the test reference for the connected DP)
+undoes each union as it backtracks, and `graphs.is_connected` only
+unions.  One union-find serves both.
 """
 
 from __future__ import annotations
-
-
-class UnionFind:
-    """Union by size with path compression; elements are 0..size-1."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.components = size
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        return True
 
 
 class RollbackUnionFind:

@@ -509,3 +509,53 @@ def test_parser_for_the_chosen_subcommand_prints_as_the_full_one(capsys):
     assert list(sub.choices) == ["count"]
     args = sub.choices["count"].parse_args([*group, "--omega", "{}", "--m", "1"])
     assert sorted(vars(args)) == ["cache", "m", "max_dp_cells", "n", "omega", "r", "s"]
+
+
+def test_usage_errors_of_count_connected_and_series(capsys):
+    group = ["--r", "2", "--s", "1", "--n", "2"]
+    omega = ["--omega", '{"perm":[2,1],"exps":[0,1]}']
+    for argv, says in (
+        (["count-connected", *group, *omega, "--m", "2", "--m1", "1", "--m2", "1"], "not both"),
+        (["count-connected", *group, *omega], "is required"),
+        (["count-connected", *group, *omega, "--m1", "1", "--m2", "1"], "use --m"),
+        (["series", "--kind", "cyclic", "--r", "2", "--order", "3"], "--q or both"),
+        (["series", "--kind", "sn-long-cycle", "--order", "3"], "needs --n"),
+        (["series", "--kind", "long-cycle", "--r", "2", "--s", "1", "--order", "3"], "needs --r"),
+        (["series", "--kind", "connected", *group, "--order", "3"], "needs --r"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE and says in err and not out, argv
+
+
+def test_series_cyclic_derives_q_from_r_and_s(capsys):
+    payload = run_json(capsys, "series", "--kind", "cyclic", "--r", "6", "--s", "2", "--order", "5")
+    direct = run_json(capsys, "series", "--kind", "cyclic", "--q", "3", "--order", "5")
+    assert payload == direct and payload["q"] == 3
+    assert payload["counts"] == ["1", "0", "2", "2", "6", "10"]
+
+
+def test_fit_refuses_a_bad_genus(capsys):
+    for g in ("one", "-1", "1/3"):
+        code, out, err = run_cli(capsys, "fit", "--g", g, "--ell", "1", "--n-values", "2,3")
+        assert code == EXIT_VALIDATION and "genus" in err and not out, g
+
+
+def test_verify_comparison_prints_its_mismatches_and_exits_5(capsys, monkeypatch):
+    # an oracle that always disagrees: every class and split is a mismatch,
+    # and the payload is still printed as one JSON document with sorted keys
+    from reflfact import counting
+
+    monkeypatch.setattr(
+        counting, "connected_rows",
+        lambda w, max_m, opts: [[-1] * (m + 1) for m in range(max_m + 1)],
+    )
+    code, out, err = run_cli(
+        capsys, "verify-comparison", "--r", "2", "--s", "1", "--n", "2", "--max-m", "2"
+    )
+    assert code == EXIT_CONSISTENCY and "consistency check failed" in err
+    payload = json.loads(out)
+    assert out == json.dumps(payload, sort_keys=True) + "\n"
+    assert payload["checked"] == 8 * 6 and payload["classes"] == 5
+    assert len(payload["mismatches"]) == 5 * 6  # one per class and split
+    assert {bad["enumeration"] for bad in payload["mismatches"]} == {"-1"}
+    assert sum(bad["class_size"] for bad in payload["mismatches"]) == 8 * 6

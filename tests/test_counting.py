@@ -27,8 +27,10 @@ from reflfact.counting import (
     CountTable,
     Options,
     all_from_connected,
+    class_sizes,
     clear_caches,
     connected_from_all,
+    connected_totals,
     count_all,
     count_all_by_enum,
     count_connected_enum,
@@ -38,7 +40,7 @@ from reflfact.counting import (
 )
 from reflfact import _kernels_pure, counting
 from reflfact._kernels_pure import enum_bucketed
-from reflfact.indexing import GroupIndexer, class_count, class_representative
+from reflfact.indexing import GroupIndexer, class_count, class_key, class_representative
 
 from conftest import CONFIGS, all_elements, encode_reflections, fold_product, partition_connected
 
@@ -116,6 +118,48 @@ def test_block_recursion_matches_partition_sweep(r, s, n):
         for m in range(7):
             assert connected_from_all(w, m) == partition_connected(w, m, memo), (key, m)
     clear_caches()
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS)
+def test_connected_totals_read_the_inversion_row(r, s, n):
+    # one row per call equals the counts one m at a time, on every class,
+    # whether the row or the single counts fill the memo first
+    params = GroupParams(r, s, n)
+    elements = [class_representative(params, key) for key in _kernels_pure._classes(r, s, n)[0]]
+    clear_caches()
+    for w in elements:
+        assert connected_totals(w, 6) == [connected_from_all(w, m) for m in range(7)]
+    clear_caches()
+    for w in elements:
+        singles = [connected_from_all(w, m) for m in range(7)]
+        assert [connected_totals(w, m) for m in range(7)] == [singles[: m + 1] for m in range(7)]
+    clear_caches()
+
+
+def test_connected_totals_returns_a_copy_of_the_memo():
+    clear_caches()
+    w = identity(GroupParams(2, 1, 3))
+    row = connected_totals(w, 6)
+    expected = list(row)
+    row[4] += 1
+    row.append(0)
+    del row[0]
+    assert connected_totals(w, 6) == expected
+    assert [connected_from_all(w, m) for m in range(7)] == expected
+    clear_caches()
+
+
+def test_class_sizes_cover_the_group_in_class_graph_order():
+    for r, s, n in CONFIGS:
+        params = GroupParams(r, s, n)
+        sizes = class_sizes(params, 2)
+        assert list(sizes) == _kernels_pure._classes(r, s, n)[0]
+        assert sum(sizes.values()) == params.group_order()
+        by_class: dict = {}
+        for w in all_elements(params):
+            key = class_key(w.perm, w.exps, r)
+            by_class[key] = by_class.get(key, 0) + 1
+        assert by_class == sizes
 
 
 def test_inversion_of_identities_at_genus_zero():

@@ -28,6 +28,7 @@ from reflfact.series import (
     cyclic_series,
     exp_series,
     long_cycle_series,
+    sn_connected_series,
     sn_long_cycle_series,
 )
 
@@ -186,6 +187,28 @@ def test_comparison_sweep_checks_the_budget_before_the_class_search(monkeypatch)
     monkeypatch.setattr(_kernels_pure, "_reversed_classes", search)
     with pytest.raises(ResourceLimitError, match="connected DP"):
         comparison_mismatches(GroupParams(2, 1, 3), 3, counting.Options(max_dp_cells=10))
+
+
+def test_series_read_each_group_once_per_row(monkeypatch):
+    # the identity of G(2,1,20) at m = 38 reads the totals of S_1..S_20,
+    # more groups than the cache keeps: one row of S_n connected counts
+    # runs each group's class DP once, where one call per m rebuilt the
+    # groups the cache dropped between calls
+    w = identity(GroupParams(2, 1, 20))
+    original = _kernels_pure.dp_total
+    built = []
+
+    def recording(r, s, n, rounds, m):
+        built.append(n)
+        return original(r, s, n, rounds, m)
+
+    monkeypatch.setattr(_kernels_pure, "dp_total", recording)
+    for call in (sn_connected_series, comparison_total):
+        counting.clear_caches()
+        built.clear()
+        call(w, 38)
+        assert sorted(built) == list(range(1, 21)), call.__name__
+    counting.clear_caches()
 
 
 def test_comparison_refined_rejects_an_inexact_division(monkeypatch):

@@ -58,3 +58,41 @@ def test_traced_names_resolve():
                     missing.append(f"{modname}.{target}")
     assert missing == []
     assert absent == ["reflfact._ckernels"]  # no compiled kernels exist
+
+
+def test_only_counting_reaches_into_the_kernels():
+    # `counting` owns the kernels, their cache and the budget checks: no
+    # other module imports `_kernels_pure` or reads a private name of
+    # `counting`
+    def imported(node):
+        """(dotted name within the package, local name) per name bound."""
+        if isinstance(node, ast.Import):
+            return [(a.name.removeprefix("reflfact."), a.asname or a.name) for a in node.names]
+        if node.level == 0 and not (node.module or "").startswith("reflfact"):
+            return []
+        module = (node.module or "").removeprefix("reflfact").strip(".")
+        return [(f"{module}.{a.name}".strip("."), a.asname or a.name) for a in node.names]
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "counting.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # local names of the counting module
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for dotted, local in imported(node):
+                    parts = dotted.split(".")
+                    if "_kernels_pure" in parts or parts[0] == "counting" and parts[-1][0] == "_":
+                        found.append(f"{path.name}:{node.lineno} imports {dotted}")
+                    if dotted == "counting":
+                        aliases.add(local)
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr.startswith("_")
+            ):
+                found.append(f"{path.name}:{node.lineno} reads counting.{node.attr}")
+    assert found == []
