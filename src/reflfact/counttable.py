@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import __version__ as _tool_version
 from .errors import CacheConflictError, ConsistencyError, ValidationError
-from .groups import GroupElement, _Frozen, _set, json_int
+from .groups import GroupElement, _Frozen, json_int
 
 
 def _digits(value: int) -> str:
@@ -38,30 +38,11 @@ def _from_digits(text: str) -> int:
 
 
 class CountKey(_Frozen):
-    """Identifies one cached count.  m2 is None for totals over all splits
-    (the key then means: m1 factors of any kind)."""
+    """Identifies one cached count: the element (r, s, n, perm, exps), the
+    factor counts m1 and m2, and `connected`.  m2 is None for totals over
+    all splits (the key then means: m1 factors of any kind)."""
 
     __slots__ = _fields = ("r", "s", "n", "perm", "exps", "m1", "m2", "connected")
-
-    def __init__(
-        self,
-        r: int,
-        s: int,
-        n: int,
-        perm: tuple[int, ...],
-        exps: tuple[int, ...],
-        m1: int,
-        m2: Optional[int],
-        connected: bool,
-    ):
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "n", n)
-        _set(self, "perm", perm)
-        _set(self, "exps", exps)
-        _set(self, "m1", m1)
-        _set(self, "m2", m2)
-        _set(self, "connected", connected)
 
     @classmethod
     def of(
@@ -85,20 +66,16 @@ class CountKey(_Frozen):
 
     @classmethod
     def from_json(cls, data: dict) -> "CountKey":
+        """A key as `to_json` writes it, its element read by `GroupElement.from_json`."""
         try:
             connected = data["connected"]
             if connected.__class__ is not bool:
                 raise ValidationError(f"expected true or false, got {connected!r}")
-            return cls(
-                json_int(data["r"]),
-                json_int(data["s"]),
-                json_int(data["n"]),
-                tuple(json_int(x) for x in data["perm"]),
-                tuple(json_int(x) for x in data["exps"]),
-                json_int(data["m1"]),
-                None if data["m2"] is None else json_int(data["m2"]),
-                connected,
-            )
+            m1, m2 = json_int(data["m1"]), data["m2"]
+            m2 = None if m2 is None else json_int(m2)
+            if m1 < 0 or m2 is not None and m2 < 0:
+                raise ValidationError(f"factor counts must be nonnegative, got {m1}, {m2}")
+            return cls.of(GroupElement.from_json(data), m1, m2, connected)
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed count key: {exc}") from exc
 

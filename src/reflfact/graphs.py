@@ -27,22 +27,17 @@ from .unionfind import RollbackUnionFind
 
 
 class DecoratedGraph(_Frozen):
-    """Ordered labeled multigraph; edges are (i, j, label) with i <= j."""
+    """Ordered labeled multigraph; edges are (i, j, label) with i <= j,
+    each checked as the `Reflection` it encodes."""
 
     __slots__ = _fields = ("params", "edges")
 
     def __init__(self, params: GroupParams, edges: tuple[tuple[int, int, int], ...]):
-        p = params
         for idx, (i, j, k) in enumerate(edges):
-            if not (1 <= i <= j <= p.n):
-                raise ValidationError(f"edge {idx} endpoints out of range: {(i, j)}")
-            if i == j:
-                if not 0 < k < p.q:
-                    raise ValidationError(
-                        f"self-edge {idx} label must lie in (0, r/s={p.q}): {k}"
-                    )
-            elif not 0 <= k < p.r:
-                raise ValidationError(f"edge {idx} label must lie in [0, r={p.r}): {k}")
+            try:
+                Reflection(params, i, j, k)
+            except ValidationError as exc:
+                raise ValidationError(f"edge {idx}: {exc}") from exc
         _set(self, "params", params)
         _set(self, "edges", edges)
 
@@ -70,14 +65,10 @@ class DecoratedGraph(_Frozen):
 
 
 class Walk(_Frozen):
-    """A directed edge walk; steps are (edge index, tail, head) with
-    strictly increasing edge indices."""
+    """A directed edge walk from vertex `start`; `steps` are (edge index,
+    tail, head) with strictly increasing edge indices."""
 
     __slots__ = _fields = ("start", "steps")
-
-    def __init__(self, start: int, steps: tuple[tuple[int, int, int], ...]):
-        _set(self, "start", start)
-        _set(self, "steps", steps)
 
     @property
     def end(self) -> int:

@@ -25,13 +25,30 @@ _set = object.__setattr__
 class _Frozen:
     """Immutable slotted value, the package's one value idiom: attributes
     are set once, in __init__, and assigning or deleting one raises
-    `dataclasses.FrozenInstanceError`.  Equality, hash and repr go over
-    `_fields` as a frozen dataclass's do: equal only to an instance of
-    the same class, hashed as the tuple of the fields.  Copies and
-    pickles go back through the validating constructor."""
+    `dataclasses.FrozenInstanceError`.  As a frozen dataclass's do, the
+    constructor takes `_fields` by position or by name (a field given
+    neither way from `_defaults`; a missing, extra, unknown or repeated
+    one raises TypeError), equality holds only within one class, and hash
+    and repr go over the fields.  A class that checks or derives fields
+    defines its own __init__.  Copies and pickles call the constructor."""
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init__(self, *values, **named):
+        where, fields = f"{self.__class__.__qualname__}()", self._fields
+        if len(values) > len(fields):
+            raise TypeError(f"{where} takes {len(fields)} fields, got {len(values)}")
+        given = dict(zip(fields, values))
+        for name in named:
+            if name not in fields or name in given:
+                raise TypeError(f"{where} got an unknown or repeated field {name!r}")
+        given = {**self._defaults, **given, **named}
+        for name in fields:
+            if name not in given:
+                raise TypeError(f"{where} missing field {name!r}")
+            _set(self, name, given[name])
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -373,16 +390,11 @@ def reflections(params: GroupParams) -> list[Reflection]:
 
 
 class ElementPartition(_Frozen):
-    """A set partition of the vertices into unions of cycles, together with
-    the restriction of the element to each block (identity off-block)."""
+    """A set partition of the vertices into unions of cycles, `blocks` (a
+    tuple of sorted vertex tuples), together with `restrictions`, the
+    element restricted to each block (identity off-block)."""
 
     __slots__ = _fields = ("blocks", "restrictions")
-
-    def __init__(
-        self, blocks: tuple[tuple[int, ...], ...], restrictions: tuple[GroupElement, ...]
-    ):
-        _set(self, "blocks", blocks)
-        _set(self, "restrictions", restrictions)
 
 
 def restrict_to_block(w: GroupElement, block: Sequence[int]) -> GroupElement:

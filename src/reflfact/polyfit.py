@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .counting import DEFAULT_OPTIONS, Options, connected_from_all
 from .errors import (
@@ -33,7 +33,7 @@ from .errors import (
     UnderdeterminedFitError,
     ValidationError,
 )
-from .groups import CycleType, GroupElement, GroupParams, _Frozen, _set
+from .groups import CycleType, GroupElement, GroupParams, _Frozen
 from .indexing import class_representative
 from .series import cyclic_count
 
@@ -48,23 +48,15 @@ INV_SUM = "inv_sum"
 class SymmetricLaurentPoly(_Frozen):
     """Symmetric function stored in the monomial symmetric basis.
 
-    `terms` maps sorted-descending exponent vectors (length nvars,
-    possibly negative entries) to rational coefficients.  The optional
-    `inv_sum_coeff` adds c/(x_1+...+x_nvars); it is used only by the
-    unstable two-cycle convention.
+    `terms` is a tuple of (exponent vector, coefficient) pairs: sorted-
+    descending exponent vectors (length nvars, possibly negative entries)
+    with rational coefficients.  The optional `inv_sum_coeff` adds
+    c/(x_1+...+x_nvars); it is used only by the unstable two-cycle
+    convention.
     """
 
     __slots__ = _fields = ("nvars", "terms", "inv_sum_coeff")
-
-    def __init__(
-        self,
-        nvars: int,
-        terms: tuple[tuple[tuple[int, ...], Fraction], ...],
-        inv_sum_coeff: Fraction = Fraction(0),
-    ):
-        _set(self, "nvars", nvars)
-        _set(self, "terms", terms)
-        _set(self, "inv_sum_coeff", inv_sum_coeff)
+    _defaults = {"inv_sum_coeff": Fraction(0)}
 
     @classmethod
     def from_dict(
@@ -317,14 +309,10 @@ def _poly_from_solution(ell: int, basis, solution) -> SymmetricLaurentPoly:
 
 
 class FitSample(_Frozen):
-    __slots__ = _fields = ("ctype", "n", "m", "count", "normalized")
+    """One fitted point: the count of an element of cycle type `ctype` in
+    S_n (or G(r,s,n)) at m factors, and that count `normalized`."""
 
-    def __init__(self, ctype: CycleType, n: int, m: int, count: int, normalized: Fraction):
-        _set(self, "ctype", ctype)
-        _set(self, "n", n)
-        _set(self, "m", m)
-        _set(self, "count", count)
-        _set(self, "normalized", normalized)
+    __slots__ = _fields = ("ctype", "n", "m", "count", "normalized")
 
     def to_json(self) -> dict:
         return {
@@ -337,6 +325,11 @@ class FitSample(_Frozen):
 
 
 class FitReport(_Frozen):
+    """One fit at genus `g` (a Fraction) and `ell` cycles over G(r,s,n)
+    under `normalization`; `trivial_product` is None for plain S_n fits.
+    `polynomial` solves the samples at `training_indices`, the rest leave
+    `holdout_residuals`, and `window_ok` says its degrees lie in `window`."""
+
     __slots__ = _fields = (
         "g",
         "ell",
@@ -351,34 +344,6 @@ class FitReport(_Frozen):
         "training_indices",
         "holdout_residuals",
     )
-
-    def __init__(
-        self,
-        g: Fraction,
-        ell: int,
-        r: int,
-        s: int,
-        trivial_product: Optional[bool],  # None for plain S_n fits
-        normalization: str,
-        polynomial: SymmetricLaurentPoly,
-        window: tuple[Fraction, Fraction],
-        window_ok: bool,
-        samples: tuple[FitSample, ...],
-        training_indices: tuple[int, ...],
-        holdout_residuals: tuple[Fraction, ...],
-    ):
-        _set(self, "g", g)
-        _set(self, "ell", ell)
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "trivial_product", trivial_product)
-        _set(self, "normalization", normalization)
-        _set(self, "polynomial", polynomial)
-        _set(self, "window", window)
-        _set(self, "window_ok", window_ok)
-        _set(self, "samples", samples)
-        _set(self, "training_indices", training_indices)
-        _set(self, "holdout_residuals", holdout_residuals)
 
     @property
     def n_values(self) -> tuple[int, ...]:
@@ -601,31 +566,14 @@ def collect_samples(
 
 
 class NormalizationVerdict(_Frozen):
-    """Outcome of fitting under both normalizations at several n."""
+    """Outcome of fitting under both normalizations at several n:
+    `reports` maps (normalization, trivial_product) to a FitReport,
+    `failures` maps it to the error of a fit that failed, and `winners`
+    names the normalizations that fit every class."""
 
     __slots__ = _fields = (
         "g", "ell", "r", "s", "n_values", "reports", "failures", "winners"
     )
-
-    def __init__(
-        self,
-        g: Fraction,
-        ell: int,
-        r: int,
-        s: int,
-        n_values: tuple[int, ...],
-        reports: dict,  # (normalization, trivial_product) -> FitReport
-        failures: dict,  # (normalization, trivial_product) -> str
-        winners: tuple[str, ...],
-    ):
-        _set(self, "g", g)
-        _set(self, "ell", ell)
-        _set(self, "r", r)
-        _set(self, "s", s)
-        _set(self, "n_values", n_values)
-        _set(self, "reports", reports)
-        _set(self, "failures", failures)
-        _set(self, "winners", winners)
 
     def to_json(self) -> dict:
         return {

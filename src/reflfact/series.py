@@ -270,20 +270,10 @@ def long_cycle_series(params: GroupParams, t: int, order: int) -> EgfSeries:
 class ComparisonMismatch(_Frozen):
     """A split (m1, m2) at which the comparison formula and the connected
     oracle disagree on `element` and on every element of its class, of
-    `class_size` elements."""
+    `class_size` elements: the formula gives the int `formula`, the
+    oracle the int `enumeration`."""
 
     __slots__ = _fields = ("element", "class_size", "m1", "m2", "formula", "enumeration")
-
-    def __init__(
-        self, element: GroupElement, class_size: int, m1: int, m2: int,
-        formula: int, enumeration: int,
-    ):
-        _set(self, "element", element)
-        _set(self, "class_size", class_size)
-        _set(self, "m1", m1)
-        _set(self, "m2", m2)
-        _set(self, "formula", formula)
-        _set(self, "enumeration", enumeration)
 
 
 def comparison_mismatches(

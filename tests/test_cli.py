@@ -299,6 +299,20 @@ def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
 
 
+def test_cache_record_cannot_answer_a_refused_query(capsys, tmp_path):
+    # without --cache the negative m exits 3; a record for it is refused
+    # when the file is read, so --cache cannot turn that into a count
+    cache = tmp_path / "counts.jsonl"
+    key = {"r": 2, "s": 1, "n": 2, "perm": [2, 1], "exps": [0, 0], "m1": -1, "m2": None,
+           "connected": False}
+    cache.write_text(json.dumps({"key": key, "value": "5", "provenance": "dp"}) + "\n")
+    args = ("count", "--r", "2", "--s", "1", "--n", "2",
+            "--omega", '{"perm":[2,1],"exps":[0,0]}', "--m", "-1")
+    for extra in ((), ("--cache", str(cache))):
+        code, out, _ = run_cli(capsys, *args, *extra)
+        assert code == EXIT_VALIDATION and not out, extra
+
+
 def test_cache_conflict_exit(capsys, tmp_path):
     cache = tmp_path / "counts.jsonl"
     args = (

@@ -662,6 +662,23 @@ def test_count_table_load_refuses_coerced_key_fields(tmp_path):
             CountTable.load(path)
 
 
+def test_count_table_load_refuses_keys_that_name_no_count(tmp_path):
+    # a key is read by the rule of `GroupElement.from_json`, and its
+    # factor counts must be nonnegative
+    good = {
+        "key": CountKey.of(identity(GroupParams(2, 2, 2)), 0, None, False).to_json(),
+        "value": "1", "provenance": "dp",
+    }
+    path = tmp_path / "cache.jsonl"
+    for field, value in (
+        ("perm", [1, 1]), ("r", 0), ("exps", [0, 1]), ("m1", -1), ("m2", -1),
+    ):
+        bad = {**good, "key": {**good["key"], field: value}}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+        with pytest.raises(ValidationError, match=r"cache\.jsonl:2: bad record"):
+            CountTable.load(path)
+
+
 def test_count_table_failed_save_keeps_previous_file(tmp_path):
     p = GroupParams(1, 1, 2)
     path = tmp_path / "cache.jsonl"

@@ -1,6 +1,7 @@
 """Graph encoding of tuples, ordered edge walks, weights, evaluation,
 and connectivity."""
 
+import itertools
 import json
 import random
 
@@ -9,6 +10,7 @@ import pytest
 from reflfact import (
     DecoratedGraph,
     GroupParams,
+    Reflection,
     ValidationError,
     all_walks,
     entry_product,
@@ -20,6 +22,8 @@ from reflfact import (
     tuple_of_graph,
     walk_weight,
 )
+from reflfact.cli import main
+from reflfact.errors import EXIT_VALIDATION
 
 from conftest import fold_product, random_tuple
 
@@ -50,6 +54,24 @@ def test_graph_label_validation():
         DecoratedGraph(p, ((1, 2, 6),))  # edge label must be < r
     with pytest.raises(ValidationError):
         DecoratedGraph(GroupParams(2, 2, 2), ((1, 1, 1),))  # no self-edges at r=s
+
+
+@pytest.mark.parametrize("r, s, n", [(1, 1, 2), (2, 2, 2), (6, 2, 3)])
+def test_graph_edges_follow_the_reflection_rule(capsys, r, s, n):
+    # an edge is refused exactly when the reflection it encodes is, and
+    # `walks` exits 3 on each refused edge
+    p = GroupParams(r, s, n)
+    for i, j, k in itertools.product(range(n + 2), range(n + 2), range(-1, r + 1)):
+        try:
+            Reflection(p, i, j, k)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="edge 0"):
+                DecoratedGraph(p, ((i, j, k),))
+            graph = {"r": r, "s": s, "n": n, "edges": [[i, j, k]]}
+            assert main(["walks", "--graph", json.dumps(graph)]) == EXIT_VALIDATION
+            assert not capsys.readouterr().out
+        else:
+            assert DecoratedGraph(p, ((i, j, k),)).edges == ((i, j, k),)
 
 
 def test_reference_walks(reference_graph):

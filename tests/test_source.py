@@ -34,6 +34,39 @@ def test_no_module_level_dataclasses_import():
     assert found == []
 
 
+def test_no_value_class_writes_out_a_storing_constructor():
+    # `_Frozen.__init__` sets the fields by position or by name: a value
+    # class defines its own only to validate or derive
+    def stores_its_argument(stmt):
+        """Whether `stmt` is `_set(self, "<f>", <f>)`."""
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        return (
+            isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "_set"
+            and len(call.args) == 3 and not call.keywords
+            and isinstance(call.args[0], ast.Name) and call.args[0].id == "self"
+            and isinstance(call.args[1], ast.Constant)
+            and isinstance(call.args[2], ast.Name) and call.args[2].id == call.args[1].value
+        )
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ClassDef) or not any(
+                isinstance(base, ast.Name) and base.id == "_Frozen" for base in node.bases
+            ):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name != "__init__":
+                    continue
+                body = item.body
+                if ast.get_docstring(item) is not None:
+                    body = body[1:]
+                if body and all(stores_its_argument(stmt) for stmt in body):
+                    found.append(f"{path.name}:{item.lineno} {node.name}.__init__")
+    assert found == []
+
+
 def test_traced_names_resolve():
     # the benchmark's tracer wraps these names by getattr and raises when
     # one is missing, so a kernel or entry point that moves breaks

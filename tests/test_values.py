@@ -108,6 +108,38 @@ def test_value_classes_behave_as_frozen_dataclasses(value, fields, text):
     assert getattr(value, name) == fields[0]
 
 
+PLAIN_RECORDS = (
+    ElementPartition, CountKey, Walk, ComparisonMismatch, SymmetricLaurentPoly, FitSample,
+    FitReport, NormalizationVerdict,
+)
+RECORDS = [(value, fields) for value, fields, _ in VALUES if type(value) in PLAIN_RECORDS]
+
+
+@pytest.mark.parametrize(
+    "value, fields", RECORDS, ids=[type(v).__name__ for v, _ in RECORDS]
+)
+def test_records_take_fields_by_position_or_name(value, fields):
+    cls = type(value)
+    named = dict(zip(cls._fields, fields))
+    first = cls._fields[0]
+    assert cls(**named) == value
+    assert cls(fields[0], **{f: v for f, v in named.items() if f != first}) == value
+    for args, kwargs in (
+        ((), {f: v for f, v in named.items() if f != first}),  # a field missing
+        ((*fields, None), {}),  # one positional too many
+        (fields, {"no_such_field": None}),
+        (fields, {first: fields[0]}),  # a field given twice
+    ):
+        with pytest.raises(TypeError):
+            cls(*args, **kwargs)
+
+
+def test_symmetric_laurent_poly_defaults_its_inverse_sum_coefficient():
+    terms = (((1,), Fraction(1, 2)),)
+    assert SymmetricLaurentPoly(1, terms).inv_sum_coeff == Fraction(0)
+    assert SymmetricLaurentPoly(1, terms) == POLY == SymmetricLaurentPoly(nvars=1, terms=terms)
+
+
 def test_values_of_different_classes_never_compare_equal():
     walk, series = Walk(0, (1,)), EgfSeries(0, (1,))  # the same fields
     assert walk != series and series != walk and hash(walk) == hash(series)
