@@ -150,10 +150,12 @@ class GroupElement(_Frozen):
         # n entries that cover 1..n: a bijection
         if frozenset(perm) != params._vertices:
             raise ValidationError(f"perm is not a bijection of 1..{n}: {perm}")
-        if min(exps) < 0 or max(exps) >= r:
+        total = sum(exps)
+        # a float or Fraction among the exponents makes their sum no int
+        if total.__class__ is not int or min(exps) < 0 or max(exps) >= r:
             raise ValidationError(f"exponents must lie in [0,{r}): {exps}")
-        if sum(exps) % s != 0:
-            raise ValidationError(f"exponent sum {sum(exps)} not divisible by s={s}")
+        if total % s != 0:
+            raise ValidationError(f"exponent sum {total} not divisible by s={s}")
         _set(self, "params", params)
         _set(self, "perm", perm)  # 1-based images
         _set(self, "exps", exps)

@@ -6,8 +6,11 @@ across all groups G(r,s,n) and all cycle types with ell parts are a
 fixed combinatorial prefactor times the evaluation of one symmetric
 polynomial (one per value of the entry-product indicator) at the cycle
 type.  This module normalizes measured counts, fits those polynomials
-in the monomial symmetric basis over an exact rational linear system,
+in the monomial symmetric basis by solving an exact linear system,
 checks the degree window, and predicts counts at unseen group sizes.
+The solve is fraction-free: each row is scaled to integers and reduced
+by Bareiss elimination, so no gcd is taken until the solution and the
+reported residuals are built.
 
 Two candidate normalizations are implemented, because they differ in
 whether the fitted coefficients can be independent of n:
@@ -21,7 +24,7 @@ coefficients is decided empirically by `normalization_verdict`.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from fractions import Fraction
 from typing import Sequence
@@ -116,16 +119,24 @@ class SymmetricLaurentPoly(_Frozen):
         }
 
 
-def _monomial_value(exps: tuple[int, ...], xs: list[Fraction]) -> Fraction:
+def _monomial_value(exps: tuple[int, ...], xs: Sequence):
     """Monomial symmetric function m_exps evaluated at xs: the sum of the
-    distinct monomials with this exponent multiset."""
-    total = Fraction(0)
-    for assignment in set(itertools.permutations(exps)):
-        term = Fraction(1)
-        for x, e in zip(xs, assignment):
-            term *= x**e
-        total += term
-    return total
+    distinct monomials with this exponent multiset.  An int at int xs
+    when no exponent is negative; xs must be Fractions when one is."""
+    return sum(math.prod(map(pow, xs, arr)) for arr in _arrangements(exps))
+
+
+@functools.lru_cache(maxsize=1024)
+def _arrangements(exps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The distinct orderings of the exponent multiset `exps`, each once:
+    every distinct value in turn first, then the orderings of the rest."""
+    if not exps:
+        return ((),)
+    out = []
+    for e in dict.fromkeys(exps):
+        i = exps.index(e)
+        out.extend((e,) + tail for tail in _arrangements(exps[:i] + exps[i + 1:]))
+    return tuple(out)
 
 
 def genus_window(g, ell: int) -> tuple[Fraction, Fraction]:
@@ -143,10 +154,12 @@ def degree_window_check(poly: SymmetricLaurentPoly, g, ell: int) -> bool:
 def tuple_length_for(g, n: int, ell: int) -> int:
     """The factorization length m with genus g on an n-element group with
     ell cycles: m = 2g + n + ell - 2."""
-    m = Fraction(g) * 2 + n + ell - 2
-    if m.denominator != 1 or m < 0:
+    genus = Fraction(g)
+    twice_g, rem = divmod(2 * genus.numerator, genus.denominator)
+    m = twice_g + n + ell - 2
+    if rem or m < 0:
         raise ValidationError(f"no valid tuple length for g={g}, n={n}, ell={ell}")
-    return int(m)
+    return m
 
 
 def prefactor(m: int, r: int, n: int, normalization: str) -> Fraction:
@@ -158,16 +171,25 @@ def prefactor(m: int, r: int, n: int, normalization: str) -> Fraction:
 
 
 def cycle_type_factor(ctype: CycleType) -> Fraction:
-    value = Fraction(1)
+    """prod n_i^(n_i+1)/n_i! over the parts, one Fraction of two products."""
+    num = den = 1
     for part in ctype.parts:
-        value *= Fraction(part ** (part + 1), math.factorial(part))
-    return value
+        num *= part ** (part + 1)
+        den *= math.factorial(part)
+    return Fraction(num, den)
 
 
 def _scale(m: int, r: int, ctype: CycleType, normalization: str) -> Fraction:
     """What a connected count at m over a cycle type is divided by under
     the normalization: prefactor(...) * cycle_type_factor(ctype)."""
-    return prefactor(m, r, ctype.n, normalization) * cycle_type_factor(ctype)
+    pre = prefactor(m, r, ctype.n, normalization)
+    factor = cycle_type_factor(ctype)
+    return Fraction(pre.numerator * factor.numerator, pre.denominator * factor.denominator)
+
+
+def _normalized(count: int, scale: Fraction) -> Fraction:
+    """count / scale, by one division."""
+    return Fraction(count * scale.denominator, scale.numerator)
 
 
 def elsv_normalize(
@@ -177,7 +199,7 @@ def elsv_normalize(
     value of the symmetric polynomial at the cycle type."""
     if m < 0:
         raise ValidationError("m must be nonnegative")
-    return Fraction(count) / _scale(m, params.r, ctype, normalization)
+    return _normalized(count, _scale(m, params.r, ctype, normalization))
 
 
 # ---------------------------------------------------------------------------
@@ -229,15 +251,36 @@ def basis_functions(g, ell: int):
     return basis
 
 
-def _basis_value(fn, point: Sequence) -> Fraction:
-    xs = [Fraction(x) for x in point]
+def _basis_value(fn, point: Sequence):
+    """The basis function at `point`; at an integer point an int, unless
+    fn is INV_SUM or has a negative exponent."""
     if fn == INV_SUM:
-        return Fraction(1) / sum(xs)
-    return _monomial_value(fn, xs)
+        return Fraction(1, sum(point))
+    if fn and min(fn) < 0:
+        point = [Fraction(x) for x in point]
+    return _monomial_value(fn, point)
 
 
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve an overdetermined exact linear system.
+def _exact_quotient(a: int, b: int) -> int:
+    q, rem = divmod(a, b)
+    if rem:
+        raise ConsistencyError("fraction-free elimination left a remainder")
+    return q
+
+
+def _solve_exact(rows: list[list], rhs: list):
+    """Solve an overdetermined exact linear system of ints and Fractions.
+
+    Each row and its right-hand side are scaled by the lcm of their
+    denominators and reduced by fraction-free (Bareiss) elimination: a
+    step on pivot p sets each entry x of a row below to
+    (p*x - a*y) / prev, with a the row's pivot-column entry, y the pivot
+    row's entry and prev the last pivot; the division is exact, and a
+    remainder raises ConsistencyError.  Each column's pivot is the first
+    row in `order` with a nonzero entry, and scaling keeps every zero, so
+    the rank and training rows are those of elimination over the
+    rationals.  Back-substitution gives numerators N over one
+    denominator D; a holdout row R, B is checked as the integer R.N - B*D.
 
     Returns (solution, training_rows, holdout_residuals).  Raises
     UnderdeterminedFitError when the rows do not pin down every
@@ -245,27 +288,31 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    scales = []
+    scaled = []
+    for row, b in zip(rows, rhs):
+        scale = math.lcm(b.denominator, *(x.denominator for x in row))
+        scales.append(scale)
+        scaled.append([x.numerator * (scale // x.denominator) for x in (*row, b)])
+    aug = [row[:] for row in scaled]
     order = list(range(nrows))
-    pivots = []
+    prev = 1
     rank = 0
     for col in range(ncols):
-        pivot = next(
-            (i for i in range(rank, nrows) if aug[order[i]][col] != 0), None
-        )
+        pivot = next((i for i in range(rank, nrows) if aug[order[i]][col]), None)
         if pivot is None:
             continue
         order[rank], order[pivot] = order[pivot], order[rank]
         prow = aug[order[rank]]
-        for i in range(nrows):
-            if i == rank:
-                continue
-            row = aug[order[i]]
-            if row[col] != 0:
-                factor = row[col] / prow[col]
-                for c in range(col, ncols + 1):
-                    row[c] -= factor * prow[c]
-        pivots.append(col)
+        p = prow[col]
+        tail = prow[col + 1:]
+        for i in order[rank + 1:]:
+            row = aug[i]
+            a = row[col]
+            row[col + 1:] = [
+                _exact_quotient(p * x - a * y, prev) for x, y in zip(row[col + 1:], tail)
+            ]
+        prev = p
         rank += 1
         if rank == min(nrows, ncols):
             break
@@ -273,19 +320,23 @@ def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
         raise UnderdeterminedFitError(
             f"system of {nrows} samples determines only {rank} of {ncols} coefficients"
         )
-    solution = [Fraction(0)] * ncols
-    for k, col in enumerate(pivots):
-        prow = aug[order[k]]
-        solution[col] = prow[ncols] / prow[col]
+    # every column is a pivot: row order[k] solves for column k
+    denom = prev
+    nums = [0] * ncols
+    for k in reversed(range(ncols)):
+        row = aug[order[k]]
+        rest = sum(row[j] * nums[j] for j in range(k + 1, ncols))
+        nums[k] = _exact_quotient(denom * row[ncols] - rest, row[k])
+    solution = [Fraction(num, denom) for num in nums]
     training = tuple(sorted(order[:rank]))
     residuals = []
     inconsistent = []
-    for i in range(nrows):
-        if i in training:
-            continue
-        res = sum(rows[i][c] * solution[c] for c in range(ncols)) - rhs[i]
+    for i in sorted(order[rank:]):
+        row = scaled[i]
+        excess = sum(x * num for x, num in zip(row, nums)) - row[ncols] * denom
+        res = Fraction(excess, scales[i] * denom)
         residuals.append(res)
-        if res != 0:
+        if res:
             inconsistent.append((i, res))
     if inconsistent:
         detail = ", ".join(f"sample {i}: residual {res}" for i, res in inconsistent)
@@ -375,7 +426,7 @@ def _prepare_samples(g, ell, r, normalization, samples) -> list[FitSample]:
                 f"cycle type {ctype.parts} has {ctype.ell} parts, expected {ell}"
             )
         m = tuple_length_for(g, ctype.n, ell)
-        normalized = Fraction(count) / _scale(m, r, ctype, normalization)
+        normalized = _normalized(count, _scale(m, r, ctype, normalization))
         prepared.append(FitSample(ctype, ctype.n, m, count, normalized))
     return prepared
 

@@ -2,11 +2,14 @@
 the element-level connected DP that the orbit DP is checked against, the
 element-level search that the cut-and-join graphs are checked against,
 the element-level comparison sweep that the class sweep is checked
-against, and the set-partition inversion that the block recursion of
-`counting.connected_from_all` is checked against."""
+against, the set-partition inversion that the block recursion of
+`counting.connected_from_all` is checked against, and the Gauss-Jordan
+solve over the rationals that the fraction-free solve of `polyfit` is
+checked against."""
 
 import itertools
 import random
+from fractions import Fraction
 from operator import add
 
 import pytest
@@ -21,6 +24,7 @@ from reflfact import (
     reflections,
 )
 from reflfact import counting
+from reflfact.errors import FitInconsistencyError, UnderdeterminedFitError
 from reflfact.groups import entry_product, partitions, permutation_part, relabel_to_dense
 from reflfact.indexing import GroupIndexer, class_key
 from reflfact.series import ComparisonMismatch, _comparison, _sn_connected
@@ -283,3 +287,61 @@ def partition_connected(w: GroupElement, m: int, memo: dict) -> int:
             value -= acc[m]
         memo[key] = value
     return memo[key]
+
+
+def fraction_solve_exact(rows, rhs):
+    """`polyfit._solve_exact` as Gauss-Jordan elimination in Fractions, the
+    reference the fraction-free solve is tested against.
+
+    Returns (solution, training_rows, holdout_residuals).  Raises
+    UnderdeterminedFitError when the rows do not pin down every
+    coefficient and FitInconsistencyError when no solution exists.
+    """
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    aug = [row[:] + [rhs[i]] for i, row in enumerate(rows)]
+    order = list(range(nrows))
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot = next(
+            (i for i in range(rank, nrows) if aug[order[i]][col] != 0), None
+        )
+        if pivot is None:
+            continue
+        order[rank], order[pivot] = order[pivot], order[rank]
+        prow = aug[order[rank]]
+        for i in range(nrows):
+            if i == rank:
+                continue
+            row = aug[order[i]]
+            if row[col] != 0:
+                factor = row[col] / prow[col]
+                for c in range(col, ncols + 1):
+                    row[c] -= factor * prow[c]
+        pivots.append(col)
+        rank += 1
+        if rank == min(nrows, ncols):
+            break
+    if rank < ncols:
+        raise UnderdeterminedFitError(
+            f"system of {nrows} samples determines only {rank} of {ncols} coefficients"
+        )
+    solution = [Fraction(0)] * ncols
+    for k, col in enumerate(pivots):
+        prow = aug[order[k]]
+        solution[col] = prow[ncols] / prow[col]
+    training = tuple(sorted(order[:rank]))
+    residuals = []
+    inconsistent = []
+    for i in range(nrows):
+        if i in training:
+            continue
+        res = sum(rows[i][c] * solution[c] for c in range(ncols)) - rhs[i]
+        residuals.append(res)
+        if res != 0:
+            inconsistent.append((i, res))
+    if inconsistent:
+        detail = ", ".join(f"sample {i}: residual {res}" for i, res in inconsistent)
+        raise FitInconsistencyError(f"no exact fit: {detail}")
+    return solution, training, tuple(residuals)

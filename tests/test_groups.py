@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -57,6 +58,9 @@ def test_element_invariants_enforced():
         GroupElement(p, (1, 1), (0, 0))  # not a bijection
     with pytest.raises(ValidationError):
         GroupElement(p, (1, 2), (0, 2))  # exponent out of range
+    for exps in ((0.5, 0.5), (1.0, 1.0), (Fraction(1, 2), Fraction(3, 2))):
+        with pytest.raises(ValidationError):
+            GroupElement(p, (1, 2), exps)  # in range, but not ints
     with pytest.raises(ValidationError):
         GroupElement(GroupParams(2, 2, 2), (1, 2), (1, 0))  # sum not 0 mod s
 

@@ -1,5 +1,8 @@
 """Polynomial recovery: normalization, exact fits, predictions, windows."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,7 +17,12 @@ from reflfact.errors import (
 )
 from reflfact.groups import CycleType, cycle_type, entry_product
 from reflfact.polyfit import (
+    INV_SUM,
     SymmetricLaurentPoly,
+    _basis_value,
+    _exact_quotient,
+    _monomial_value,
+    _solve_exact,
     basis_functions,
     canonical_element,
     collect_samples,
@@ -31,7 +39,7 @@ from reflfact.polyfit import (
     tuple_length_for,
 )
 
-from conftest import all_elements
+from conftest import all_elements, fraction_solve_exact
 
 
 def long_cycle(n: int, r: int = 1, s: int = 1) -> GroupElement:
@@ -348,3 +356,113 @@ def test_partitions_into():
     assert partitions_into(4, 2) == [(3, 1), (2, 2)]
     assert partitions_into(3, 3) == [(1, 1, 1)]
     assert partitions_into(2, 3) == []
+
+
+@pytest.mark.parametrize(
+    "g,n_values,expected",
+    [
+        # <tau_4>_2, -<lambda_1 tau_3>_2 and the lambda_g constant b_2
+        (2, range(2, 10), {4: Fraction(1, 1152), 3: Fraction(-1, 480), 2: Fraction(7, 5760)}),
+        # <tau_7>_3 and -b_3
+        (3, range(2, 15), {7: Fraction(1, 82944), 4: Fraction(-31, 967680)}),
+    ],
+)
+def test_one_cycle_fits_match_elsv_end_coefficients(g, n_values, expected):
+    samples = collect_samples(1, 1, g, 1, True, list(n_values))
+    report = fit_sn_polynomial(g, 1, [(ctype, count) for ctype, _, count in samples])
+    assert report.window_ok
+    assert all(res == 0 for res in report.holdout_residuals)
+    terms = report.polynomial.term_dict()
+    assert {d: terms[(d,)] for d in expected} == expected
+
+
+def _permutation_monomial(exps, xs):
+    """m_exps at xs summed over the set of all permutations of exps."""
+    return sum(
+        math.prod(x**e for x, e in zip(xs, arrangement))
+        for arrangement in set(itertools.permutations(exps))
+    )
+
+
+def test_monomial_values_match_the_permutation_sum():
+    # every basis function with ell <= 5, at integer points and, where an
+    # exponent is negative, at rational points
+    for ell in range(1, 6):
+        for twice_g in range(0, 7):
+            try:
+                basis = basis_functions(Fraction(twice_g, 2), ell)
+            except ValidationError:
+                continue
+            points = [tuple(range(2, 2 + ell)), (3,) * ell, tuple(range(ell + 4, 4, -1))]
+            for fn in basis:
+                if fn == INV_SUM:
+                    continue
+                for point in points:
+                    xs = [Fraction(x) for x in point] if min(fn) < 0 else point
+                    assert _monomial_value(fn, xs) == _permutation_monomial(fn, xs), (fn, point)
+                    assert _basis_value(fn, point) == _permutation_monomial(fn, xs)
+
+
+def _random_system(rng: random.Random, kind: str):
+    """Rows and right-hand sides of one seeded system of the given kind.
+
+    Entries are small ints, many of them zero, and rationals; "basis" rows
+    are basis-function values (INV_SUM, negative exponents, monomials) at
+    two-part cycle types.  A "deficient" system has a zero column or a
+    column that repeats another, or fewer rows than columns; an
+    "inconsistent" one has one right-hand side moved off the solution."""
+    if kind == "basis":
+        basis = rng.sample([INV_SUM, (0, -1), (-1, -1), (-1, -2), (0, 0), (1, 0), (1, 1), (2, 0)], 4)
+        points = [(a, b) for a in range(1, 8) for b in range(1, a + 1)]
+        rows = [[_basis_value(fn, pt) for fn in basis] for pt in rng.sample(points, rng.randint(3, 8))]
+        ncols = len(basis)
+    else:
+        ncols = rng.randint(2 if kind == "deficient" else 1, 5)
+        nrows = rng.randint(ncols - 1 if kind == "deficient" else ncols, ncols + 4)
+        pool = [0, 0, 0, 1, -1, 2, 3, -5, Fraction(1, 2), Fraction(-3, 7), Fraction(5, 4)]
+        rows = [[rng.choice(pool) for _ in range(ncols)] for _ in range(nrows)]
+        if kind == "deficient":
+            dead, copy = rng.sample(range(ncols), 2)
+            factor = rng.choice([0, 2])
+            for row in rows:
+                row[dead] = factor * row[copy]
+    truth = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(ncols)]
+    rhs = [sum((x * t for x, t in zip(row, truth)), Fraction(0)) for row in rows]
+    if kind == "inconsistent" or kind == "basis" and rng.random() < 0.3:
+        rhs[rng.randrange(len(rhs))] += Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return rows, rhs
+
+
+def _outcome(solve, rows, rhs):
+    try:
+        solution, training, residuals = solve(rows, rhs)
+    except (FitInconsistencyError, UnderdeterminedFitError) as exc:
+        return type(exc), str(exc)
+    return solution, training, residuals
+
+
+@pytest.mark.parametrize("kind", ["overdetermined", "deficient", "inconsistent", "basis"])
+def test_fraction_free_solve_matches_gauss_jordan(kind):
+    rng = random.Random(f"solve-{kind}")
+    outcomes = set()
+    for _ in range(300):
+        rows, rhs = _random_system(rng, kind)
+        expected = _outcome(
+            fraction_solve_exact, [[Fraction(x) for x in row] for row in rows], rhs
+        )
+        assert _outcome(_solve_exact, rows, rhs) == expected, (rows, rhs)
+        outcomes.add(expected[0] if isinstance(expected[0], type) else "solved")
+    # each kind reaches the outcome it is drawn for
+    want = {
+        "overdetermined": "solved",
+        "deficient": UnderdeterminedFitError,
+        "inconsistent": FitInconsistencyError,
+        "basis": "solved",
+    }[kind]
+    assert want in outcomes
+
+
+def test_inexact_division_is_a_consistency_error():
+    assert _exact_quotient(-12, 4) == -3
+    with pytest.raises(ConsistencyError):
+        _exact_quotient(7, 2)
