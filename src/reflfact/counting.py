@@ -46,16 +46,9 @@ from collections import OrderedDict
 from itertools import chain, groupby, product
 
 from . import _kernels_pure
-from .counttable import CountKey, CountTable
-from .errors import ConsistencyError, MissingCountError, ResourceLimitError, ValidationError
-from .groups import (
-    GroupElement,
-    GroupParams,
-    _Frozen,
-    _set,
-    partitions,
-    relabel_to_dense,
-)
+from .counttable import CountKey, CountTable  # noqa: F401  (re-exported)
+from .errors import ConsistencyError, ResourceLimitError, ValidationError
+from .groups import GroupElement, GroupParams, _Frozen, _set
 from .indexing import class_count, class_key
 
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
@@ -377,46 +370,3 @@ def _invert(params: GroupParams, key, m: int, opts: Options, rounds, memo) -> li
 
     return connected(key, params.n)
 
-
-def all_from_connected(
-    w: GroupElement,
-    m: int,
-    table: "CountTable",
-    opts: Options = DEFAULT_OPTIONS,
-) -> int:
-    """Reassemble the total count from connected counts: sum over all
-    partitions of w and all factor-count splits across blocks, weighted by
-    the multinomial number of interleavings."""
-    result = 0
-    for part in partitions(w):
-        acc = [1 if j == 0 else 0 for j in range(m + 1)]
-        for block in part.blocks:
-            sub = relabel_to_dense(w, block)
-            vec = []
-            for j in range(m + 1):
-                key = CountKey.of(sub, m1=j, m2=None, connected=True)
-                value = table.get(key)
-                if value is None:
-                    raise MissingCountError(f"table missing {key}")
-                vec.append(value)
-            acc = _binomial_convolve(acc, vec, m)
-        result += acc[m]
-    return result
-
-
-def populate_connected_table(
-    w: GroupElement, max_m: int, opts: Options = DEFAULT_OPTIONS
-) -> "CountTable":
-    """Connected counts for every dense sub-block of w up to max_m, as
-    needed by all_from_connected."""
-    table = CountTable()
-    seen = set()
-    for part in partitions(w):
-        for block in part.blocks:
-            sub = relabel_to_dense(w, block)
-            if sub in seen:
-                continue
-            seen.add(sub)
-            for j, count in enumerate(connected_totals(sub, max_m, opts)):
-                table.insert(CountKey.of(sub, m1=j, m2=None, connected=True), count, "inversion")
-    return table

@@ -41,10 +41,6 @@ class CacheConflictError(ConsistencyError):
     """A persistent cache holds two different values for one key."""
 
 
-class MissingCountError(ValidationError, KeyError):
-    """A count table lacks an entry the caller declared it would supply."""
-
-
 class UnderdeterminedFitError(ValidationError):
     """Too few independent sample points to pin down a polynomial fit."""
 

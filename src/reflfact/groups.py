@@ -102,7 +102,7 @@ def _json_ints(values, size: int, field: str) -> list[int]:
 class GroupParams(_Frozen):
     """The triple (r, s, n) with s | r; fixes one group G(r,s,n)."""
 
-    __slots__ = ("r", "s", "n", "q", "triple", "_vertices")
+    __slots__ = ("r", "s", "n", "q", "triple")
     _fields = ("r", "s", "n")
 
     def __init__(self, r: int, s: int, n: int):
@@ -119,7 +119,6 @@ class GroupParams(_Frozen):
         _set(self, "q", r // s)
         # the triple as a tuple, which hashes and compares in C
         _set(self, "triple", (r, s, n))
-        _set(self, "_vertices", frozenset(range(1, n + 1)))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -136,6 +135,12 @@ class GroupParams(_Frozen):
         return (self.n * (self.n - 1) // 2) * self.r + self.n * (self.q - 1)
 
 
+@functools.lru_cache(maxsize=64)
+def _vertices(n: int) -> frozenset:
+    """{1, ..., n}, built once per n, and only for an element of that length."""
+    return frozenset(range(1, n + 1))
+
+
 class GroupElement(_Frozen):
     """A group element as (perm, exps): v_i -> zeta^exps[i] v_perm[i].
     Every construction is validated."""
@@ -147,8 +152,9 @@ class GroupElement(_Frozen):
         n, r, s = params.n, params.r, params.s
         if len(perm) != n or len(exps) != n:
             raise ValidationError(f"perm/exps must have length n={n}")
-        # n entries that cover 1..n: a bijection
-        if frozenset(perm) != params._vertices:
+        # n entries that cover 1..n: a bijection; 2.0 passes the set
+        # compare as 2, but makes the entries' sum no int
+        if frozenset(perm) != _vertices(n) or sum(perm).__class__ is not int:
             raise ValidationError(f"perm is not a bijection of 1..{n}: {perm}")
         total = sum(exps)
         # a float or Fraction among the exponents makes their sum no int
@@ -417,23 +423,6 @@ def restrict_to_block(w: GroupElement, block: Sequence[int]) -> GroupElement:
             perm.append(i)
             exps.append(0)
     return GroupElement(w.params, tuple(perm), tuple(exps))
-
-
-def relabel_to_dense(w: GroupElement, block: Sequence[int]) -> GroupElement:
-    """Restrict w to an invariant block and relabel its vertices to 1..|block|
-    in increasing order, producing an element of G(r, s, |block|)."""
-    block_sorted = sorted(block)
-    new_index = {v: i + 1 for i, v in enumerate(block_sorted)}
-    params = GroupParams(w.params.r, w.params.s, len(block_sorted))
-    perm = []
-    exps = []
-    for v in block_sorted:
-        img = w.perm[v - 1]
-        if img not in new_index:
-            raise ValidationError(f"block {block} not invariant at vertex {v}")
-        perm.append(new_index[img])
-        exps.append(w.exps[v - 1])
-    return GroupElement(params, tuple(perm), tuple(exps))
 
 
 def _set_partitions(items: Sequence) -> Iterator[list[list]]:

@@ -3,7 +3,8 @@ the element-level connected DP that the orbit DP is checked against, the
 element-level search that the cut-and-join graphs are checked against,
 the element-level comparison sweep that the class sweep is checked
 against, the set-partition inversion that the block recursion of
-`counting.connected_from_all` is checked against, and the Gauss-Jordan
+`counting.connected_from_all` is checked against, the set-partition
+reassembly of total counts from connected ones, and the Gauss-Jordan
 solve over the rationals that the fraction-free solve of `polyfit` is
 checked against."""
 
@@ -24,8 +25,9 @@ from reflfact import (
     reflections,
 )
 from reflfact import counting
-from reflfact.errors import FitInconsistencyError, UnderdeterminedFitError
-from reflfact.groups import entry_product, partitions, permutation_part, relabel_to_dense
+from reflfact.counttable import CountKey, CountTable
+from reflfact.errors import FitInconsistencyError, UnderdeterminedFitError, ValidationError
+from reflfact.groups import entry_product, partitions, permutation_part
 from reflfact.indexing import GroupIndexer, class_key
 from reflfact.series import ComparisonMismatch, _comparison, _sn_connected
 
@@ -287,6 +289,64 @@ def partition_connected(w: GroupElement, m: int, memo: dict) -> int:
             value -= acc[m]
         memo[key] = value
     return memo[key]
+
+
+class MissingCountError(ValidationError, KeyError):
+    """A count table lacks an entry the caller declared it would supply."""
+
+
+def relabel_to_dense(w: GroupElement, block) -> GroupElement:
+    """Restrict w to an invariant block and relabel its vertices to 1..|block|
+    in increasing order, producing an element of G(r, s, |block|)."""
+    block_sorted = sorted(block)
+    new_index = {v: i + 1 for i, v in enumerate(block_sorted)}
+    params = GroupParams(w.params.r, w.params.s, len(block_sorted))
+    perm = []
+    exps = []
+    for v in block_sorted:
+        img = w.perm[v - 1]
+        if img not in new_index:
+            raise ValidationError(f"block {block} not invariant at vertex {v}")
+        perm.append(new_index[img])
+        exps.append(w.exps[v - 1])
+    return GroupElement(params, tuple(perm), tuple(exps))
+
+
+def all_from_connected(w: GroupElement, m: int, table: CountTable) -> int:
+    """Reassemble the total count from connected counts: sum over all
+    partitions of w and all factor-count splits across blocks, weighted by
+    the multinomial number of interleavings."""
+    result = 0
+    for part in partitions(w):
+        acc = [1 if j == 0 else 0 for j in range(m + 1)]
+        for block in part.blocks:
+            sub = relabel_to_dense(w, block)
+            vec = []
+            for j in range(m + 1):
+                key = CountKey.of(sub, m1=j, m2=None, connected=True)
+                value = table.get(key)
+                if value is None:
+                    raise MissingCountError(f"table missing {key}")
+                vec.append(value)
+            acc = counting._binomial_convolve(acc, vec, m)
+        result += acc[m]
+    return result
+
+
+def populate_connected_table(w: GroupElement, max_m: int) -> CountTable:
+    """Connected counts for every dense sub-block of w up to max_m, as
+    needed by all_from_connected."""
+    table = CountTable()
+    seen = set()
+    for part in partitions(w):
+        for block in part.blocks:
+            sub = relabel_to_dense(w, block)
+            if sub in seen:
+                continue
+            seen.add(sub)
+            for j, count in enumerate(counting.connected_totals(sub, max_m)):
+                table.insert(CountKey.of(sub, m1=j, m2=None, connected=True), count, "inversion")
+    return table
 
 
 def fraction_solve_exact(rows, rhs):

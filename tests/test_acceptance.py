@@ -23,13 +23,11 @@ from reflfact import (
     walk_weight,
 )
 from reflfact.counting import (
-    all_from_connected,
     connected_from_all,
     count_all,
     count_all_by_enum,
     count_connected_enum,
     count_refined,
-    populate_connected_table,
 )
 from reflfact.groups import CycleType
 from reflfact.polyfit import (
@@ -51,7 +49,13 @@ from reflfact.series import (
     sn_long_cycle_series,
 )
 
-from conftest import all_elements, fold_product, random_tuple
+from conftest import (
+    all_elements,
+    all_from_connected,
+    fold_product,
+    populate_connected_table,
+    random_tuple,
+)
 
 
 @contextmanager

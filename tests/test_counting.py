@@ -26,7 +26,6 @@ from reflfact.counting import (
     CountKey,
     CountTable,
     Options,
-    all_from_connected,
     class_sizes,
     clear_caches,
     connected_from_all,
@@ -36,13 +35,21 @@ from reflfact.counting import (
     count_connected_enum,
     count_connected_total_enum,
     count_refined,
-    populate_connected_table,
 )
 from reflfact import _kernels_pure, counting
 from reflfact._kernels_pure import enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count, class_key, class_representative
 
-from conftest import CONFIGS, all_elements, encode_reflections, fold_product, partition_connected
+from conftest import (
+    CONFIGS,
+    MissingCountError,
+    all_elements,
+    all_from_connected,
+    encode_reflections,
+    fold_product,
+    partition_connected,
+    populate_connected_table,
+)
 
 
 def brute_counts(w: GroupElement, m: int):
@@ -228,8 +235,6 @@ def test_all_from_connected_roundtrip_examples():
 
 
 def test_all_from_connected_missing_entry():
-    from reflfact.errors import MissingCountError
-
     p2 = GroupParams(1, 1, 2)
     with pytest.raises(MissingCountError):
         all_from_connected(identity(p2), 2, CountTable())

@@ -6,6 +6,7 @@ import json
 import pickle
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,9 +27,9 @@ from reflfact import (
     product,
     reflections,
 )
-from reflfact.groups import permutation_cycles, relabel_to_dense
+from reflfact.groups import permutation_cycles
 
-from conftest import all_elements, fold_product, random_element
+from conftest import all_elements, fold_product, random_element, relabel_to_dense
 
 CONFIGS = [(1, 1, 3), (2, 1, 2), (2, 2, 2), (6, 2, 4), (4, 4, 3), (3, 1, 2)]
 
@@ -76,11 +77,31 @@ def test_element_invariants_enforced():
         ((1, 2, 3), (-1, 1, 0), "exponents must lie in [0,4): (-1, 1, 0)"),
         ((1, 2, 3), (4, 0, 0), "exponents must lie in [0,4): (4, 0, 0)"),
         ((1, 2, 3), (1, 0, 0), "exponent sum 1 not divisible by s=2"),
+        # equal to ints, so the set compare alone would take them
+        ((2.0, 3.0, 1.0), (0, 0, 0), "perm is not a bijection of 1..3: (2.0, 3.0, 1.0)"),
+        ((1, Fraction(2), 3), (0, 0, 0), "perm is not a bijection of 1..3: (1, Fraction(2, 1), 3)"),
+        (("1", "2", "3"), (0, 0, 0), "perm is not a bijection of 1..3: ('1', '2', '3')"),
     ],
 )
 def test_every_construction_is_validated(perm, exps, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         GroupElement(GroupParams(4, 2, 3), perm, exps)
+
+
+def test_large_n_costs_nothing_before_the_length_check():
+    # a group of 10**6 points is a triple until an element of that length
+    # is checked against it
+    tracemalloc.start()
+    try:
+        params = GroupParams(1, 1, 10**6)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(ValidationError, match="length"):
+            GroupElement.from_json({"perm": [1], "exps": [0]}, params)
+        check_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 2**20 and check_peak < 2**20
 
 
 def test_params_and_elements_are_immutable_values():

@@ -362,18 +362,28 @@ def test_partitions_into():
     "g,n_values,expected",
     [
         # <tau_4>_2, -<lambda_1 tau_3>_2 and the lambda_g constant b_2
-        (2, range(2, 10), {4: Fraction(1, 1152), 3: Fraction(-1, 480), 2: Fraction(7, 5760)}),
+        (
+            2, range(2, 10),
+            {(4,): Fraction(1, 1152), (3,): Fraction(-1, 480), (2,): Fraction(7, 5760)},
+        ),
         # <tau_7>_3 and -b_3
-        (3, range(2, 15), {7: Fraction(1, 82944), 4: Fraction(-31, 967680)}),
+        (3, range(2, 15), {(7,): Fraction(1, 82944), (4,): Fraction(-31, 967680)}),
+        # <tau_2 tau_0>_1 = <tau_1 tau_1>_1 on m_(2,0) and m_(1,1), and -b_1
+        (
+            1, range(2, 9),
+            {(2, 0): Fraction(1, 24), (1, 1): Fraction(1, 24), (1, 0): Fraction(-1, 24)},
+        ),
     ],
 )
 def test_one_cycle_fits_match_elsv_end_coefficients(g, n_values, expected):
-    samples = collect_samples(1, 1, g, 1, True, list(n_values))
-    report = fit_sn_polynomial(g, 1, [(ctype, count) for ctype, _, count in samples])
+    # ell is the length of the exponent vectors of the expected terms
+    ell = len(next(iter(expected)))
+    samples = collect_samples(1, 1, g, ell, True, list(n_values))
+    report = fit_sn_polynomial(g, ell, [(ctype, count) for ctype, _, count in samples])
     assert report.window_ok
     assert all(res == 0 for res in report.holdout_residuals)
     terms = report.polynomial.term_dict()
-    assert {d: terms[(d,)] for d in expected} == expected
+    assert {exps: terms[exps] for exps in expected} == expected
 
 
 def _permutation_monomial(exps, xs):

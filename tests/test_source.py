@@ -93,19 +93,53 @@ def test_traced_names_resolve():
     assert absent == ["reflfact._ckernels"]  # no compiled kernels exist
 
 
+def _imported(node):
+    """(dotted name within the package, local name) per name an import binds."""
+    if isinstance(node, ast.Import):
+        return [(a.name.removeprefix("reflfact."), a.asname or a.name) for a in node.names]
+    if node.level == 0 and not (node.module or "").startswith("reflfact"):
+        return []
+    module = (node.module or "").removeprefix("reflfact").strip(".")
+    return [(f"{module}.{a.name}".strip("."), a.asname or a.name) for a in node.names]
+
+
+def test_only_groups_holds_the_set_partitions():
+    # no route counts over set partitions: they serve the tests' references,
+    # and stay a leaf of `groups` that no other module imports or reads
+    names = {
+        "partitions",
+        "_set_partitions",
+        "restrict_to_block",
+        "relabel_to_dense",
+        "ElementPartition",
+    }
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "groups.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = set()  # local names of the groups module
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for dotted, local in _imported(node):
+                    if dotted == "groups":
+                        aliases.add(local)
+                    elif dotted.split(".")[-1] in names:
+                        found.append(f"{path.name}:{node.lineno} imports {dotted}")
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+                and node.attr in names
+            ):
+                found.append(f"{path.name}:{node.lineno} reads groups.{node.attr}")
+    assert found == []
+
+
 def test_only_counting_reaches_into_the_kernels():
     # `counting` owns the kernels, their cache and the budget checks: no
     # other module imports `_kernels_pure` or reads a private name of
     # `counting`
-    def imported(node):
-        """(dotted name within the package, local name) per name bound."""
-        if isinstance(node, ast.Import):
-            return [(a.name.removeprefix("reflfact."), a.asname or a.name) for a in node.names]
-        if node.level == 0 and not (node.module or "").startswith("reflfact"):
-            return []
-        module = (node.module or "").removeprefix("reflfact").strip(".")
-        return [(f"{module}.{a.name}".strip("."), a.asname or a.name) for a in node.names]
-
     found = []
     for path in sorted(SRC.glob("*.py")):
         if path.name == "counting.py":
@@ -114,7 +148,7 @@ def test_only_counting_reaches_into_the_kernels():
         aliases = set()  # local names of the counting module
         for node in ast.walk(tree):
             if isinstance(node, (ast.Import, ast.ImportFrom)):
-                for dotted, local in imported(node):
+                for dotted, local in _imported(node):
                     parts = dotted.split(".")
                     if "_kernels_pure" in parts or parts[0] == "counting" and parts[-1][0] == "_":
                         found.append(f"{path.name}:{node.lineno} imports {dotted}")
