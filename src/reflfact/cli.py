@@ -218,7 +218,7 @@ def _cmd_count(args) -> dict:
 
     w = _element(args, _params(args))
     m1, m2 = (args.m1, args.m2) if args.command == "count-refined" else (args.m, None)
-    key = CountKey.of(w, m1=m1, m2=m2, connected=False)
+    key = CountKey(w, m1, m2, connected=False)
 
     def compute() -> int:
         from .counting import count_all, count_refined
@@ -266,7 +266,7 @@ def _cmd_count_connected(args) -> dict:
         return connected_from_all(w, args.m, opts)
 
     m1, m2 = (args.m1, args.m2) if split else (args.m, None)
-    key = CountKey.of(w, m1=m1, m2=m2, connected=True)
+    key = CountKey(w, m1, m2, connected=True)
     provenance = {
         "enum": "enumeration", "comparison": "closed-form", "inversion": "inversion"
     }[args.method]
@@ -351,28 +351,17 @@ def _cmd_series(args) -> dict:
     return payload
 
 
-def _parse_genus(text: str):
-    from fractions import Fraction
-
-    try:
-        g = Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad genus {text!r}: {exc}") from exc
-    if g < 0 or (2 * g).denominator != 1:
-        raise ValidationError("genus must be a nonnegative integer or half-integer")
-    return g
-
-
 def _cmd_fit(args) -> dict:
     from .polyfit import (
         collect_samples,
         fit_grsn_polynomial,
         fit_sn_polynomial,
         normalization_verdict,
+        parse_genus,
     )
 
     opts = _options(args)
-    g = _parse_genus(args.g)
+    g = parse_genus(args.g)
     pieces = args.n_values.split(",")
     if not all(x.isascii() and x.isdigit() for x in pieces):
         raise ValidationError(f"bad --n-values {args.n_values!r}: expected e.g. 2,3,4")

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import __version__ as _tool_version
 from .errors import CacheConflictError, ConsistencyError, ValidationError
-from .groups import GroupElement, _Frozen, json_int
+from .groups import GroupElement, _Frozen, _set, json_int
 
 
 def _digits(value: int) -> str:
@@ -38,46 +38,36 @@ def _from_digits(text: str) -> int:
 
 
 class CountKey(_Frozen):
-    """Identifies one cached count: the element (r, s, n, perm, exps), the
-    factor counts m1 and m2, and `connected`.  m2 is None for totals over
-    all splits (the key then means: m1 factors of any kind)."""
+    """Identifies one cached count: the element, the factor counts m1 and
+    m2, and `connected`.  m2 is None for totals over all splits (the key
+    then means: m1 factors of any kind)."""
 
-    __slots__ = _fields = ("r", "s", "n", "perm", "exps", "m1", "m2", "connected")
+    __slots__ = _fields = ("element", "m1", "m2", "connected")
 
-    @classmethod
-    def of(
-        cls, w: GroupElement, m1: int, m2: Optional[int], connected: bool
-    ) -> "CountKey":
-        return cls(
-            w.params.r, w.params.s, w.params.n, w.perm, w.exps, m1, m2, connected
-        )
+    def __init__(self, element: GroupElement, m1: int, m2: Optional[int], connected: bool):
+        if element.__class__ is not GroupElement:
+            raise ValidationError(f"expected a group element, got {element!r}")
+        m1, m2 = json_int(m1), None if m2 is None else json_int(m2)
+        if m1 < 0 or m2 is not None and m2 < 0:
+            raise ValidationError(f"factor counts must be nonnegative, got {m1}, {m2}")
+        if connected.__class__ is not bool:
+            raise ValidationError(f"expected true or false, got {connected!r}")
+        _set(self, "element", element)
+        _set(self, "m1", m1)
+        _set(self, "m2", m2)
+        _set(self, "connected", connected)
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r,
-            "s": self.s,
-            "n": self.n,
-            "perm": list(self.perm),
-            "exps": list(self.exps),
-            "m1": self.m1,
-            "m2": self.m2,
-            "connected": self.connected,
-        }
+        counts = {"m1": self.m1, "m2": self.m2, "connected": self.connected}
+        return {**self.element.to_json(), **counts}
 
     @classmethod
     def from_json(cls, data: dict) -> "CountKey":
         """A key as `to_json` writes it, its element read by `GroupElement.from_json`."""
         try:
-            connected = data["connected"]
-            if connected.__class__ is not bool:
-                raise ValidationError(f"expected true or false, got {connected!r}")
-            m1, m2 = json_int(data["m1"]), data["m2"]
-            m2 = None if m2 is None else json_int(m2)
-            if m1 < 0 or m2 is not None and m2 < 0:
-                raise ValidationError(f"factor counts must be nonnegative, got {m1}, {m2}")
-            return cls.of(GroupElement.from_json(data), m1, m2, connected)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValidationError(f"malformed count key: {exc}") from exc
+            return cls(GroupElement.from_json(data), data["m1"], data["m2"], data["connected"])
+        except KeyError as exc:
+            raise ValidationError(f"malformed count key: missing field {exc}") from exc
 
 
 class CountTable:
@@ -85,8 +75,8 @@ class CountTable:
     persistence.  Conflicting values for one key are rejected.  Inserts
     are serialized through a lock; readers see plain dict snapshots."""
 
-    def __init__(self, entries: dict | None = None):
-        self.entries = {} if entries is None else entries  # CountKey -> (int, set[str])
+    def __init__(self):
+        self.entries = {}  # CountKey -> (int, set[str])
         self._lock = threading.Lock()
 
     def insert(self, key: CountKey, value: int, provenance: str) -> None:

@@ -20,7 +20,6 @@ from .groups import (
     Reflection,
     _Frozen,
     _set,
-    json_int,
     product,
 )
 from .unionfind import RollbackUnionFind
@@ -28,18 +27,20 @@ from .unionfind import RollbackUnionFind
 
 class DecoratedGraph(_Frozen):
     """Ordered labeled multigraph; edges are (i, j, label) with i <= j,
-    each checked as the `Reflection` it encodes."""
+    each checked as the `Reflection` it encodes and kept as a tuple."""
 
     __slots__ = _fields = ("params", "edges")
 
     def __init__(self, params: GroupParams, edges: tuple[tuple[int, int, int], ...]):
-        for idx, (i, j, k) in enumerate(edges):
+        checked = []
+        for idx, edge in enumerate(edges):
             try:
-                Reflection(params, i, j, k)
-            except ValidationError as exc:
+                ref = Reflection(params, *edge)
+            except (TypeError, ValidationError) as exc:  # TypeError: not three entries
                 raise ValidationError(f"edge {idx}: {exc}") from exc
+            checked.append((ref.i, ref.j, ref.k))
         _set(self, "params", params)
-        _set(self, "edges", edges)
+        _set(self, "edges", tuple(checked))
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -55,11 +56,9 @@ class DecoratedGraph(_Frozen):
     @classmethod
     def from_json(cls, data: dict) -> "DecoratedGraph":
         try:
-            params = GroupParams(*(json_int(data[name]) for name in ("r", "s", "n")))
-            edges = tuple(
-                (json_int(i), json_int(j), json_int(k)) for i, j, k in data["edges"]
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            params = GroupParams(*(data[name] for name in ("r", "s", "n")))
+            edges = tuple(data["edges"])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"malformed graph JSON: {exc}") from exc
         return cls(params, edges)
 

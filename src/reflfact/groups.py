@@ -84,6 +84,9 @@ class _Frozen:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+_INT = frozenset((int,))
+
+
 def json_int(value) -> int:
     """`value` if it is a JSON integer; a bool, float or string is refused,
     not coerced."""
@@ -92,11 +95,11 @@ def json_int(value) -> int:
     return value
 
 
-def _json_ints(values, size: int, field: str) -> list[int]:
-    """`values` if it is a JSON list of `size` integers."""
+def _json_list(values, size: int, field: str) -> list:
+    """`values` if it is a JSON list of `size` entries."""
     if not isinstance(values, list) or len(values) != size:
         raise ValidationError(f"'{field}' must be a list of {size} integers, got {values!r}")
-    return [json_int(x) for x in values]
+    return values
 
 
 class GroupParams(_Frozen):
@@ -106,6 +109,7 @@ class GroupParams(_Frozen):
     _fields = ("r", "s", "n")
 
     def __init__(self, r: int, s: int, n: int):
+        r, s, n = map(json_int, (r, s, n))
         if r < 1 or s < 1 or n < 1:
             raise ValidationError(
                 f"r, s, n must be positive, got GroupParams(r={r!r}, s={s!r}, n={n!r})"
@@ -143,23 +147,25 @@ def _vertices(n: int) -> frozenset:
 
 class GroupElement(_Frozen):
     """A group element as (perm, exps): v_i -> zeta^exps[i] v_perm[i].
-    Every construction is validated."""
+    Every construction is validated; perm and exps are kept as tuples."""
 
     __slots__ = ("params", "perm", "exps")
     _fields = __slots__
 
     def __init__(self, params: GroupParams, perm: tuple[int, ...], exps: tuple[int, ...]):
-        n, r, s = params.n, params.r, params.s
+        r, s, n = params.triple
+        perm, exps = tuple(perm), tuple(exps)
         if len(perm) != n or len(exps) != n:
             raise ValidationError(f"perm/exps must have length n={n}")
-        # n entries that cover 1..n: a bijection; 2.0 passes the set
-        # compare as 2, but makes the entries' sum no int
-        if frozenset(perm) != _vertices(n) or sum(perm).__class__ is not int:
+        # one rule for every entry: an int, as `json_int` reads one; a bool,
+        # float or Fraction would pass the compares below as the int it equals
+        ints = _INT.issuperset(map(type, perm + exps))
+        # n ints that cover 1..n: a bijection
+        if not (ints or _INT.issuperset(map(type, perm))) or frozenset(perm) != _vertices(n):
             raise ValidationError(f"perm is not a bijection of 1..{n}: {perm}")
-        total = sum(exps)
-        # a float or Fraction among the exponents makes their sum no int
-        if total.__class__ is not int or min(exps) < 0 or max(exps) >= r:
+        if not ints or min(exps) < 0 or max(exps) >= r:
             raise ValidationError(f"exponents must lie in [0,{r}): {exps}")
+        total = sum(exps)
         if total % s != 0:
             raise ValidationError(f"exponent sum {total} not divisible by s={s}")
         _set(self, "params", params)
@@ -206,7 +212,7 @@ class GroupElement(_Frozen):
             raise ValidationError(f"element JSON must be an object, got {type(data)}")
         if params is None:
             try:
-                params = GroupParams(*(json_int(data[name]) for name in ("r", "s", "n")))
+                params = GroupParams(*(data[name] for name in ("r", "s", "n")))
             except KeyError as exc:
                 raise ValidationError(f"element JSON missing field {exc}") from exc
         else:
@@ -329,6 +335,7 @@ class Reflection(_Frozen):
     __slots__ = _fields = ("params", "i", "j", "k")  # j == i marks a diagonal
 
     def __init__(self, params: GroupParams, i: int, j: int, k: int):
+        i, j, k = map(json_int, (i, j, k))
         _set(self, "params", params)
         _set(self, "i", i)
         _set(self, "j", j)
@@ -373,10 +380,9 @@ class Reflection(_Frozen):
         if not isinstance(data, dict):
             raise ValidationError(f"reflection JSON must be an object: {data!r}")
         if "swap" in data:
-            i, j, k = _json_ints(data["swap"], 3, "swap")
-            return cls(params, i, j, k)
+            return cls(params, *_json_list(data["swap"], 3, "swap"))
         if "diag" in data:
-            i, k = _json_ints(data["diag"], 2, "diag")
+            i, k = _json_list(data["diag"], 2, "diag")
             return cls(params, i, i, k)
         raise ValidationError(f"reflection JSON needs 'swap' or 'diag': {data!r}")
 

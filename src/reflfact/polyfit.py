@@ -139,6 +139,18 @@ def _arrangements(exps: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
+def parse_genus(g) -> Fraction:
+    """g, a number or its text as `fit --g` takes it, as a Fraction: a
+    nonnegative integer or half-integer."""
+    try:
+        genus = Fraction(g)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad genus {g!r}: {exc}") from exc
+    if genus < 0 or (2 * genus).denominator != 1:
+        raise ValidationError("genus must be a nonnegative integer or half-integer")
+    return genus
+
+
 def genus_window(g, ell: int) -> tuple[Fraction, Fraction]:
     """Closed interval of allowed total degrees: [2g-3+ell, 3g-3+ell]."""
     g = Fraction(g)
@@ -461,7 +473,7 @@ def _fit(g, ell, r, s, trivial_product, normalization, prepared) -> FitReport:
 def fit_sn_polynomial(g, ell: int, samples) -> FitReport:
     """Fit the symmetric-group polynomial from (CycleType, connected count)
     samples.  The two normalizations coincide at r = 1."""
-    g = Fraction(g)
+    g = parse_genus(g)
     if g.denominator != 1:
         raise ValidationError("symmetric-group fits need integer genus")
     prepared = _prepare_samples(g, ell, 1, "printed", samples)
@@ -484,9 +496,7 @@ def fit_grsn_polynomial(
     individually consistent but no single coefficient vector fits all n,
     the raised error says so explicitly (the normalization hides an
     n-dependence)."""
-    g = Fraction(g)
-    if g < 0 or (2 * g).denominator != 1:
-        raise ValidationError("genus must be a nonnegative integer or half-integer")
+    g = parse_genus(g)
     if normalization not in NORMALIZATIONS:
         raise ValidationError(f"unknown normalization {normalization!r}")
     GroupParams(r, s, 1)  # validates s | r

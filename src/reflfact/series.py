@@ -236,15 +236,20 @@ def comparison_total(w: GroupElement, m: int, opts: "Options | None" = None) -> 
     return sum(_comparison(w.params, t, m1, m - m1, sn[m1]) for m1 in range(m + 1))
 
 
+def _comparison_series(p: GroupParams, t: int, sn: EgfSeries) -> EgfSeries:
+    """The comparison formula as a series in G(r,s,n) = p, for entry-product
+    exponent t: the cyclic series at n*x times the S_n series `sn` at r*x,
+    divided by r^(n-1)."""
+    cyc = cyclic_series(p.q, t, sn.order).scale_argument(p.n)
+    return cyc * sn.scale_argument(p.r) * Fraction(1, p.r ** (p.n - 1))
+
+
 def connected_series(
     w: GroupElement, order: int, opts: "Options | None" = None
 ) -> EgfSeries:
     """EGF of connected counts of w, as the rescaled product of the cyclic
     series and the S_n connected series."""
-    p = w.params
-    cyc = cyclic_series(p.q, entry_product(w), order).scale_argument(p.n)
-    sn = sn_connected_series(w, order, opts).scale_argument(p.r)
-    return cyc * sn * Fraction(1, p.r ** (p.n - 1))
+    return _comparison_series(w.params, entry_product(w), sn_connected_series(w, order, opts))
 
 
 def sn_long_cycle_series(n: int, order: int) -> EgfSeries:
@@ -260,11 +265,7 @@ def sn_long_cycle_series(n: int, order: int) -> EgfSeries:
 def long_cycle_series(params: GroupParams, t: int, order: int) -> EgfSeries:
     """EGF for factoring an element over a long cycle in G(r,s,n), with entry
     product given by exponent t; all such factorizations are connected."""
-    cyc = cyclic_series(params.q, t, order).scale_argument(params.n)
-    half = Fraction(params.r * params.n, 2)
-    core = exp_series(half, order) - exp_series(-half, order)
-    scale = Fraction(1, math.factorial(params.n) * params.r ** (params.n - 1))
-    return cyc * core ** (params.n - 1) * scale
+    return _comparison_series(params, t, sn_long_cycle_series(params.n, order))
 
 
 class ComparisonMismatch(_Frozen):

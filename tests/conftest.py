@@ -323,7 +323,7 @@ def all_from_connected(w: GroupElement, m: int, table: CountTable) -> int:
             sub = relabel_to_dense(w, block)
             vec = []
             for j in range(m + 1):
-                key = CountKey.of(sub, m1=j, m2=None, connected=True)
+                key = CountKey(sub, m1=j, m2=None, connected=True)
                 value = table.get(key)
                 if value is None:
                     raise MissingCountError(f"table missing {key}")
@@ -345,7 +345,7 @@ def populate_connected_table(w: GroupElement, max_m: int) -> CountTable:
                 continue
             seen.add(sub)
             for j, count in enumerate(counting.connected_totals(sub, max_m)):
-                table.insert(CountKey.of(sub, m1=j, m2=None, connected=True), count, "inversion")
+                table.insert(CountKey(sub, m1=j, m2=None, connected=True), count, "inversion")
     return table
 
 

@@ -584,7 +584,7 @@ def test_count_table_concurrent_inserts():
 
     p = GroupParams(1, 1, 2)
     table = CountTable()
-    keys = [CountKey.of(identity(p), m1=j, m2=None, connected=False) for j in range(50)]
+    keys = [CountKey(identity(p), m1=j, m2=None, connected=False) for j in range(50)]
 
     def writer():
         for j, key in enumerate(keys):
@@ -601,7 +601,7 @@ def test_count_table_concurrent_inserts():
 
 def test_count_table_conflicts_and_provenance():
     p = GroupParams(1, 1, 2)
-    key = CountKey.of(identity(p), m1=2, m2=None, connected=False)
+    key = CountKey(identity(p), m1=2, m2=None, connected=False)
     table = CountTable()
     table.insert(key, 1, "dp")
     table.insert(key, 1, "enumeration")  # equal values merge provenances
@@ -616,11 +616,11 @@ def test_count_table_file_roundtrip(tmp_path):
     p = GroupParams(2, 1, 2)
     w = GroupElement(p, (2, 1), (0, 1))
     table = CountTable()
-    table.insert(CountKey.of(w, 1, 1, False), 4, "dp")
-    table.insert(CountKey.of(w, 1, 1, True), 4, "enumeration")
+    table.insert(CountKey(w, 1, 1, False), 4, "dp")
+    table.insert(CountKey(w, 1, 1, True), 4, "enumeration")
     # a count of more digits than Python converts to and from str by
     # default, under that default, which save and load leave as it is
-    table.insert(CountKey.of(w, 9, 0, False), 10**5000, "dp")
+    table.insert(CountKey(w, 9, 0, False), 10**5000, "dp")
     path = tmp_path / "cache.jsonl"
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
@@ -641,7 +641,7 @@ def test_count_table_file_roundtrip(tmp_path):
 
 def test_count_table_load_refuses_coerced_key_fields(tmp_path):
     p = GroupParams(2, 1, 2)
-    key = CountKey.of(GroupElement(p, (2, 1), (0, 1)), 1, 1, False).to_json()
+    key = CountKey(GroupElement(p, (2, 1), (0, 1)), 1, 1, False).to_json()
     path = tmp_path / "cache.jsonl"
     for field, value in (
         ("r", 2.0), ("n", "2"), ("m1", True), ("m2", 1.0), ("perm", [2, 1.0]),
@@ -654,7 +654,7 @@ def test_count_table_load_refuses_coerced_key_fields(tmp_path):
     # the value is read only as the string of ASCII digits that a save
     # writes, and the provenance only as a string (the 3-cycle of S_3 at
     # m = 2, whose count is 3)
-    key = CountKey.of(GroupElement(GroupParams(1, 1, 3), (2, 3, 1), (0, 0, 0)), 2, None, False)
+    key = CountKey(GroupElement(GroupParams(1, 1, 3), (2, 3, 1), (0, 0, 0)), 2, None, False)
     good = {"key": key.to_json(), "value": "3", "provenance": "dp"}
     path.write_text(json.dumps(good) + "\n")
     assert CountTable.load(path).get(key) == 3
@@ -671,7 +671,7 @@ def test_count_table_load_refuses_keys_that_name_no_count(tmp_path):
     # a key is read by the rule of `GroupElement.from_json`, and its
     # factor counts must be nonnegative
     good = {
-        "key": CountKey.of(identity(GroupParams(2, 2, 2)), 0, None, False).to_json(),
+        "key": CountKey(identity(GroupParams(2, 2, 2)), 0, None, False).to_json(),
         "value": "1", "provenance": "dp",
     }
     path = tmp_path / "cache.jsonl"
@@ -688,14 +688,14 @@ def test_count_table_failed_save_keeps_previous_file(tmp_path):
     p = GroupParams(1, 1, 2)
     path = tmp_path / "cache.jsonl"
     previous = CountTable()
-    previous.insert(CountKey.of(identity(p), 0, None, False), 1, "dp")
+    previous.insert(CountKey(identity(p), 0, None, False), 1, "dp")
     previous.save(path)
     before = path.read_text()
     table = CountTable()
-    table.insert(CountKey.of(identity(p), 1, None, False), 0, "dp")
+    table.insert(CountKey(identity(p), 1, None, False), 0, "dp")
     # the second record's provenance is not JSON: the save fails after
     # the first record was written
-    table.entries[CountKey.of(identity(p), 2, None, False)] = (1, {object()})
+    table.entries[CountKey(identity(p), 2, None, False)] = (1, {object()})
     with pytest.raises(TypeError):
         table.save(path)
     assert path.read_text() == before
@@ -706,8 +706,8 @@ def test_count_table_saves_merge(tmp_path):
     p = GroupParams(1, 1, 2)
     path = tmp_path / "cache.jsonl"
     first, second = CountTable(), CountTable()  # both loaded before either saves
-    first.insert(CountKey.of(identity(p), 0, None, False), 1, "dp")
-    second.insert(CountKey.of(identity(p), 2, None, False), 1, "dp")
+    first.insert(CountKey(identity(p), 0, None, False), 1, "dp")
+    second.insert(CountKey(identity(p), 2, None, False), 1, "dp")
     first.save(path)
     second.save(path)
     assert len(CountTable.load(path)) == 2
@@ -717,7 +717,7 @@ def test_count_table_save_conflict_keeps_file(tmp_path):
     from reflfact.errors import CacheConflictError
 
     p = GroupParams(1, 1, 2)
-    key = CountKey.of(identity(p), 2, None, False)
+    key = CountKey(identity(p), 2, None, False)
     path = tmp_path / "cache.jsonl"
     first, second = CountTable(), CountTable()
     first.insert(key, 1, "dp")
@@ -733,7 +733,7 @@ def test_count_table_load_conflict(tmp_path):
     from reflfact.errors import CacheConflictError
 
     p = GroupParams(1, 1, 2)
-    key = CountKey.of(identity(p), 2, None, False)
+    key = CountKey(identity(p), 2, None, False)
     path = tmp_path / "bad.jsonl"
     good = CountTable()
     good.insert(key, 1, "dp")

@@ -18,6 +18,7 @@ from reflfact.errors import (
 from reflfact.groups import CycleType, cycle_type, entry_product
 from reflfact.polyfit import (
     INV_SUM,
+    FitReport,
     SymmetricLaurentPoly,
     _basis_value,
     _exact_quotient,
@@ -33,6 +34,7 @@ from reflfact.polyfit import (
     genus_window,
     grsn_pvalue_from_sn_expansion,
     normalization_verdict,
+    parse_genus,
     partitions_into,
     predict_connected_count,
     prefactor,
@@ -476,3 +478,112 @@ def test_inexact_division_is_a_consistency_error():
     assert _exact_quotient(-12, 4) == -3
     with pytest.raises(ConsistencyError):
         _exact_quotient(7, 2)
+
+
+def test_genus_rule_is_one_function():
+    assert parse_genus("3/2") == Fraction(3, 2) and parse_genus(2) == 2
+    for bad, message in (
+        ("one", "bad genus 'one'"), ("1/0", "bad genus"), (None, "bad genus"),
+        (-1, "nonnegative integer or half-integer"), ("1/3", "nonnegative integer"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            parse_genus(bad)
+        with pytest.raises(ValidationError, match=message):
+            fit_sn_polynomial(bad, 1, [(CycleType((2,)), 1)])
+        with pytest.raises(ValidationError, match=message):
+            fit_grsn_polynomial(bad, 1, True, 2, 1, "derived", [])
+    with pytest.raises(ValidationError, match="need integer genus"):
+        fit_sn_polynomial(Fraction(1, 2), 1, [(CycleType((2,)), 1)])
+
+
+def test_laurent_polynomials_refuse_malformed_terms():
+    with pytest.raises(ValidationError, match=r"\(1,\) must have 2 entries"):
+        SymmetricLaurentPoly.from_dict(2, {(1,): 1})
+    with pytest.raises(ValidationError, match="must be sorted descending"):
+        SymmetricLaurentPoly.from_dict(2, {(0, 1): 1})
+    # a zero coefficient is dropped before its exponent vector is read
+    poly = SymmetricLaurentPoly.from_dict(2, {(0, 1): 0, (1,): Fraction(0), (1, 0): 2})
+    assert poly.terms == (((1, 0), Fraction(2)),)
+    assert poly.evaluate((0, 3)) == 6  # 2 * (x + y); no negative power, so 0 is a point
+    for poly in (
+        SymmetricLaurentPoly.from_dict(1, {(-2,): 1}),
+        SymmetricLaurentPoly.from_dict(2, {(1, 1): 1}, inv_sum_coeff=1),
+    ):
+        with pytest.raises(ValidationError, match="negative powers at zero"):
+            poly.evaluate((0,) * poly.nvars)
+
+
+def test_normalization_helpers_refuse_what_names_no_count():
+    for g, n, ell in ((Fraction(1, 3), 3, 1), (0, 1, 0)):  # 2g not an int; m = -1
+        with pytest.raises(ValidationError, match="no valid tuple length"):
+            tuple_length_for(g, n, ell)
+    with pytest.raises(ValidationError, match="unknown normalization 'other'"):
+        prefactor(3, 2, 2, "other")
+    with pytest.raises(ValidationError, match="m must be nonnegative"):
+        elsv_normalize(1, -1, CycleType((2,)), "printed", GroupParams(1, 1, 2))
+
+
+def test_basis_functions_refuse_empty_and_unconventional_windows():
+    for g, ell in ((Fraction(1, 4), 1), (-1, 3)):  # ceil(lo) > floor(hi)
+        with pytest.raises(ValidationError, match="empty degree window"):
+            basis_functions(g, ell)
+    for g, ell in ((0, 0), (Fraction(1, 2), 0)):  # below zero, not (0, 1) or (0, 2)
+        with pytest.raises(ValidationError, match="has no convention"):
+            basis_functions(g, ell)
+
+
+def test_fits_refuse_samples_that_do_not_match():
+    with pytest.raises(ValidationError, match=r"\(1, 1\) has 2 parts, expected 1"):
+        fit_sn_polynomial(1, 1, [(CycleType((1, 1)), 1)])
+    with pytest.raises(ValidationError, match="no samples to fit"):
+        fit_sn_polynomial(1, 1, [])
+    samples = collect_samples(2, 1, 0, 1, True, (2, 3))
+    with pytest.raises(ValidationError, match="unknown normalization 'other'"):
+        fit_grsn_polynomial(0, 1, True, 2, 1, "other", samples)
+    (ctype, _, count) = samples[0]
+    with pytest.raises(ValidationError, match=r"\(2,\) does not sum to n=3"):
+        fit_grsn_polynomial(0, 1, True, 2, 1, "derived", [(ctype, 3, count), *samples])
+
+
+def test_fit_inconsistent_within_one_n_is_not_blamed_on_the_normalization():
+    # two counts for one cycle type at n = 2: no coefficient fits that n
+    # alone, so the error is the plain one, not "n-dependent"
+    samples = collect_samples(2, 1, 0, 1, True, (2, 3))
+    (ctype, n, count) = samples[0]
+    with pytest.raises(FitInconsistencyError, match="no exact fit") as err:
+        fit_grsn_polynomial(0, 1, True, 2, 1, "derived", [*samples, (ctype, n, count + 1)])
+    assert "n-dependent" not in str(err.value)
+
+
+def test_predictions_refuse_what_the_report_does_not_cover():
+    samples = collect_samples(2, 2, 0, 1, True, (2, 3))
+    report = fit_grsn_polynomial(0, 1, True, 2, 2, "derived", samples)
+    ctype, p4, m = CycleType((4,)), GroupParams(2, 2, 4), tuple_length_for(0, 4, 1)
+    assert predict_connected_count(report, ctype, p4, True, m) > 0
+    for args, message in (
+        ((CycleType((2, 2)), p4, True, m), "has 2 parts, report is for ell=1"),
+        ((ctype, GroupParams(2, 1, 4), True, m), "group parameters do not match"),
+        ((ctype, p4, False, m), "entry-product class does not match"),
+        ((ctype, p4, True, m + 1), f"m={m + 1} inconsistent with g=0, n=4, ell=1"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            predict_connected_count(report, *args)
+    fields = {f: getattr(report, f) for f in FitReport._fields}
+    for coeff in (Fraction(1, 7), Fraction(-1)):  # not an integer; negative
+        poly = SymmetricLaurentPoly.from_dict(1, {(-2,): coeff})
+        with pytest.raises(ConsistencyError, match="not a nonnegative integer"):
+            predict_connected_count(FitReport(**{**fields, "polynomial": poly}), ctype, p4, True, m)
+
+
+def test_sampling_refuses_groups_too_small_for_the_cycle_type():
+    with pytest.raises(ValidationError, match="sums to 2, group has n=3"):
+        canonical_element(GroupParams(1, 1, 3), CycleType((2,)), True)
+    with pytest.raises(ValidationError, match="n=2 is smaller than ell=3"):
+        collect_samples(1, 1, 0, 3, True, (2,))
+
+
+def test_expansion_refuses_a_missing_class_or_polynomial():
+    with pytest.raises(ValidationError, match="impossible when r == s"):
+        grsn_pvalue_from_sn_expansion(1, 1, 2, 2, False, {}, (2,))
+    with pytest.raises(ValidationError, match="missing symmetric-group polynomial for genus 1"):
+        grsn_pvalue_from_sn_expansion(1, 1, 2, 1, True, {}, (2,))

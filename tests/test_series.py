@@ -353,3 +353,38 @@ def test_long_cycle_series_against_class_dp_beyond_dense_reach(r, s, n):
     series = long_cycle_series(p, 0, n + 3)
     for m in range(n + 4):
         assert count_all(w, m) == series.count(m)
+
+
+def test_series_refuse_malformed_arguments():
+    e = exp_series(1, 3)
+    with pytest.raises(ValidationError, match="length order\\+1"):
+        EgfSeries(2, (Fraction(1),))
+    for m in (-1, 4):
+        with pytest.raises(ValidationError, match=f"index {m} beyond order 3"):
+            e.coefficient(m)
+    with pytest.raises(ConsistencyError, match="count at m=1 is not integral: 1/2"):
+        EgfSeries(1, (Fraction(0), Fraction(1, 2))).count(1)
+    for combine in (lambda a, b: a * b, lambda a, b: a - b, lambda a, b: a + b):
+        with pytest.raises(ValidationError, match="orders differ"):
+            combine(e, exp_series(1, 2))
+    with pytest.raises(ValidationError, match="negative series powers"):
+        e ** -1
+    for q, t in ((2, 2), (2, -1), (0, 0)):
+        with pytest.raises(ValidationError, match=f"bad cyclic series arguments q={q}, t={t}"):
+            cyclic_series(q, t, 3)
+    for n in (0, -2):
+        with pytest.raises(ValidationError, match="n must be positive"):
+            sn_long_cycle_series(n, 3)
+    w = GroupElement(GroupParams(2, 1, 2), (2, 1), (0, 1))
+    for m1, m2 in ((-1, 0), (0, -1)):
+        with pytest.raises(ValidationError, match="m1 and m2 must be nonnegative"):
+            comparison_refined(w, m1, m2)
+
+
+def test_comparison_refined_divides_exactly_below_n_minus_one(monkeypatch):
+    # S_n counts vanish for m1 < n-1, so only a wrong count reaches the
+    # division by r^(n-1-m1): a multiple of it divides exactly
+    w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
+    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, opts: 8)
+    assert comparison_refined(w, 0, 0) == 2  # 8 / 2^2
+    assert comparison_refined(w, 1, 0) == 4  # 8 / 2

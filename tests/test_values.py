@@ -2,15 +2,26 @@
 
 import copy
 import dataclasses
+import json
 import pickle
 from fractions import Fraction
 
 import pytest
 
 import reflfact
-from reflfact.counting import CountKey, Options
-from reflfact.graphs import DecoratedGraph, Walk
-from reflfact.groups import CycleType, ElementPartition, GroupParams, Reflection, identity
+from reflfact.counting import CountKey, CountTable, Options
+from reflfact.errors import ValidationError
+from reflfact.graphs import DecoratedGraph, Walk, graph_of_tuple
+from reflfact.groups import (
+    CycleType,
+    ElementPartition,
+    GroupElement,
+    GroupParams,
+    Reflection,
+    identity,
+    reflections,
+)
+from reflfact.indexing import GroupIndexer
 from reflfact.polyfit import FitReport, FitSample, NormalizationVerdict, SymmetricLaurentPoly
 from reflfact.series import ComparisonMismatch, EgfSeries
 
@@ -45,9 +56,9 @@ VALUES = [
     ),
     (Options(7), (7,), "Options(max_dp_cells=7)"),
     (
-        CountKey(2, 1, 2, (1, 2), (0, 0), 3, None, True),
-        (2, 1, 2, (1, 2), (0, 0), 3, None, True),
-        "CountKey(r=2, s=1, n=2, perm=(1, 2), exps=(0, 0), m1=3, m2=None, connected=True)",
+        CountKey(W, 3, None, True),
+        (W, 3, None, True),
+        f"CountKey(element={W_REPR}, m1=3, m2=None, connected=True)",
     ),
     (
         DecoratedGraph(P, ((1, 2, 1),)),
@@ -108,6 +119,8 @@ def test_value_classes_behave_as_frozen_dataclasses(value, fields, text):
     assert getattr(value, name) == fields[0]
 
 
+# records built from their fields alone; CountKey checks its fields, but
+# takes them by position or by name all the same
 PLAIN_RECORDS = (
     ElementPartition, CountKey, Walk, ComparisonMismatch, SymmetricLaurentPoly, FitSample,
     FitReport, NormalizationVerdict,
@@ -155,3 +168,112 @@ def test_package_names_resolve_on_first_access():
     assert set(reflfact.__all__) <= set(dir(reflfact))
     with pytest.raises(AttributeError):
         reflfact.no_such_name
+
+
+# Every value a constructor accepts writes JSON that its own parser reads
+# back as an equal value; the constructor is the one place that decides
+# what is valid, so a count key is refused where it is built, not when a
+# saved --cache file is read back.
+
+P3, P6 = GroupParams(2, 1, 3), GroupParams(6, 2, 3)
+W3 = GroupElement(P3, (1, 3, 2), (0, 1, 1))
+# valid constructor calls, each int field a plain int
+CALLS = [
+    (GroupParams, (2, 1, 3)),
+    (GroupElement, (P3, (1, 3, 2), (0, 1, 1))),
+    (Reflection, (P3, 1, 2, 1)),
+    (Reflection, (P6, 1, 1, 1)),
+    (DecoratedGraph, (P6, ((1, 2, 1), (2, 2, 1)))),
+    (CountKey, (W3, 1, 0, False)),
+    (CountKey, (W3, 0, None, True)),
+]
+
+
+def _parse(value, data):
+    if type(value) is Reflection:
+        return Reflection.from_json(data, value.params)
+    return type(value).from_json(data)
+
+
+def _round_trip_values():
+    yield GroupElement(P3, [2, 3, 1], [1, 1, 0])  # any sequences, kept as tuples
+    yield DecoratedGraph(P6, [[1, 3, 5], [3, 3, 2]])
+    yield DecoratedGraph(P6, ())
+    for params in (GroupParams(1, 1, 1), P3, GroupParams(2, 2, 3), GroupParams(4, 2, 2), P6):
+        refl = reflections(params)
+        yield from refl
+        yield graph_of_tuple(refl, params)
+        for w in GroupIndexer(params):
+            yield w
+            yield CountKey(w, len(w.perm), None, False)
+            yield CountKey(w, 2, 1, True)
+
+
+def test_every_accepted_value_reads_back_from_its_json():
+    for value in _round_trip_values():
+        data = json.loads(json.dumps(value.to_json()))
+        back = _parse(value, data)
+        assert back == value and hash(back) == hash(value), value
+        assert back.to_json() == value.to_json()
+
+
+def _one_int_replaced(args):
+    """Copies of the tuple `args` with one int, at any depth of nested
+    tuples, replaced by a bool (for 0 and 1), float or Fraction equal to it."""
+    for pos, arg in enumerate(args):
+        if arg.__class__ is int:
+            subs = [float(arg), Fraction(arg)] + ([bool(arg)] if arg in (0, 1) else [])
+        elif arg.__class__ is tuple:
+            subs = list(_one_int_replaced(arg))
+        else:
+            continue
+        for sub in subs:
+            yield args[:pos] + (sub,) + args[pos + 1:]
+
+
+@pytest.mark.parametrize("cls, args", CALLS, ids=[cls.__name__ for cls, _ in CALLS])
+def test_constructors_refuse_a_non_int_in_every_int_field(cls, args):
+    value = cls(*args)
+    variants = list(_one_int_replaced(args))
+    assert variants
+    for bad in variants:
+        assert bad == args  # equal to the valid call, but of the wrong types
+        with pytest.raises(ValidationError):
+            cls(*bad)
+    assert cls(*args) == value
+
+
+def test_constructors_refuse_what_a_parser_refuses():
+    for build in (
+        lambda: GroupElement(GroupParams(2, 1, 3), (True, 2, 3), (False, 1, 1)),
+        lambda: GroupParams(2.0, 1, 3),
+        lambda: GroupParams(True, True, 3),  # once taken for S_3
+        lambda: GroupElement(P3, (1, 2, 3), ("0", 0, 0)),
+        lambda: CountKey(W3, -1, None, False),
+        lambda: CountKey(W3, 0, -1, False),
+        lambda: CountKey(W3, 0, None, 0),
+        lambda: CountKey(W3, 0, None, None),
+        lambda: CountKey(W3, 0, None, "false"),
+        lambda: CountKey(W3.to_json(), 0, None, False),
+        lambda: DecoratedGraph(P6, ((1, 2),)),
+        lambda: DecoratedGraph(P6, (5,)),
+    ):
+        with pytest.raises(ValidationError):
+            build()
+
+
+def test_a_saved_table_of_library_keys_loads_back(tmp_path):
+    table = CountTable()
+    for i, w in enumerate(GroupIndexer(P3)):
+        table.insert(CountKey(w, i % 3, None if i % 2 else i % 4, bool(i % 5)), i, "dp")
+    path = tmp_path / "cache.jsonl"
+    table.save(path)
+    loaded = CountTable.load(path)
+    assert loaded.entries == table.entries
+
+
+def test_count_key_json_names_a_missing_field():
+    data = CountKey(W3, 1, 0, False).to_json()
+    for field in ("m1", "m2", "connected"):
+        with pytest.raises(ValidationError, match=f"missing field '{field}'"):
+            CountKey.from_json({k: v for k, v in data.items() if k != field})
