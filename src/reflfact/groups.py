@@ -147,7 +147,11 @@ def _vertices(n: int) -> frozenset:
 
 class GroupElement(_Frozen):
     """A group element as (perm, exps): v_i -> zeta^exps[i] v_perm[i].
-    Every construction is validated; perm and exps are kept as tuples."""
+    Every construction is validated; perm and exps are kept as tuples.
+    Each rule reads one part only, so `indexing.GroupIndexer`'s sweep
+    checks each permutation and each exponent vector once, by building
+    an element from it, and pairs the checked parts through
+    `_from_checked_parts`."""
 
     __slots__ = ("params", "perm", "exps")
     _fields = __slots__
@@ -171,6 +175,17 @@ class GroupElement(_Frozen):
         _set(self, "params", params)
         _set(self, "perm", perm)  # 1-based images
         _set(self, "exps", exps)
+
+    @classmethod
+    def _from_checked_parts(cls, params: GroupParams, perm: tuple, exps: tuple):
+        """The element (perm, exps) of `params`, built without a check:
+        perm and exps must each be taken from an element of `params` that
+        passed __init__."""
+        self = object.__new__(cls)
+        _set(self, "params", params)
+        _set(self, "perm", perm)
+        _set(self, "exps", exps)
+        return self
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)

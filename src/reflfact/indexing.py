@@ -1,5 +1,7 @@
-"""Indexing of G(r,s,n): perfect rank/unrank for tables dense over the
-group, and colored cycle types for tables over conjugacy classes.
+"""Indexing of G(r,s,n): a perfect rank/unrank of the elements, which
+serves the whole-group sweeps of the tests and the benchmark and the
+dense tables of the tuple-enumeration reference, and colored cycle
+types, which name the conjugacy classes the counts are tabled over.
 
 The index is perm_rank * E + exps_rank, where perm_rank is the Lehmer
 rank of the permutation and E = r^(n-1) * (r/s) counts the admissible
@@ -20,6 +22,7 @@ import functools
 import itertools
 import math
 
+from .errors import ValidationError
 from .groups import GroupElement, GroupParams
 
 
@@ -75,9 +78,16 @@ class GroupIndexer:
         return perm_rank(perm0) * self.exp_block + self._exps_rank(exps)
 
     def index_of(self, element: GroupElement) -> int:
+        if element.params != self.params:
+            raise ValidationError(
+                f"element of {element.params} is not in the indexed group {self.params}"
+            )
         return self.rank([p - 1 for p in element.perm], element.exps)
 
     def element_at(self, index: int) -> GroupElement:
+        # a bool or float would pass the compare as the int it equals
+        if index.__class__ is not int or not 0 <= index < self.size:
+            raise ValidationError(f"index {index!r} out of range 0..{self.size - 1}")
         pr, er = divmod(index, self.exp_block)
         perm0 = perm_unrank(pr, self.params.n)
         exps = self._exps_unrank(er)
@@ -88,12 +98,22 @@ class GroupIndexer:
     def __iter__(self):
         """The elements in index order: permutations in lexicographic
         (Lehmer) order, and under each one the exponent vectors in
-        `_exps_unrank` order, listed once."""
+        `_exps_unrank` order, listed once.  Each part is checked once, by
+        building an element from it (the exponent vectors all before the
+        first element is yielded), and the checked parts are paired."""
         params = self.params
-        block = [tuple(self._exps_unrank(i)) for i in range(self.exp_block)]
-        for perm in itertools.permutations(range(1, params.n + 1)):
+        n = params.n
+        ident = tuple(range(1, n + 1))
+        block = [
+            GroupElement(params, ident, self._exps_unrank(i)).exps
+            for i in range(self.exp_block)
+        ]
+        zeros = (0,) * n
+        pair = GroupElement._from_checked_parts
+        for perm in itertools.permutations(ident):
+            perm = GroupElement(params, perm, zeros).perm
             for exps in block:
-                yield GroupElement(params, perm, exps)
+                yield pair(params, perm, exps)
 
 
 def class_key(perm, exps, r: int) -> tuple[tuple[int, int], ...]:

@@ -8,6 +8,7 @@ import random
 import pytest
 
 from reflfact import (
+    ConsistencyError,
     DecoratedGraph,
     GroupParams,
     Reflection,
@@ -44,6 +45,33 @@ def test_empty_and_single_edges():
     tau = Reflection(p, 1, 1, 1)  # scales v_1 by zeta_6^2
     g = graph_of_tuple([tau])
     assert g.edges == ((1, 1, 1),)
+
+
+def test_graph_of_tuple_refusals():
+    with pytest.raises(ValidationError, match="^empty tuple needs explicit group parameters$"):
+        graph_of_tuple([])
+    mixed = [Reflection(GroupParams(2, 1, 3), 1, 2, 0), Reflection(GroupParams(2, 2, 3), 1, 2, 0)]
+    for refs in (mixed, mixed[::-1]):
+        with pytest.raises(ValidationError, match="^reflections in a tuple must share parameters$"):
+            graph_of_tuple(refs)
+
+
+def test_ordered_walk_refuses_a_vertex_out_of_range():
+    g = DecoratedGraph(GroupParams(2, 1, 3), ((1, 2, 1),))
+    for start in (0, 4, -1):
+        with pytest.raises(ValidationError, match=f"^vertex {start} out of range 1..3$"):
+            ordered_walk(g, start)
+
+
+def test_evaluate_raises_when_the_walks_disagree_with_the_product(monkeypatch, reference_graph):
+    import reflfact.graphs
+
+    product_value = evaluate(reference_graph)
+    monkeypatch.setattr(
+        reflfact.graphs, "evaluate_by_walks", lambda graph: product_value.inverse()
+    )
+    with pytest.raises(ConsistencyError, match="^walk evaluation disagrees with product$"):
+        evaluate(reference_graph)
 
 
 def test_graph_label_validation():

@@ -27,7 +27,7 @@ from reflfact import (
     product,
     reflections,
 )
-from reflfact.groups import permutation_cycles
+from reflfact.groups import permutation_cycles, restrict_to_block
 
 from conftest import all_elements, fold_product, random_element, relabel_to_dense
 
@@ -204,6 +204,34 @@ def test_cycle_type_examples():
     assert CycleType((2, 1)).ell == 2 and CycleType((2, 1)).n == 3
     with pytest.raises(ValidationError):
         CycleType((1, 2))  # not descending
+
+
+def test_refusals_of_elements_cycle_types_and_reflections():
+    p = GroupParams(2, 1, 2)
+    for data in ([[2, 1], [0, 1]], "perm", None):
+        with pytest.raises(ValidationError, match="^element JSON must be an object"):
+            GroupElement.from_json(data)
+    for missing in ("r", "s", "n"):
+        data = {"r": 2, "s": 1, "n": 2, "perm": [2, 1], "exps": [0, 1]}
+        del data[missing]
+        with pytest.raises(ValidationError, match=f"^element JSON missing field '{missing}'$"):
+            GroupElement.from_json(data)
+    with pytest.raises(ValidationError, match="^parameter mismatch: "):
+        multiply(identity(p), identity(GroupParams(2, 2, 2)))
+    for parts in ((2, 0), (0,), (1, -1)):
+        with pytest.raises(ValidationError, match="^cycle lengths must be positive"):
+            CycleType(parts)
+    for data in ([1, 2, 0], "swap", None):
+        with pytest.raises(ValidationError, match="^reflection JSON must be an object"):
+            Reflection.from_json(data, p)
+
+
+def test_restriction_refuses_a_block_that_is_not_invariant():
+    p = GroupParams(2, 1, 3)
+    w = Reflection(p, 1, 2, 1).to_element()  # swaps vertices 1 and 2
+    assert restrict_to_block(w, (1, 2)) == w
+    with pytest.raises(ValidationError, match=r"^block \(1, 3\) not invariant at vertex 1$"):
+        restrict_to_block(w, (1, 3))
 
 
 def test_reflection_counts():

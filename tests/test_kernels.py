@@ -9,7 +9,15 @@ import math
 
 import pytest
 
-from reflfact.groups import GroupParams, multiply, permutation_cycles, reflections
+from reflfact import ValidationError
+from reflfact.groups import (
+    GroupElement,
+    GroupParams,
+    identity,
+    multiply,
+    permutation_cycles,
+    reflections,
+)
 from reflfact._kernels_pure import _classes, dp_refined, dp_total, enum_bucketed, orbit_graph
 from reflfact.counting import _class_size
 from reflfact.indexing import (
@@ -54,6 +62,69 @@ def test_group_indexer_bijection():
             seen.add(idx)
         assert len(seen) == indexer.size
         assert indexer.element_at(0).is_identity()
+
+
+def test_group_indexer_refuses_other_groups_and_indices_out_of_range():
+    indexer = GroupIndexer(GroupParams(2, 1, 3))
+    for params in (GroupParams(4, 1, 3), GroupParams(2, 1, 5), GroupParams(2, 2, 3)):
+        with pytest.raises(ValidationError, match="is not in the indexed group"):
+            indexer.index_of(identity(params))
+        with pytest.raises(ValidationError, match="is not in the indexed group"):
+            indexer.index_of(GroupIndexer(params).element_at(23))
+    for index in (-1, 48, 10**6, True, 1.0):
+        with pytest.raises(ValidationError, match=f"^index {index!r} out of range 0..47$"):
+            indexer.element_at(index)
+    assert indexer.index_of(indexer.element_at(47)) == 47
+
+
+@pytest.mark.parametrize("r,s,n", CONFIGS)
+def test_sweep_yields_checked_elements_of_int_tuples(r, s, n):
+    # the sweep pairs parts it checked once: each pair is what the full
+    # check builds
+    params = GroupParams(r, s, n)
+    count = 0
+    for w in GroupIndexer(params):
+        assert w == GroupElement(w.params, w.perm, w.exps)
+        assert w.params is params
+        assert type(w.perm) is tuple and type(w.exps) is tuple
+        assert {type(x) for x in w.perm + w.exps} == {int}
+        count += 1
+    assert count == params.group_order()
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [((0, 0, 2), "exponents must lie in"), ((0, 0, -1), "exponents must lie in"),
+     ((0, 0, 1), "exponent sum 1 not divisible by s=2"), ((0, 0, 1.0), "exponents must lie in")],
+)
+def test_sweep_checks_every_exponent_vector_before_its_first_element(monkeypatch, bad, message):
+    indexer = GroupIndexer(GroupParams(2, 2, 3))
+    unrank = indexer._exps_unrank
+    last = indexer.exp_block - 1  # the last vector of the block is the bad one
+    monkeypatch.setattr(indexer, "_exps_unrank", lambda i: bad if i == last else unrank(i))
+    sweep = iter(indexer)
+    with pytest.raises(ValidationError, match=message):
+        next(sweep)
+
+
+def test_sweep_checks_every_permutation(monkeypatch):
+    import types
+
+    import reflfact.indexing
+
+    def permutations(ident):
+        yield ident
+        yield (1, 1, 3)
+
+    fake = types.SimpleNamespace(permutations=permutations)
+    monkeypatch.setattr(reflfact.indexing, "itertools", fake)
+    indexer = GroupIndexer(GroupParams(2, 1, 3))
+    sweep = iter(indexer)
+    assert [next(sweep) for _ in range(indexer.exp_block)] == [
+        indexer.element_at(i) for i in range(indexer.exp_block)
+    ]
+    with pytest.raises(ValidationError, match=r"^perm is not a bijection of 1..3: \(1, 1, 3\)$"):
+        next(sweep)
 
 
 @pytest.mark.parametrize(

@@ -21,6 +21,34 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_only_the_indexer_sweep_pairs_checked_parts():
+    # `GroupElement._from_checked_parts` runs no check: only the sweep,
+    # which checks every part it pairs, reaches it; `multiply`, `from_json`
+    # and `class_representative` (which refuses a key naming no class)
+    # build through the full check
+    name = "_from_checked_parts"
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "indexing.py":
+            for cls in tree.body:
+                if isinstance(cls, ast.ClassDef) and cls.name == "GroupIndexer":
+                    for fn in cls.body:
+                        if isinstance(fn, ast.FunctionDef) and fn.name == "__iter__":
+                            allowed.update(map(id, ast.walk(fn)))
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (
+                isinstance(node, ast.Name) and node.id == name
+                or isinstance(node, ast.Attribute) and node.attr == name
+                or isinstance(node, ast.Constant) and node.value == name  # getattr
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_no_module_level_dataclasses_import():
     # dataclasses pulls in inspect, ast and dis at import: values derive from
     # groups._Frozen, and only an assignment to one imports dataclasses
