@@ -51,9 +51,10 @@ def _element(args, params: GroupParams) -> GroupElement:
 
 
 def _options(args):
+    """The Options of --max-dp-cells, or the library's when it is not given."""
     from .counting import Options
 
-    return Options(max_dp_cells=args.max_dp_cells)
+    return Options() if args.max_dp_cells is None else Options(args.max_dp_cells)
 
 
 def _with_cache(args, key, provenance: str, compute) -> int:
@@ -85,7 +86,6 @@ def _add_budget(parser: argparse.ArgumentParser, with_cache=False) -> None:
     parser.add_argument(
         "--max-dp-cells",
         type=int,
-        default=5 * 10**7,  # counting.DEFAULT_MAX_DP_CELLS; a test pins the two
         help="cells a kernel's kept rounds 0..m may hold: one per class and "
         "round for total counts, one per class, round and diagonal count for "
         "refined counts and one per orbit of states, round and diagonal "
@@ -213,65 +213,56 @@ def _cmd_reflections(args) -> dict:
 
 
 def _cmd_count(args) -> dict:
-    """count, and count-refined with its m2 diagonal factors."""
+    """count, count-refined and count-connected: w's count at --m, or at
+    --m1 swap and --m2 diagonal factors, under its CountKey.  count and
+    count-refined have no --method (they count by the class DP) and
+    their parsers require --m, or --m1 and --m2."""
     from .counttable import CountKey
 
     w = _element(args, _params(args))
-    m1, m2 = (args.m1, args.m2) if args.command == "count-refined" else (args.m, None)
-    key = CountKey(w, m1, m2, connected=False)
-
-    def compute() -> int:
-        from .counting import count_all, count_refined
-
-        if m2 is None:
-            return count_all(w, m1, _options(args))
-        return count_refined(w, m1, m2, _options(args))
-
-    return {"count": str(_with_cache(args, key, "dp", compute))}
-
-
-def _cmd_count_connected(args) -> dict:
-    from .counttable import CountKey
-
-    params = _params(args)
-    w = _element(args, params)
-    split = args.m1 is not None or args.m2 is not None
-    if split and (args.m1 is None or args.m2 is None):
+    given = vars(args)
+    m, m1, m2 = given.get("m"), given.get("m1"), given.get("m2")
+    method = given.get("method", "dp")
+    split = m1 is not None or m2 is not None
+    if split and (m1 is None or m2 is None):
         raise UsageError("--m1 and --m2 must be given together")
-    if split and args.m is not None:
+    if split and m is not None:
         raise UsageError("give either --m or --m1/--m2, not both")
-    if not split and args.m is None:
+    if not split and m is None:
         raise UsageError("one of --m or --m1/--m2 is required")
-    if args.method == "inversion" and split:
+    if method == "inversion" and split:
         raise UsageError("--method inversion computes totals; use --m")
+    if not split:
+        m1 = m
+    key = CountKey(w, m1, m2, connected=method != "dp")
 
     def compute() -> int:
-        from .counting import (
-            connected_from_all,
-            count_connected_enum,
-            count_connected_total_enum,
-        )
+        from . import counting
 
         opts = _options(args)
-        if args.method == "enum":
-            if split:
-                return count_connected_enum(w, args.m1, args.m2, opts)
-            return count_connected_total_enum(w, args.m, opts)
-        if args.method == "comparison":
-            from .series import comparison_refined, comparison_total
+        if method == "comparison":
+            from . import series
 
             if split:
-                return comparison_refined(w, args.m1, args.m2, opts)
-            return comparison_total(w, args.m, opts)
-        return connected_from_all(w, args.m, opts)
+                return series.comparison_refined(w, m1, m2, opts)
+            return series.comparison_total(w, m1, opts)
+        if method == "enum":
+            if split:
+                return counting.count_connected_enum(w, m1, m2, opts)
+            return counting.count_connected_total_enum(w, m1, opts)
+        if method == "inversion":
+            return counting.connected_from_all(w, m1, opts)
+        if split:
+            return counting.count_refined(w, m1, m2, opts)
+        return counting.count_all(w, m1, opts)
 
-    m1, m2 = (args.m1, args.m2) if split else (args.m, None)
-    key = CountKey(w, m1, m2, connected=True)
     provenance = {
-        "enum": "enumeration", "comparison": "closed-form", "inversion": "inversion"
-    }[args.method]
-    value = _with_cache(args, key, provenance, compute)
-    return {"count": str(value), "method": args.method}
+        "dp": "dp", "enum": "enumeration", "comparison": "closed-form", "inversion": "inversion"
+    }[method]
+    payload = {"count": str(_with_cache(args, key, provenance, compute))}
+    if key.connected:
+        payload["method"] = method
+    return payload
 
 
 def _cmd_verify_comparison(args) -> dict:
@@ -412,9 +403,7 @@ _SUBCOMMANDS = {
     "reflections": ("list the reflection generating set", _add_params, _cmd_reflections),
     "count": ("total factorization count f_m", _args_count, _cmd_count),
     "count-refined": ("refined count by swap/diagonal split", _args_count_refined, _cmd_count),
-    "count-connected": (
-        "connected factorization count", _args_count_connected, _cmd_count_connected
-    ),
+    "count-connected": ("connected factorization count", _args_count_connected, _cmd_count),
     "verify-comparison": (
         "exhaustively check the comparison formula against the connected DP",
         _args_verify_comparison,

@@ -47,8 +47,8 @@ from itertools import chain, groupby, product
 
 from . import _kernels_pure
 from .counttable import CountKey, CountTable  # noqa: F401  (re-exported)
-from .errors import ConsistencyError, ResourceLimitError, ValidationError
-from .groups import GroupElement, GroupParams, _Frozen, _set
+from .errors import ConsistencyError, ResourceLimitError
+from .groups import GroupElement, GroupParams, _Frozen, _set, json_count
 from .indexing import class_count, class_key
 
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
@@ -62,9 +62,7 @@ class Options(_Frozen):
     __slots__ = _fields = ("max_dp_cells",)
 
     def __init__(self, max_dp_cells: int = DEFAULT_MAX_DP_CELLS):
-        if max_dp_cells.__class__ is not int or max_dp_cells < 0:
-            raise ValidationError(f"max_dp_cells must be a nonnegative int: {max_dp_cells!r}")
-        _set(self, "max_dp_cells", max_dp_cells)
+        _set(self, "max_dp_cells", json_count(max_dp_cells, "max_dp_cells"))
 
 
 DEFAULT_OPTIONS = Options()
@@ -151,8 +149,7 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
 
 def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """Number of m-tuples of reflections multiplying to w."""
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
+    json_count(m, "m")
     p = w.params
     return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)][0]
 
@@ -162,8 +159,7 @@ def count_refined(
 ) -> int:
     """Number of (m1+m2)-tuples multiplying to w with exactly m2 diagonal
     factors (and m1 swap factors)."""
-    if m1 < 0 or m2 < 0:
-        raise ValidationError("m1 and m2 must be nonnegative")
+    m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
     rounds = _rounds(w.params, m1 + m2, "dp_refined", opts)
     # a group without diagonal reflections keeps the m2 = 0 slot only
     slots = rounds[m1 + m2][class_key(w.perm, w.exps, w.params.r)]
@@ -204,8 +200,7 @@ def connected_rows(
     by the orbit DP: the one-block orbit's mass divided by |class(w)|.
     Row m has m+1 entries, or one (m2 = 0) when the group has no
     diagonal reflections."""
-    if min_m < 0 or max_m < 0:
-        raise ValidationError("m must be nonnegative")
+    min_m, max_m = json_count(min_m, "min_m"), json_count(max_m, "max_m")
     key = class_key(w.perm, w.exps, w.params.r)
     size = _class_size(w.params, key)
     rounds = _rounds(w.params, max_m, "dp_orbits", opts)
@@ -221,7 +216,7 @@ def class_sizes(params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS
     first, and its rounds run: its graph has an orbit for every class, so
     the budget bounds the class search too.  Class sizes that do not sum
     to the group order raise ConsistencyError."""
-    _rounds(params, max_m, "dp_orbits", opts)
+    _rounds(params, json_count(max_m, "max_m"), "dp_orbits", opts)
     keys = _kernels_pure._reversed_classes(*params.triple)[0][0]
     sizes = {key: _class_size(params, key) for key in keys}
     if sum(sizes.values()) != params.group_order():
@@ -237,8 +232,7 @@ def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) 
     masses of every orbit whose product has w's colored cycle type, over
     |class(w)|.  The orbits of each product class are listed once per
     orbit graph, in the group's record."""
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
+    json_count(m, "m")
     key = class_key(w.perm, w.exps, w.params.r)
     masses = _rounds(w.params, m, "dp_orbits", opts)[m]
     record = _cache[w.params.triple]  # _rounds has just made it the newest
@@ -256,8 +250,7 @@ def count_connected_enum(
     w: GroupElement, m1: int, m2: int, opts: Options = DEFAULT_OPTIONS
 ) -> int:
     """Connected refined count by the orbit DP: the trusted oracle."""
-    if m1 < 0 or m2 < 0:
-        raise ValidationError("m1 and m2 must be nonnegative")
+    m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
     (row,) = connected_rows(w, m1 + m2, opts, min_m=m1 + m2)
     return row[m2] if m2 < len(row) else 0
 
@@ -266,6 +259,7 @@ def count_connected_total_enum(
     w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS
 ) -> int:
     """Connected count over all diagonal/swap splits, by the orbit DP."""
+    json_count(m, "m")
     (row,) = connected_rows(w, m, opts, min_m=m)
     return sum(row)
 
@@ -285,8 +279,7 @@ def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
 def _connected_counts(w: GroupElement, m: int, opts: Options) -> list[int]:
     """The inversion memo's list of w's connected counts for m' = 0, 1,
     ..., extended in place to m or beyond; callers must not change it."""
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
+    json_count(m, "m")
     p = w.params
     rounds = _rounds(p, m, "dp_total", opts)
     record = _cache[p.triple]  # _rounds has just made it the newest

@@ -15,7 +15,7 @@ from typing import Optional
 
 from . import __version__ as _tool_version
 from .errors import CacheConflictError, ConsistencyError, ValidationError
-from .groups import GroupElement, _Frozen, _set, json_int
+from .groups import GroupElement, _Frozen, _set, json_count
 
 
 def _digits(value: int) -> str:
@@ -47,9 +47,8 @@ class CountKey(_Frozen):
     def __init__(self, element: GroupElement, m1: int, m2: Optional[int], connected: bool):
         if element.__class__ is not GroupElement:
             raise ValidationError(f"expected a group element, got {element!r}")
-        m1, m2 = json_int(m1), None if m2 is None else json_int(m2)
-        if m1 < 0 or m2 is not None and m2 < 0:
-            raise ValidationError(f"factor counts must be nonnegative, got {m1}, {m2}")
+        m2 = None if m2 is None else json_count(m2, "m2")
+        m1 = json_count(m1, "m" if m2 is None else "m1")
         if connected.__class__ is not bool:
             raise ValidationError(f"expected true or false, got {connected!r}")
         _set(self, "element", element)
@@ -80,8 +79,13 @@ class CountTable:
         self._lock = threading.Lock()
 
     def insert(self, key: CountKey, value: int, provenance: str) -> None:
-        if value < 0:
-            raise ValidationError(f"counts are nonnegative, got {value}")
+        """Record the count `value` under `key`, by `provenance`: the one
+        rule for every entry, which `load` and `save`'s merge go through."""
+        json_count(value, "count")
+        if key.__class__ is not CountKey:
+            raise ValidationError(f"expected a count key, got {key!r}")
+        if not isinstance(provenance, str):
+            raise ValidationError(f"provenance must be a string, got {provenance!r}")
         with self._lock:
             if key in self.entries:
                 old_value, provs = self.entries[key]
@@ -165,20 +169,16 @@ class CountTable:
                     try:
                         record = json.loads(line)
                         key = CountKey.from_json(record["key"])
-                        value, prov = record["value"], record["provenance"]
+                        value = record["value"]
                         if not (isinstance(value, str) and value.isascii() and value.isdigit()):
                             raise ValueError(f"value must be ASCII digits, got {value!r}")
-                        if not isinstance(prov, str):
-                            raise ValueError(f"provenance must be a string, got {prov!r}")
-                        value = _from_digits(value)
+                        table.insert(key, _from_digits(value), record["provenance"])
+                    except ConsistencyError as exc:
+                        raise CacheConflictError(f"{path}:{lineno}: {exc}") from exc
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                         raise ValidationError(
                             f"{path}:{lineno}: bad record: {exc}"
                         ) from exc
-                    try:
-                        table.insert(key, value, prov)
-                    except ConsistencyError as exc:
-                        raise CacheConflictError(f"{path}:{lineno}: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read count cache {path}: {exc}") from exc
         return table

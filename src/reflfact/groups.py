@@ -95,6 +95,17 @@ def json_int(value) -> int:
     return value
 
 
+def json_count(value, name: str) -> int:
+    """`value` if it is a nonnegative JSON integer, as `json_int` reads
+    one: the one rule for a factor count, a series order, a budget and a
+    cached count.  `name` names the value in the refusal of a negative
+    one."""
+    if value.__class__ is not int or value < 0:
+        json_int(value)  # a bool, float or string is refused as json_int refuses it
+        raise ValidationError(f"{name} must be nonnegative, got {value}")
+    return value
+
+
 def _json_list(values, size: int, field: str) -> list:
     """`values` if it is a JSON list of `size` entries."""
     if not isinstance(values, list) or len(values) != size:
@@ -266,15 +277,9 @@ def product(factors: Iterable[GroupElement], params: GroupParams) -> GroupElemen
     return acc
 
 
-@functools.lru_cache(maxsize=64)
-def _symmetric_group(n: int) -> GroupParams:
-    """G(1,1,n) = S_n, built once per n."""
-    return GroupParams(1, 1, n)
-
-
 def permutation_part(w: GroupElement) -> GroupElement:
     """Forget the root-of-unity entries: the image in G(1,1,n) = S_n."""
-    return GroupElement(_symmetric_group(w.params.n), w.perm, (0,) * w.params.n)
+    return GroupElement(GroupParams(1, 1, w.params.n), w.perm, (0,) * w.params.n)
 
 
 def entry_product(w: GroupElement) -> int:

@@ -18,7 +18,6 @@ on these classes, and `class_representative` gives one element of each.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
@@ -151,7 +150,6 @@ def class_representative(params: GroupParams, key) -> GroupElement:
     return GroupElement(params, tuple(perm), tuple(exps))
 
 
-@functools.lru_cache(maxsize=64)
 def class_count(params: GroupParams) -> int:
     """Number of colored cycle types in G(r,s,n): multisets of (length,
     color) pairs with lengths summing to n and colors summing to 0 mod s."""

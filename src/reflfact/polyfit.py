@@ -36,7 +36,7 @@ from .errors import (
     UnderdeterminedFitError,
     ValidationError,
 )
-from .groups import CycleType, GroupElement, GroupParams, _Frozen
+from .groups import CycleType, GroupElement, GroupParams, _Frozen, json_count
 from .indexing import class_representative
 from .series import cyclic_count
 
@@ -209,8 +209,7 @@ def elsv_normalize(
 ) -> Fraction:
     """Divide a connected count by its combinatorial prefactor, leaving the
     value of the symmetric polynomial at the cycle type."""
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
+    json_count(m, "m")
     return _normalized(count, _scale(m, params.r, ctype, normalization))
 
 
@@ -242,7 +241,10 @@ def basis_functions(g, ell: int):
     """Basis in which the degree-window polynomial is fitted: monomial
     symmetric functions for stable windows, Laurent monomials for
     one-variable negative windows, and the inverse-sum convention for
-    the (0,2) case."""
+    the (0,2) case: with ell >= 1, a window below zero is one of these
+    two."""
+    if ell < 1:
+        raise ValidationError(f"ell must be positive, got {ell}")
     g = Fraction(g)
     lo_f, hi_f = genus_window(g, ell)
     lo = math.ceil(lo_f)
@@ -252,11 +254,7 @@ def basis_functions(g, ell: int):
     if hi < 0:
         if ell == 1:
             return [(d,) for d in range(lo, hi + 1)]
-        if (g, ell) == (Fraction(0), 2):
-            return [INV_SUM]
-        raise ValidationError(
-            f"negative degree window for g={g}, ell={ell} has no convention"
-        )
+        return [INV_SUM]  # (g, ell) = (0, 2)
     basis = []
     for d in range(max(lo, 0), hi + 1):
         basis.extend(_partitions_at_most(d, ell))
@@ -610,6 +608,8 @@ def collect_samples(
     """Measure connected counts for every cycle type with `ell` parts at each
     requested n, using the canonical representative of each class.  A
     repeated n is refused: it would only check a sample against itself."""
+    if ell < 1:
+        raise ValidationError(f"ell must be positive, got {ell}")
     if len(set(n_values)) < len(n_values):
         raise ValidationError(f"repeated n in {list(n_values)}")
     out = []

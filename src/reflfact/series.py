@@ -27,6 +27,7 @@ from .groups import (
     _Frozen,
     _set,
     entry_product,
+    json_count,
     permutation_part,
 )
 
@@ -41,8 +42,7 @@ def cyclic_count(q: int, t: int, m: int) -> int:
         raise ValidationError("cyclic group order must be positive")
     if not 0 <= t < q:
         raise ValidationError(f"target exponent {t} out of range [0,{q})")
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
+    json_count(m, "m")
     if q == 1:
         return 1 if m == 0 else 0
     base, rem = divmod((q - 1) ** m - (-1) ** m, q)
@@ -61,8 +61,7 @@ class EgfSeries(_Frozen):
     __slots__ = _fields = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
-        if order < 0:
-            raise ValidationError(f"series order must be nonnegative, got {order}")
+        json_count(order, "series order")
         if len(coeffs) != order + 1:
             raise ValidationError("coefficient array must have length order+1")
         _set(self, "order", order)
@@ -200,8 +199,7 @@ def comparison_refined(
     must be exact, and a remainder would indicate a bug and raises."""
     from . import counting
 
-    if m1 < 0 or m2 < 0:
-        raise ValidationError("m1 and m2 must be nonnegative")
+    m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
     sn_count = counting.connected_from_all(
         permutation_part(w), m1, opts or counting.DEFAULT_OPTIONS
     )
@@ -229,8 +227,7 @@ def _comparison(p: GroupParams, t: int, m1: int, m2: int, sn_count: int) -> int:
 
 def comparison_total(w: GroupElement, m: int, opts: "Options | None" = None) -> int:
     """Connected count at m as the sum of refined comparisons over splits."""
-    if m < 0:
-        raise ValidationError("m must be nonnegative")
+    json_count(m, "m")
     sn = _sn_connected(permutation_part(w), m, opts)
     t = entry_product(w)
     return sum(_comparison(w.params, t, m1, m - m1, sn[m1]) for m1 in range(m + 1))
@@ -298,8 +295,7 @@ def comparison_mismatches(
     from . import counting
     from .indexing import class_representative
 
-    if max_m < 0:
-        raise ValidationError("max_m must be nonnegative")
+    json_count(max_m, "max_m")
     opts = opts or counting.DEFAULT_OPTIONS
     checks = 0
     bad: list[ComparisonMismatch] = []

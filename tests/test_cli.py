@@ -7,8 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from reflfact.cli import _SUBCOMMANDS, build_parser, main
-from reflfact.counting import DEFAULT_MAX_DP_CELLS, clear_caches
+from reflfact.cli import _SUBCOMMANDS, _options, build_parser, main
+from reflfact.counting import DEFAULT_MAX_DP_CELLS, Options, clear_caches
 from reflfact.errors import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -483,15 +483,22 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
 
 
 def test_max_dp_cells_default_matches_library():
+    # without --max-dp-cells a subcommand runs with the library's Options();
+    # a value given reaches Options as it is
     parser = build_parser()
     group = ["--r", "1", "--s", "1", "--n", "2"]
     for argv in (
         ["count", *group, "--omega", "{}", "--m", "1"],
+        ["count-refined", *group, "--omega", "{}", "--m1", "1", "--m2", "0"],
         ["count-connected", *group, "--omega", "{}", "--m", "1"],
+        ["verify-comparison", *group, "--max-m", "1"],
         ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
         ["fit", "--g", "0", "--ell", "1", "--n-values", "2"],
     ):
-        assert parser.parse_args(argv).max_dp_cells == DEFAULT_MAX_DP_CELLS, argv[0]
+        assert _options(parser.parse_args(argv)) == Options(), argv[0]
+        given = parser.parse_args([*argv, "--max-dp-cells", "7"])
+        assert _options(given) == Options(max_dp_cells=7), argv[0]
+    assert Options().max_dp_cells == DEFAULT_MAX_DP_CELLS
 
 
 def test_parser_for_the_chosen_subcommand_prints_as_the_full_one(capsys):
@@ -552,6 +559,38 @@ def test_fit_refuses_a_bad_genus(capsys):
     for g in ("one", "-1", "1/3"):
         code, out, err = run_cli(capsys, "fit", "--g", g, "--ell", "1", "--n-values", "2,3")
         assert code == EXIT_VALIDATION and "genus" in err and not out, g
+
+
+def test_fit_refuses_an_ell_below_one(capsys):
+    # ell is the number of cycles of the sampled cycle types
+    for ell in ("-1", "0"):
+        for extra in ([], ["--normalization", "verdict"]):
+            argv = ["fit", "--g", "1", "--ell", ell, "--n-values", "2,3", *extra]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_VALIDATION and "ell" in err and not out, argv
+
+
+def test_count_connected_methods_agree_on_every_split(capsys):
+    # every route of count-connected, at --m and at each --m1/--m2 split
+    group = ["--r", "2", "--s", "1", "--n", "3"]
+    omega = ["--omega", '{"perm":[2,3,1],"exps":[0,1,1]}']
+    for m in range(5):
+        totals = {
+            run_json(capsys, "count-connected", *group, *omega, "--m", str(m),
+                     "--method", method)["count"]
+            for method in ("enum", "comparison", "inversion")
+        }
+        assert len(totals) == 1, m
+        split = []
+        for m1 in range(m + 1):
+            counts = {
+                run_json(capsys, "count-connected", *group, *omega, "--m1", str(m1),
+                         "--m2", str(m - m1), "--method", method)["count"]
+                for method in ("enum", "comparison")
+            }
+            assert len(counts) == 1, (m1, m - m1)
+            split.append(int(counts.pop()))
+        assert sum(split) == int(totals.pop()), m
 
 
 def test_verify_comparison_prints_its_mismatches_and_exits_5(capsys, monkeypatch):

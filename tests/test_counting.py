@@ -4,6 +4,7 @@ cross-checks.  The in-file brute force is the independent oracle."""
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from fractions import Fraction
@@ -556,6 +557,83 @@ def test_negative_m_rejected():
         count_refined(identity(p), -1, 0)
 
 
+def _factor_count_entry_points():
+    """name -> a call of one entry point that reads the factor count v."""
+    from reflfact.polyfit import elsv_normalize
+    from reflfact.series import (
+        EgfSeries,
+        comparison_mismatches,
+        comparison_refined,
+        comparison_total,
+        cyclic_count,
+    )
+
+    w = GroupElement(GroupParams(2, 1, 2), (2, 1), (0, 1))
+    ctype = cycle_type(w)
+    return {
+        "count_all": lambda v: count_all(w, v),
+        "count_refined m1": lambda v: count_refined(w, v, 0),
+        "count_refined m2": lambda v: count_refined(w, 1, v),
+        "connected_rows max_m": lambda v: counting.connected_rows(w, v),
+        "connected_rows min_m": lambda v: counting.connected_rows(w, 2, min_m=v),
+        "class_sizes": lambda v: class_sizes(w.params, v),
+        "count_all_by_enum": lambda v: count_all_by_enum(w, v),
+        "count_connected_enum m1": lambda v: count_connected_enum(w, v, 0),
+        "count_connected_enum m2": lambda v: count_connected_enum(w, 1, v),
+        "count_connected_total_enum": lambda v: count_connected_total_enum(w, v),
+        "connected_from_all": lambda v: connected_from_all(w, v),
+        "connected_totals": lambda v: connected_totals(w, v),
+        "comparison_refined m1": lambda v: comparison_refined(w, v, 0),
+        "comparison_refined m2": lambda v: comparison_refined(w, 1, v),
+        "comparison_total": lambda v: comparison_total(w, v),
+        "comparison_mismatches": lambda v: comparison_mismatches(w.params, v),
+        "cyclic_count": lambda v: cyclic_count(3, 0, v),
+        "EgfSeries order": lambda v: EgfSeries(v, (Fraction(1),) * 2),
+        "elsv_normalize": lambda v: elsv_normalize(4, v, ctype, "derived", w.params),
+        "CountKey m1": lambda v: CountKey(w, v, None, False),
+        "CountKey m1 of a split": lambda v: CountKey(w, v, 0, True),
+        "CountKey m2": lambda v: CountKey(w, 1, v, True),
+        "Options max_dp_cells": lambda v: Options(max_dp_cells=v),
+        "CountTable.insert": lambda v: CountTable().insert(CountKey(w, 1, None, False), v, "dp"),
+    }
+
+
+@pytest.mark.parametrize("value", [True, 2.0, -1], ids=repr)
+@pytest.mark.parametrize("entry", sorted(_factor_count_entry_points()))
+def test_factor_counts_are_read_by_one_rule(entry, value):
+    # a bool or a float is not read as the int it equals, and a negative
+    # count is refused, with the one message of `json_count`
+    says = "nonnegative" if value == -1 else "expected an integer"
+    with pytest.raises(ValidationError, match=says):
+        _factor_count_entry_points()[entry](value)
+    clear_caches()
+
+
+def test_count_table_insert_refuses_what_a_load_would(tmp_path):
+    p = GroupParams(2, 1, 2)
+    w = GroupElement(p, (2, 1), (0, 1))
+    key = CountKey(w, 1, 1, True)
+    table = CountTable()
+    for value, provenance in ((True, "dp"), (3.0, "dp"), (-1, "dp"), (3, 1), (3, None)):
+        with pytest.raises(ValidationError):
+            table.insert(key, value, provenance)
+    with pytest.raises(ValidationError, match="count key"):
+        table.insert(key.to_json(), 3, "dp")
+    assert len(table) == 0
+    # whatever the library inserts, a save writes and a load reads back
+    big = 7**6000  # past the interpreter's int/str digit limit
+    table.insert(key, 4, "enumeration")
+    table.insert(key, 4, "closed-form")
+    table.insert(CountKey(w, 2, None, True), 4, "inversion")
+    table.insert(CountKey(identity(p), 0, None, False), 1, "dp")
+    table.insert(CountKey(identity(p), 9000, 0, False), big, "dp")
+    path = tmp_path / "cache.jsonl"
+    table.save(path)
+    assert CountTable.load(path).entries == table.entries
+    path.write_text("\n" + path.read_text().replace("\n", "\n\n"))  # blank lines are skipped
+    assert CountTable.load(path).entries == table.entries
+
+
 def test_pure_fallback_beyond_int64():
     # counts overflow 64 bits; the class DP counts in Python ints and the
     # values must match a raw transfer computation
@@ -684,7 +762,7 @@ def test_count_table_load_refuses_keys_that_name_no_count(tmp_path):
             CountTable.load(path)
 
 
-def test_count_table_failed_save_keeps_previous_file(tmp_path):
+def test_count_table_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     p = GroupParams(1, 1, 2)
     path = tmp_path / "cache.jsonl"
     previous = CountTable()
@@ -693,10 +771,13 @@ def test_count_table_failed_save_keeps_previous_file(tmp_path):
     before = path.read_text()
     table = CountTable()
     table.insert(CountKey(identity(p), 1, None, False), 0, "dp")
-    # the second record's provenance is not JSON: the save fails after
-    # the first record was written
-    table.entries[CountKey(identity(p), 2, None, False)] = (1, {object()})
-    with pytest.raises(TypeError):
+
+    # every record is written to the temporary file, then its rename fails
+    def replace_fails(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", replace_fails)
+    with pytest.raises(ValidationError, match="rename refused"):
         table.save(path)
     assert path.read_text() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cache.jsonl", "cache.jsonl.lock"]

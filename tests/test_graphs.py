@@ -39,12 +39,12 @@ def test_reference_tuple_to_graph(reference_graph, reference_tuple):
 def test_empty_and_single_edges():
     p = GroupParams(6, 2, 4)
     empty = graph_of_tuple([], params=p)
-    assert empty.edges == ()
+    assert empty.edges == () and len(empty) == 0
     from reflfact import Reflection
 
     tau = Reflection(p, 1, 1, 1)  # scales v_1 by zeta_6^2
     g = graph_of_tuple([tau])
-    assert g.edges == ((1, 1, 1),)
+    assert g.edges == ((1, 1, 1),) and len(g) == 1
 
 
 def test_graph_of_tuple_refusals():

@@ -148,6 +148,9 @@ def test_multiply_identity_and_involution():
     swap = Reflection(p, 1, 2, 1).to_element()
     assert multiply(identity(p), swap) == swap
     assert multiply(swap, swap) == identity(p)
+    # `*` is `multiply`: the right factor acts first
+    diag = GroupElement(p, (1, 2), (1, 0))
+    assert swap * diag == multiply(swap, diag) != diag * swap
 
 
 def test_apply_identity():

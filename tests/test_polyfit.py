@@ -527,8 +527,10 @@ def test_basis_functions_refuse_empty_and_unconventional_windows():
     for g, ell in ((Fraction(1, 4), 1), (-1, 3)):  # ceil(lo) > floor(hi)
         with pytest.raises(ValidationError, match="empty degree window"):
             basis_functions(g, ell)
-    for g, ell in ((0, 0), (Fraction(1, 2), 0)):  # below zero, not (0, 1) or (0, 2)
-        with pytest.raises(ValidationError, match="has no convention"):
+    # a window below zero other than the conventions of (g, 1) and (0, 2)
+    # needs ell < 1, which names no cycle type
+    for g, ell in ((0, 0), (Fraction(1, 2), 0), (1, 0), (1, -1)):
+        with pytest.raises(ValidationError, match="ell must be positive"):
             basis_functions(g, ell)
 
 

@@ -376,8 +376,8 @@ def test_series_refuse_malformed_arguments():
         with pytest.raises(ValidationError, match="n must be positive"):
             sn_long_cycle_series(n, 3)
     w = GroupElement(GroupParams(2, 1, 2), (2, 1), (0, 1))
-    for m1, m2 in ((-1, 0), (0, -1)):
-        with pytest.raises(ValidationError, match="m1 and m2 must be nonnegative"):
+    for m1, m2, name in ((-1, 0, "m1"), (0, -1, "m2")):
+        with pytest.raises(ValidationError, match=f"{name} must be nonnegative"):
             comparison_refined(w, m1, m2)
 
 
