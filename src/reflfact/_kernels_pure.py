@@ -21,7 +21,8 @@ connected DP maps orbit keys to orbit masses, the counts of (tuple,
 state) pairs over the whole orbit, which `reflfact.counting` divides by
 the size of the element's class.  One round loop, `dp_orbits`, steps
 every DP; each round maps keys to counts by m2.  The enumeration fills
-tables dense over the group, indexed by `reflfact.indexing.GroupIndexer`.
+tables dense over the group, indexed by `reflfact.indexing.GroupIndexer`,
+and undoes the unions of its union-find of components as it backtracks.
 Counts here are Python ints, so these kernels never overflow.
 """
 
@@ -186,6 +187,41 @@ def dp_orbits(graph, rounds, m):
     return rounds
 
 
+class _RollbackUnionFind:
+    """Union by size without path compression: unions undo in O(1), LIFO."""
+
+    def __init__(self, size: int):
+        self.parent = list(range(size))
+        self.size = [1] * size
+        self.components = size
+        self._trail: list[int] = []  # attached roots, -1 for no-op unions
+
+    def find(self, x: int) -> int:
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            self._trail.append(-1)
+            return
+        if self.size[ra] < self.size[rb]:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        self.size[ra] += self.size[rb]
+        self.components -= 1
+        self._trail.append(rb)
+
+    def undo(self) -> None:
+        rb = self._trail.pop()
+        if rb >= 0:  # not a no-op union
+            ra = self.parent[rb]
+            self.parent[rb] = rb
+            self.size[ra] -= self.size[rb]
+            self.components += 1
+
+
 def enum_bucketed(r, s, n, refl, m):
     """Enumerate all m-tuples of the reflections refl, each given as
     (is_diag, a, b, k) with 0-based a <= b: the reference the connected
@@ -195,12 +231,10 @@ def enum_bucketed(r, s, n, refl, m):
     m2 diagonal factors; conn additionally requires the tuple's graph to
     be connected on all n vertices.
     """
-    from .unionfind import RollbackUnionFind  # a test reference; counting never loads it
-
     indexer = GroupIndexer(GroupParams(r, s, n))
     total = [[0] * indexer.size for _ in range(m + 1)]
     conn = [[0] * indexer.size for _ in range(m + 1)]
-    uf = RollbackUnionFind(n)
+    uf = _RollbackUnionFind(n)
     perm0 = list(range(n))
     invperm = list(range(n))
     exps = [0] * n

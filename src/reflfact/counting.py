@@ -69,11 +69,10 @@ DEFAULT_OPTIONS = Options()
 
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
-# rounds of each `_kernels_pure` kernel, connected_from_all's memo (a class
-# key's connected counts for m = 0, 1, ..., no more than the rounds of
-# dp_total beside it), and under "orbits_by_class" count_all_by_enum's orbits
-# by product class; also what the budget checks read: the group's class
-# count, and under "orbits" the connected DP's orbit graph.  Least
+# rounds of each `_kernels_pure` kernel and connected_from_all's memo (a
+# class key's connected counts for m = 0, 1, ..., no more than the rounds
+# of dp_total beside it); also what the budget checks read: the group's
+# class count, and under "orbits" the connected DP's orbit graph.  Least
 # recently used group first.
 _cache: OrderedDict = OrderedDict()
 _CACHE_SLOTS = 16
@@ -111,11 +110,13 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
     reflections.
     A new record is refused before the classes are counted when a lower
     bound on them (and so on the orbits) exceeds the budget.  The orbit
-    graph is built here on first use, and its search is refused as soon
-    as the orbits found need more cells.  Cached rounds that stop
-    short of m are extended from the last one; a refused count runs no
-    round and leaves them as they were.  The kernel is looked up at call
-    time, so a rebinding of the module's name is seen."""
+    graph is built here on first use: every class key is a one-block
+    orbit, so the search is refused before it starts when the classes
+    alone need more cells, and as soon as the orbits found do.  Cached
+    rounds that stop short of m are extended from the last one; a
+    refused count runs no round and leaves them as they were.  The
+    kernel is looked up at call time, so a rebinding of the module's
+    name is seen."""
     slots = m + 1  # per class or orbit, over rounds 0..m
     if kernel != "dp_total" and params.q > 1:
         slots = slots * (m + 2) // 2
@@ -130,15 +131,15 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
         _keep(params.triple, record)
     else:
         _cache.move_to_end(params.triple)
+    group, cells = params.triple, record["class_count"] * slots
     if kernel == "dp_orbits":
         if "orbits" not in record:
+            if cells > opts.max_dp_cells:
+                raise _refusal(kernel, params, m, f"at least {cells}", opts)
             budget = opts.max_dp_cells // slots
             record["orbits"] = _kernels_pure.orbit_graph(*params.triple, budget)
         group = (record["orbits"],)
         cells = len(record["orbits"][0]) * slots
-    else:
-        group = params.triple
-        cells = record["class_count"] * slots
     if cells > opts.max_dp_cells:
         raise _refusal(kernel, params, m, cells, opts)
     rounds = record.get(kernel)
@@ -229,19 +230,13 @@ def class_sizes(params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS
 
 def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
     """count_all recomputed by the orbit DP (cross-check path): the
-    masses of every orbit whose product has w's colored cycle type, over
-    |class(w)|.  The orbits of each product class are listed once per
-    orbit graph, in the group's record."""
+    masses of every orbit whose merged blocks equal w's colored cycle
+    type, over |class(w)|."""
     json_count(m, "m")
     key = class_key(w.perm, w.exps, w.params.r)
     masses = _rounds(w.params, m, "dp_orbits", opts)[m]
-    record = _cache[w.params.triple]  # _rounds has just made it the newest
-    by_class = record.get("orbits_by_class")
-    if by_class is None:
-        by_class = record["orbits_by_class"] = {}
-        for orbit in record["orbits"][0]:
-            by_class.setdefault(tuple(sorted(chain.from_iterable(orbit))), []).append(orbit)
-    mass = sum(sum(masses[orbit]) for orbit in by_class.get(key, ()))
+    merged = {orbit: tuple(sorted(chain.from_iterable(orbit))) for orbit in masses}
+    mass = sum(sum(counts) for orbit, counts in masses.items() if merged[orbit] == key)
     (count,) = _per_element((mass,), _class_size(w.params, key), key, m)
     return count
 

@@ -22,7 +22,6 @@ from .groups import (
     _set,
     product,
 )
-from .unionfind import RollbackUnionFind
 
 
 class DecoratedGraph(_Frozen):
@@ -172,9 +171,16 @@ def evaluate(graph: DecoratedGraph) -> GroupElement:
 
 
 def is_connected(graph: DecoratedGraph) -> bool:
-    """Whether the underlying multigraph on all n vertices is connected."""
-    uf = RollbackUnionFind(graph.params.n)
+    """Whether the underlying multigraph on all n vertices is connected: a
+    search from vertex 1 along the edges reaches every vertex."""
+    neighbours: list[list[int]] = [[] for _ in range(graph.params.n + 1)]
     for (i, j, _) in graph.edges:
-        if i != j:
-            uf.union(i - 1, j - 1)
-    return uf.components == 1
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    seen, reached = {1}, [1]
+    for vertex in reached:  # grows while it is walked
+        for other in neighbours[vertex]:
+            if other not in seen:
+                seen.add(other)
+                reached.append(other)
+    return len(reached) == graph.params.n

@@ -28,6 +28,7 @@ from .groups import (
     _set,
     entry_product,
     json_count,
+    json_int,
     permutation_part,
 )
 
@@ -35,13 +36,21 @@ if TYPE_CHECKING:
     from .counting import Options
 
 
-def cyclic_count(q: int, t: int, m: int) -> int:
-    """Number of ways to write the t-th power of a fixed generator of a
-    cyclic group of order q as an ordered product of m nontrivial elements."""
+def _cyclic_target(q: int, t: int) -> tuple[int, int]:
+    """(q, t), each read by `json_int`, if q >= 1 is a cyclic group's
+    order and 0 <= t < q the exponent of its target."""
+    q, t = json_int(q), json_int(t)
     if q < 1:
         raise ValidationError("cyclic group order must be positive")
     if not 0 <= t < q:
         raise ValidationError(f"target exponent {t} out of range [0,{q})")
+    return q, t
+
+
+def cyclic_count(q: int, t: int, m: int) -> int:
+    """Number of ways to write the t-th power of a fixed generator of a
+    cyclic group of order q as an ordered product of m nontrivial elements."""
+    q, t = _cyclic_target(q, t)
     json_count(m, "m")
     if q == 1:
         return 1 if m == 0 else 0
@@ -152,7 +161,7 @@ class EgfSeries(_Frozen):
 
 def exp_series(a, order: int) -> EgfSeries:
     """Truncation of exp(a*x)."""
-    a = Fraction(a)
+    a, order = Fraction(a), json_count(order, "series order")
     coeffs = []
     power = Fraction(1)
     for m in range(order + 1):
@@ -164,8 +173,7 @@ def exp_series(a, order: int) -> EgfSeries:
 def cyclic_series(q: int, t: int, order: int) -> EgfSeries:
     """EGF of cyclic-group factorization counts for the t-th target:
     ((exp((q-1)x) - exp(-x)) / q, plus exp(-x) when the target is trivial."""
-    if q < 1 or not 0 <= t < q:
-        raise ValidationError(f"bad cyclic series arguments q={q}, t={t}")
+    q, t = _cyclic_target(q, t)
     series = (exp_series(q - 1, order) - exp_series(-1, order)) * Fraction(1, q)
     if t == 0:
         series = series + exp_series(-1, order)
@@ -252,7 +260,7 @@ def connected_series(
 def sn_long_cycle_series(n: int, order: int) -> EgfSeries:
     """Classical EGF for factoring a long cycle of S_n into transpositions:
     (exp(nx/2) - exp(-nx/2))^(n-1) / n!."""
-    if n < 1:
+    if json_int(n) < 1:
         raise ValidationError("n must be positive")
     half = Fraction(n, 2)
     core = exp_series(half, order) - exp_series(-half, order)

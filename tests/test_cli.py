@@ -446,6 +446,11 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
     ):
         loaded = _modules_after(*argv)
         assert not loaded & {"reflfact.counting", "reflfact._kernels_pure", *unused}, argv
+    # walks loads `graphs` and nothing more
+    walks = _modules_after("walks", "--graph", json.dumps(reference_graph.to_json()))
+    assert walks - {"dataclasses", "inspect"} <= {
+        "reflfact.cli", "reflfact.errors", "reflfact.groups", "reflfact.graphs"
+    }
     for argv in (
         ["verify-comparison", *group, "--max-m", "1"],
         ["series", "--kind", "connected", *group, *omega, "--order", "3"],

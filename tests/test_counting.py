@@ -345,6 +345,27 @@ def test_connected_dp_budget_bounds_live_states():
     clear_caches()
 
 
+def test_orbit_search_refused_by_the_class_count(monkeypatch):
+    # every class key is a one-block orbit: S_10's 42 classes keep
+    # 42 * 3 = 126 cells over rounds 0..2, over a budget of 100, so no
+    # orbit search starts
+    clear_caches()
+
+    def orbit_graph_ran(*args):
+        raise AssertionError(f"orbit_graph{args} ran")
+
+    monkeypatch.setattr(_kernels_pure, "orbit_graph", orbit_graph_ran)
+    w = identity(GroupParams(1, 1, 10))
+    for query in (
+        lambda: count_connected_total_enum(w, 2, Options(100)),
+        lambda: count_all_by_enum(w, 2, Options(100)),
+        lambda: class_sizes(w.params, 2, Options(100)),
+    ):
+        with pytest.raises(ResourceLimitError, match="up to m=2 needs at least 126 cells"):
+            query()
+    clear_caches()
+
+
 def test_count_refused_before_the_classes_are_counted(monkeypatch):
     # S_2000 has at least 2^61 classes, as 62 * 63 / 2 <= 2000: every count
     # at m = 1 keeps 2 slots per class or orbit, over the default budget

@@ -213,6 +213,25 @@ def test_connectivity_examples(reference_graph):
     assert is_connected(DecoratedGraph(GroupParams(2, 1, 1), ()))
 
 
+def _path(vertices):
+    return [(min(a, b), max(a, b), 0) for a, b in zip(vertices, vertices[1:])]
+
+
+def _star(vertices):
+    return [(min(vertices[0], b), max(vertices[0], b), 0) for b in vertices[1:]]
+
+
+def test_connectivity_of_long_paths_and_large_stars():
+    # 5000 vertices, in both orders: the search is linear in the edges
+    n = 5000
+    p = GroupParams(1, 1, n)
+    for vertices in (list(range(1, n + 1)), list(range(n, 0, -1))):
+        for shape in (_path, _star):
+            assert is_connected(DecoratedGraph(p, tuple(shape(vertices))))
+            pieces = shape(vertices[: n // 2]) + shape(vertices[n // 2 :])
+            assert not is_connected(DecoratedGraph(p, tuple(pieces)))
+
+
 def test_connectivity_equals_orbit_transitivity():
     # connectivity of the graph == the projected swaps act transitively
     rng = random.Random(15)

@@ -84,6 +84,32 @@ def test_cyclic_count_validation():
         cyclic_count(2, 0, -1)
 
 
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        pytest.param(function, args, id=f"{function.__name__}{args}")
+        for function, args in (
+            (cyclic_count, (2.0, 0, 2)),
+            (cyclic_count, (True, 0, 2)),
+            (cyclic_count, (3, True, 2)),
+            (cyclic_series, (2.0, 0, 2)),
+            (cyclic_series, (3, True, 2)),
+            (cyclic_series, (2, 0, 2.0)),
+            (sn_long_cycle_series, (3.0, 2)),
+            (sn_long_cycle_series, (True, 2)),
+            (sn_long_cycle_series, (3, 2.0)),
+            (long_cycle_series, (GroupParams(2, 1, 3), True, 2)),
+            (long_cycle_series, (GroupParams(2, 1, 3), 0, 2.0)),
+            (exp_series, (1, 2.0)),
+        )
+    ],
+)
+def test_closed_forms_read_their_arguments_by_the_value_rules(function, args):
+    # a bool or a float in an int argument is refused, not coerced
+    with pytest.raises(ValidationError, match="expected an integer, got (True|2.0|3.0)"):
+        function(*args)
+
+
 def test_egf_arithmetic():
     e = exp_series(1, 6)
     assert (e * exp_series(-1, 6)).coeffs == EgfSeries.constant(1, 6).coeffs
@@ -369,8 +395,12 @@ def test_series_refuse_malformed_arguments():
             combine(e, exp_series(1, 2))
     with pytest.raises(ValidationError, match="negative series powers"):
         e ** -1
-    for q, t in ((2, 2), (2, -1), (0, 0)):
-        with pytest.raises(ValidationError, match=f"bad cyclic series arguments q={q}, t={t}"):
+    for q, t, message in (
+        (2, 2, "target exponent 2 out of range \\[0,2\\)"),
+        (2, -1, "target exponent -1 out of range \\[0,2\\)"),
+        (0, 0, "cyclic group order must be positive"),
+    ):
+        with pytest.raises(ValidationError, match=message):
             cyclic_series(q, t, 3)
     for n in (0, -2):
         with pytest.raises(ValidationError, match="n must be positive"):
