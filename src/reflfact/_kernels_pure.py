@@ -22,7 +22,8 @@ state) pairs over the whole orbit, which `reflfact.counting` divides by
 the size of the element's class.  One round loop, `dp_orbits`, steps
 every DP; each round maps keys to counts by m2.  The enumeration fills
 tables dense over the group, indexed by `reflfact.indexing.GroupIndexer`,
-and undoes the unions of its union-find of components as it backtracks.
+and passes each tuple's components down its recursion as a tuple of
+labels, the least vertex of each vertex's component.
 Counts here are Python ints, so these kernels never overflow.
 """
 
@@ -110,15 +111,17 @@ def _classes(r, s, n):
 def _reversed_classes(r, s, n):
     """`_classes`' graph with each move (c2, swaps, diagonals) of c turned
     into a move (c, ...) of c2, as it is and with swaps + diagonals
-    counted as swaps: one graph when the group has no diagonal
-    reflections.  Memoized per group."""
+    counted as swaps.  A group without diagonal reflections (r = s) has
+    no diagonal moves, so both are one graph.  Memoized per group."""
     keys, moves = _classes(r, s, n)
-    back, merged = [[] for _ in keys], [[] for _ in keys]
+    back = [[] for _ in keys]
     for c, row in enumerate(moves):
         for c2, swaps, diags in row:
             back[c2].append((c, swaps, diags))
-            merged[c2].append((c, swaps + diags, 0))
-    return (keys, back), (keys, back if merged == back else merged)
+    if r == s:
+        return (keys, back), (keys, back)
+    merged = [[(c, swaps + diags, 0) for c, swaps, diags in row] for row in back]
+    return (keys, back), (keys, merged)
 
 
 # Each kernel takes the earlier rounds before m, so m is the fifth argument
@@ -187,41 +190,6 @@ def dp_orbits(graph, rounds, m):
     return rounds
 
 
-class _RollbackUnionFind:
-    """Union by size without path compression: unions undo in O(1), LIFO."""
-
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.size = [1] * size
-        self.components = size
-        self._trail: list[int] = []  # attached roots, -1 for no-op unions
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            self._trail.append(-1)
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.components -= 1
-        self._trail.append(rb)
-
-    def undo(self) -> None:
-        rb = self._trail.pop()
-        if rb >= 0:  # not a no-op union
-            ra = self.parent[rb]
-            self.parent[rb] = rb
-            self.size[ra] -= self.size[rb]
-            self.components += 1
-
-
 def enum_bucketed(r, s, n, refl, m):
     """Enumerate all m-tuples of the reflections refl, each given as
     (is_diag, a, b, k) with 0-based a <= b: the reference the connected
@@ -229,28 +197,29 @@ def enum_bucketed(r, s, n, refl, m):
 
     Returns (total, conn): total[m2][g] counts tuples with product g and
     m2 diagonal factors; conn additionally requires the tuple's graph to
-    be connected on all n vertices.
+    be connected on all n vertices.  The recursion passes down the
+    components the swap factors so far have joined, as labels[v] = least
+    vertex of v's component: the graph is connected when every label is 0.
     """
     indexer = GroupIndexer(GroupParams(r, s, n))
     total = [[0] * indexer.size for _ in range(m + 1)]
     conn = [[0] * indexer.size for _ in range(m + 1)]
-    uf = _RollbackUnionFind(n)
     perm0 = list(range(n))
     invperm = list(range(n))
     exps = [0] * n
 
-    def rec(level: int, m2: int) -> None:
+    def rec(level: int, m2: int, labels: tuple) -> None:
         if level == m:
             g = indexer.rank(perm0, exps)
             total[m2][g] += 1
-            if uf.components == 1:
+            if not any(labels):
                 conn[m2][g] += 1
             return
         for is_diag, a, b, k in refl:
             if is_diag:
                 ia = invperm[a]
                 exps[ia] = (exps[ia] + s * k) % r
-                rec(level + 1, m2 + 1)
+                rec(level + 1, m2 + 1, labels)
                 exps[ia] = (exps[ia] - s * k) % r
             else:
                 ia, ib = invperm[a], invperm[b]
@@ -258,14 +227,16 @@ def enum_bucketed(r, s, n, refl, m):
                 invperm[a], invperm[b] = ib, ia
                 exps[ia] = (exps[ia] + k) % r
                 exps[ib] = (exps[ib] - k) % r
-                uf.union(a, b)
-                rec(level + 1, m2)
-                uf.undo()
+                keep, drop = sorted((labels[a], labels[b]))
+                joined = labels if keep == drop else tuple(
+                    keep if x == drop else x for x in labels
+                )
+                rec(level + 1, m2, joined)
                 exps[ib] = (exps[ib] + k) % r
                 exps[ia] = (exps[ia] - k) % r
                 invperm[a], invperm[b] = ia, ib
                 perm0[ia], perm0[ib] = a, b
-            # product and union-find state fully restored here
+            # the product is restored here; labels was never changed
 
-    rec(0, 0)
+    rec(0, 0, tuple(range(n)))
     return total, conn

@@ -271,28 +271,12 @@ def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     return out
 
 
-def _connected_counts(w: GroupElement, m: int, opts: Options) -> list[int]:
-    """The inversion memo's list of w's connected counts for m' = 0, 1,
-    ..., extended in place to m or beyond; callers must not change it."""
-    json_count(m, "m")
-    p = w.params
-    rounds = _rounds(p, m, "dp_total", opts)
-    record = _cache[p.triple]  # _rounds has just made it the newest
-    memo = record.setdefault("connected_from_all", {})
-    key = class_key(w.perm, w.exps, p.r)
-    counts = memo.get(key)
-    if counts is None or len(counts) <= m:
-        counts = _invert(p, key, m, opts, rounds, memo)
-        _keep(p.triple, record)  # the newest again, after the groups the recursion read
-    return counts
-
-
 def connected_totals(w: GroupElement, max_m: int, opts: Options = DEFAULT_OPTIONS) -> list[int]:
     """The connected counts of w for m = 0..max_m, by inverting the block
     product formula (see `connected_from_all`): one row, read with one
     inversion, as `connected_rows` reads the orbit DP's.  A copy of the
     memo's counts, so the caller may change it."""
-    return _connected_counts(w, max_m, opts)[: max_m + 1]
+    return _invert(w, max_m, opts)[: max_m + 1]
 
 
 def connected_from_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
@@ -303,36 +287,42 @@ def connected_from_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS)
     colored cycle type to its counts for m = 0, 1, ..., which a call at a
     larger m extends in place; a caller that needs several m asks
     `connected_totals` once."""
-    return _connected_counts(w, m, opts)[m]
+    return _invert(w, m, opts)[m]
 
 
-def _invert(params: GroupParams, key, m: int, opts: Options, rounds, memo) -> list[int]:
-    """connected_from_all's recursion on the block B that holds the first
-    cycle c1 of a class key (the exponential formula): the connected counts
-    of the key are its class-DP totals minus, over every proper B,
-    ways(B) times the binomial convolution of B's connected counts with
-    the totals of the complement.  B is c1 plus a sub-multiset of the
-    other cycles, chosen in prod over cycle types of C(mult, k) ways, and
-    a B whose colors do not sum to 0 mod s has no factorization of its
-    own.  Returns the memo's counts of key, extended to m.  `rounds` and
-    `memo` are those of the group `params`; every smaller group G(r,s,k)
-    the recursion reads is held from its first use to the end of the
-    call, so its budget is checked once and the cache cannot drop it
-    midway."""
-    r, s = params.r, params.s
-    held = {params.n: (rounds, memo)}
+def _invert(w: GroupElement, m: int, opts: Options) -> list[int]:
+    """The inversion memo's list of w's connected counts for m' = 0, 1,
+    ..., extended in place to m or beyond; callers must not change it.
 
-    def group(n: int):
-        """(dp_total rounds 0..m, inversion memo) of G(r,s,n)."""
+    The recursion on the block B that holds the first cycle c1 of a class
+    key (the exponential formula): the connected counts of the key are its
+    class-DP totals minus, over every proper B, ways(B) times the binomial
+    convolution of B's connected counts with the totals of the complement.
+    B is c1 plus a sub-multiset of the other cycles, chosen in prod over
+    cycle types of C(mult, k) ways, and a B whose colors do not sum to 0
+    mod s has no factorization of its own.  Every group G(r,s,k) the
+    recursion reads, w's own first, is held from its first use to the end
+    of the call, so its budget is checked once and the cache cannot drop
+    it midway; w's group is then made the cache's newest again."""
+    json_count(m, "m")
+    p = w.params
+    r, s = p.r, p.s
+    held: dict = {}
+
+    def group(n: int) -> dict:
+        """The cache record of G(r,s,n), with dp_total rounds 0..m and an
+        inversion memo."""
         if n not in held:
-            sub = GroupParams(r, s, n)
-            sub_rounds = _rounds(sub, m, "dp_total", opts)
-            held[n] = (sub_rounds, _cache[sub.triple].setdefault("connected_from_all", {}))
+            sub = p if n == p.n else GroupParams(r, s, n)  # p is checked already
+            _rounds(sub, m, "dp_total", opts)
+            held[n] = _cache[sub.triple]  # _rounds has just made it the newest
+            held[n].setdefault("connected_from_all", {})
         return held[n]
 
     def connected(key, n: int) -> list[int]:
-        rounds, memo = group(n)
-        counts = memo.setdefault(key, [])
+        record = group(n)
+        rounds = record["dp_total"]
+        counts = record["connected_from_all"].setdefault(key, [])
         start = len(counts)
         if start > m:
             return counts
@@ -348,7 +338,7 @@ def _invert(params: GroupParams, key, m: int, opts: Options, rounds, memo) -> li
                 continue  # B is the whole key, or has no factorization
             size = sum(length for length, _ in block)
             inner = connected(block, size)
-            rest_rounds = group(n - size)[0]
+            rest_rounds = group(n - size)["dp_total"]
             outer = [rest_rounds[j][rest][0] for j in range(m + 1)]
             joined = _binomial_convolve(inner, outer, m)
             for j in range(start, m + 1):
@@ -356,5 +346,6 @@ def _invert(params: GroupParams, key, m: int, opts: Options, rounds, memo) -> li
         counts.extend(new)
         return counts
 
-    return connected(key, params.n)
-
+    counts = connected(class_key(w.perm, w.exps, r), p.n)
+    _keep(p.triple, held[p.n])
+    return counts

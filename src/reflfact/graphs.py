@@ -20,22 +20,26 @@ from .groups import (
     Reflection,
     _Frozen,
     _set,
+    json_int,
     product,
 )
 
 
 class DecoratedGraph(_Frozen):
     """Ordered labeled multigraph; edges are (i, j, label) with i <= j,
-    each checked as the `Reflection` it encodes and kept as a tuple."""
+    each given as a list or tuple of three entries, checked as the
+    `Reflection` it encodes and kept as a tuple."""
 
     __slots__ = _fields = ("params", "edges")
 
     def __init__(self, params: GroupParams, edges: tuple[tuple[int, int, int], ...]):
         checked = []
         for idx, edge in enumerate(edges):
+            if not isinstance(edge, (list, tuple)) or len(edge) != 3:
+                raise ValidationError(f"edge {idx}: expected [i, j, k], got {edge!r}")
             try:
                 ref = Reflection(params, *edge)
-            except (TypeError, ValidationError) as exc:  # TypeError: not three entries
+            except ValidationError as exc:
                 raise ValidationError(f"edge {idx}: {exc}") from exc
             checked.append((ref.i, ref.j, ref.k))
         _set(self, "params", params)
@@ -107,7 +111,7 @@ def _incidence(graph: DecoratedGraph) -> list[list[int]]:
 def ordered_walk(graph: DecoratedGraph, start: int, _inc=None) -> Walk:
     """The maximal walk from `start` that takes, at each vertex, the next
     incident edge in edge order after the previous step."""
-    if not 1 <= start <= graph.params.n:
+    if not 1 <= json_int(start) <= graph.params.n:
         raise ValidationError(f"vertex {start} out of range 1..{graph.params.n}")
     inc = _inc if _inc is not None else _incidence(graph)
     steps = []

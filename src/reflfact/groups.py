@@ -203,7 +203,7 @@ class GroupElement(_Frozen):
 
     def apply(self, i: int) -> tuple[int, int]:
         """Image of basis vector i: the pair (perm[i], exps[i])."""
-        if not 1 <= i <= self.params.n:
+        if not 1 <= json_int(i) <= self.params.n:
             raise ValidationError(f"vertex index {i} out of range 1..{self.params.n}")
         return self.perm[i - 1], self.exps[i - 1]
 
@@ -295,12 +295,13 @@ def is_trivial_product(w: GroupElement) -> bool:
 
 
 class CycleType(_Frozen):
-    """Multiset of cycle lengths of the underlying permutation."""
+    """Multiset of cycle lengths of the underlying permutation: a tuple of
+    positive ints, as `json_int` reads one, in descending order."""
 
     __slots__ = _fields = ("parts",)
 
     def __init__(self, parts: tuple[int, ...]):
-        if any(p < 1 for p in parts):
+        if any(json_int(p) < 1 for p in parts):
             raise ValidationError(f"cycle lengths must be positive: {parts}")
         if tuple(sorted(parts, reverse=True)) != parts:
             raise ValidationError(f"parts must be sorted descending: {parts}")

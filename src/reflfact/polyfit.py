@@ -36,7 +36,7 @@ from .errors import (
     UnderdeterminedFitError,
     ValidationError,
 )
-from .groups import CycleType, GroupElement, GroupParams, _Frozen, json_count
+from .groups import CycleType, GroupElement, GroupParams, _Frozen, json_count, json_int
 from .indexing import class_representative
 from .series import cyclic_count
 
@@ -163,12 +163,21 @@ def degree_window_check(poly: SymmetricLaurentPoly, g, ell: int) -> bool:
     return all(lo <= d <= hi for d in poly.degrees())
 
 
+def _cycle_count(ell) -> int:
+    """`ell` if it is a positive int, as `json_int` reads one: the one rule
+    for the number of cycles of the cycle types a fit is over."""
+    if json_int(ell) < 1:
+        raise ValidationError(f"ell must be positive, got {ell}")
+    return ell
+
+
 def tuple_length_for(g, n: int, ell: int) -> int:
     """The factorization length m with genus g on an n-element group with
-    ell cycles: m = 2g + n + ell - 2."""
+    ell cycles: m = 2g + n + ell - 2; n and ell are ints, as `json_int`
+    reads one."""
     genus = Fraction(g)
     twice_g, rem = divmod(2 * genus.numerator, genus.denominator)
-    m = twice_g + n + ell - 2
+    m = twice_g + json_int(n) + json_int(ell) - 2
     if rem or m < 0:
         raise ValidationError(f"no valid tuple length for g={g}, n={n}, ell={ell}")
     return m
@@ -243,8 +252,7 @@ def basis_functions(g, ell: int):
     one-variable negative windows, and the inverse-sum convention for
     the (0,2) case: with ell >= 1, a window below zero is one of these
     two."""
-    if ell < 1:
-        raise ValidationError(f"ell must be positive, got {ell}")
+    _cycle_count(ell)
     g = Fraction(g)
     lo_f, hi_f = genus_window(g, ell)
     lo = math.ceil(lo_f)
@@ -608,10 +616,10 @@ def collect_samples(
     """Measure connected counts for every cycle type with `ell` parts at each
     requested n, using the canonical representative of each class.  A
     repeated n is refused: it would only check a sample against itself."""
-    if ell < 1:
-        raise ValidationError(f"ell must be positive, got {ell}")
+    _cycle_count(ell)
+    n_values = [json_int(n) for n in n_values]
     if len(set(n_values)) < len(n_values):
-        raise ValidationError(f"repeated n in {list(n_values)}")
+        raise ValidationError(f"repeated n in {n_values}")
     out = []
     for n in sorted(n_values):
         if n < ell:

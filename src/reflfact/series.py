@@ -78,6 +78,7 @@ class EgfSeries(_Frozen):
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int) -> "EgfSeries":
+        json_count(order, "series order")
         cs = [Fraction(c) for c in coeffs[: order + 1]]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         return cls(order, tuple(cs))
@@ -87,7 +88,7 @@ class EgfSeries(_Frozen):
         return cls.from_coeffs([Fraction(value)], order)
 
     def coefficient(self, m: int) -> Fraction:
-        if not 0 <= m <= self.order:
+        if not 0 <= json_int(m) <= self.order:
             raise ValidationError(f"coefficient index {m} beyond order {self.order}")
         return self.coeffs[m]
 
@@ -133,7 +134,7 @@ class EgfSeries(_Frozen):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "EgfSeries":
-        if k < 0:
+        if json_int(k) < 0:
             raise ValidationError("negative series powers unsupported")
         result = EgfSeries.constant(1, self.order)
         base = self

@@ -4,6 +4,7 @@ and connectivity."""
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -61,6 +62,9 @@ def test_ordered_walk_refuses_a_vertex_out_of_range():
     for start in (0, 4, -1):
         with pytest.raises(ValidationError, match=f"^vertex {start} out of range 1..3$"):
             ordered_walk(g, start)
+    for start in (True, 1.0):  # not taken for vertex 1
+        with pytest.raises(ValidationError, match=f"^expected an integer, got {start}$"):
+            ordered_walk(g, start)
 
 
 def test_evaluate_raises_when_the_walks_disagree_with_the_product(monkeypatch, reference_graph):
@@ -82,6 +86,23 @@ def test_graph_label_validation():
         DecoratedGraph(p, ((1, 2, 6),))  # edge label must be < r
     with pytest.raises(ValidationError):
         DecoratedGraph(GroupParams(2, 2, 2), ((1, 1, 1),))  # no self-edges at r=s
+
+
+def test_graph_edges_need_three_entries(capsys):
+    # refused before the entries are unpacked into a reflection; a tuple
+    # edge, as graph_of_tuple passes it, is accepted like a list
+    p = GroupParams(2, 1, 3)
+    assert DecoratedGraph(p, ([1, 2, 1],)) == DecoratedGraph(p, ((1, 2, 1),))
+    for edge in ([1, 2], (1, 2, 1, 0), 5):
+        message = f"edge 0: expected [i, j, k], got {edge!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            DecoratedGraph(p, (edge,))
+    for edge in ([1, 2], [1, 2, 1, 0], 5, "121"):
+        graph = {"r": 2, "s": 1, "n": 3, "edges": [[1, 2, 1], edge]}
+        assert main(["walks", "--graph", json.dumps(graph)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert f"edge 1: expected [i, j, k], got {edge!r}" in captured.err
 
 
 @pytest.mark.parametrize("r, s, n", [(1, 1, 2), (2, 2, 2), (6, 2, 3)])

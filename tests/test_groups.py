@@ -209,6 +209,21 @@ def test_cycle_type_examples():
         CycleType((1, 2))  # not descending
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda: CycleType((2.0, 1)), id="CycleType((2.0, 1))"),
+        pytest.param(lambda: CycleType((True, True, True)), id="CycleType((True, True, True))"),
+        pytest.param(lambda: identity(GroupParams(1, 1, 2)).apply(True), id="apply(True)"),
+        pytest.param(lambda: identity(GroupParams(1, 1, 2)).apply(1.0), id="apply(1.0)"),
+    ],
+)
+def test_cycle_parts_and_vertices_are_read_by_the_value_rules(build):
+    # a bool or a float is refused, not taken for the int it equals
+    with pytest.raises(ValidationError, match="^expected an integer, got (True|2.0|1.0)$"):
+        build()
+
+
 def test_refusals_of_elements_cycle_types_and_reflections():
     p = GroupParams(2, 1, 2)
     for data in ([[2, 1], [0, 1]], "perm", None):

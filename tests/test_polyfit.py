@@ -523,6 +523,26 @@ def test_normalization_helpers_refuse_what_names_no_count():
         elsv_normalize(1, -1, CycleType((2,)), "printed", GroupParams(1, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "function, args",
+    [
+        pytest.param(function, args, id=f"{function.__name__}{args}")
+        for function, args in (
+            (tuple_length_for, (1, 3.0, 1)),
+            (tuple_length_for, (1, True, 1)),
+            (tuple_length_for, (1, 3, 1.0)),
+            (basis_functions, (1, 2.0)),
+            (basis_functions, (1, True)),
+            (collect_samples, (1, 1, 0, True, True, [2, 3])),
+        )
+    ],
+)
+def test_n_and_ell_are_read_by_the_value_rules(function, args):
+    # a bool or a float is refused, not taken for the int it equals
+    with pytest.raises(ValidationError, match="^expected an integer, got (True|1.0|2.0|3.0)$"):
+        function(*args)
+
+
 def test_basis_functions_refuse_empty_and_unconventional_windows():
     for g, ell in ((Fraction(1, 4), 1), (-1, 3)):  # ceil(lo) > floor(hi)
         with pytest.raises(ValidationError, match="empty degree window"):

@@ -381,6 +381,22 @@ def test_long_cycle_series_against_class_dp_beyond_dense_reach(r, s, n):
         assert count_all(w, m) == series.count(m)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        pytest.param(lambda e: e.coefficient(True), id="coefficient(True)"),
+        pytest.param(lambda e: e.coefficient(2.0), id="coefficient(2.0)"),
+        pytest.param(lambda e: e.count(2.0), id="count(2.0)"),
+        pytest.param(lambda e: e**2.0, id="pow(2.0)"),
+        pytest.param(lambda e: EgfSeries.constant(1, 2.0), id="constant(1, 2.0)"),
+    ],
+)
+def test_series_read_their_ints_by_the_value_rules(call):
+    # coefficient(True) would read coefficient 1, the others fail on a float
+    with pytest.raises(ValidationError, match="^expected an integer, got (True|2.0)$"):
+        call(exp_series(1, 3))
+
+
 def test_series_refuse_malformed_arguments():
     e = exp_series(1, 3)
     with pytest.raises(ValidationError, match="length order\\+1"):
