@@ -6,14 +6,14 @@ connected DP against.
 One breadth-first search, `_search`, builds both DPs' graphs from cycle
 types, never from group elements.  A state is a sorted tuple of blocks,
 each block a colored cycle type: a sorted tuple of (length, color)
-pairs.  `_block_moves` gives the moves by reflections inside a block:
-a join of (L1, c1) and (L2, c2) gives (L1+L2, c1+c2) by r*L1*L2 swaps;
-a cut of (L, c) into (i, d) and (L-i, c-d), for each d mod r, takes L
-swaps when 2i < L and L/2 when 2i = L; a diagonal move takes (L, c) to
-(L, c+s*k), for k in [1, r/s), by L diagonals.  A swap that joins
-cycles of two blocks merges them, by r*L1*L2 swaps.  From one block of
-n fixed points the search finds the class graph of the
-G(r,1,n)-conjugacy classes of G(r,s,n), named by
+pairs.  `_search` walks a state's cycles block by block and gives each
+cycle's moves: a join of (L1, c1) with each later cycle (L2, c2) into
+(L1+L2, c1+c2), by r*L1*L2 swaps, which merges the two blocks when the
+cycles lie in different ones; a cut of (L, c) into (i, d) and
+(L-i, c-d), for each d mod r, by L swaps when 2i < L and L/2 when
+2i = L; a diagonal move of (L, c) to (L, c+s*k), for k in [1, r/s), by
+L diagonals.  From one block of n fixed points the search finds the
+class graph of the G(r,1,n)-conjugacy classes of G(r,s,n), named by
 `reflfact.indexing.class_key`; run over it reversed, the class DPs map
 class keys to per-element counts.  From n one-point blocks, the
 components the swap factors have joined, it finds the orbit graph; the
@@ -37,27 +37,6 @@ from .groups import GroupParams
 from .indexing import GroupIndexer
 
 
-def _block_moves(r, s, cycles):
-    """(block, swaps, diagonals) for every move of the block `cycles` by
-    the reflections that move only its vertices; a block listed twice
-    adds its counts."""
-    moves = []
-    for x, (length, color) in enumerate(cycles):
-        rest = cycles[:x] + cycles[x + 1 :]
-        for y in range(x, len(rest)):  # a join with each later cycle
-            other, color2 = rest[y]
-            joined = rest[:y] + rest[y + 1 :] + ((length + other, (color + color2) % r),)
-            moves.append((tuple(sorted(joined)), r * length * other, 0))
-        for i in range(1, length // 2 + 1):
-            swaps = length if 2 * i < length else i
-            for d in range(r):
-                cut = rest + ((i, d), (length - i, (color - d) % r))
-                moves.append((tuple(sorted(cut)), swaps, 0))
-        for k in range(1, r // s):
-            moves.append((tuple(sorted(rest + ((length, (color + s * k) % r),))), 0, length))
-    return moves
-
-
 def _search(r, s, n, start, max_orbits):
     """The states reached from `start`, in the order a breadth-first search
     finds them, and the graph: moves[o] lists (o2, swaps, diagonals), the
@@ -69,15 +48,27 @@ def _search(r, s, n, start, max_orbits):
         found = []
         for b, block in enumerate(key):
             others = key[:b] + key[b + 1 :]
-            for block2, swaps, diags in _block_moves(r, s, block):
-                found.append((others + (block2,), swaps, diags))
-            for b2 in range(b + 1, len(key)):  # a swap between two blocks merges them
-                other, rest = key[b2], others[: b2 - 1] + others[b2:]
-                for x, (length, color) in enumerate(block):
-                    for y, (length2, color2) in enumerate(other):
-                        merged = block[:x] + block[x + 1 :] + other[:y] + other[y + 1 :]
-                        merged += ((length + length2, (color + color2) % r),)
-                        found.append((rest + (tuple(sorted(merged)),), r * length * length2, 0))
+            for x, (length, color) in enumerate(block):
+                rest = block[:x] + block[x + 1 :]
+                for b2 in range(b, len(key)):  # a join with each later cycle:
+                    if b2 == b:  # in this block, the joined cycle replaces both
+                        pool, outside, first = rest, others, x
+                    else:  # in a later block, the two blocks merge
+                        pool, first = rest + key[b2], len(rest)
+                        outside = others[: b2 - 1] + others[b2:]
+                    for y in range(first, len(pool)):
+                        length2, color2 = pool[y]
+                        joined = (length + length2, (color + color2) % r)
+                        block2 = tuple(sorted(pool[:y] + pool[y + 1 :] + (joined,)))
+                        found.append((outside + (block2,), r * length * length2, 0))
+                for i in range(1, length // 2 + 1):
+                    swaps = length if 2 * i < length else i
+                    for d in range(r):
+                        cut = rest + ((i, d), (length - i, (color - d) % r))
+                        found.append((others + (tuple(sorted(cut)),), swaps, 0))
+                for k in range(1, r // s):
+                    turned = rest + ((length, (color + s * k) % r),)
+                    found.append((others + (tuple(sorted(turned)),), 0, length))
         counts: dict = {}
         for target, swaps, diags in found:
             target = tuple(sorted(target))

@@ -296,11 +296,15 @@ def is_trivial_product(w: GroupElement) -> bool:
 
 class CycleType(_Frozen):
     """Multiset of cycle lengths of the underlying permutation: a tuple of
-    positive ints, as `json_int` reads one, in descending order."""
+    positive ints, as `json_int` reads one, in descending order, given as
+    any sequence."""
 
     __slots__ = _fields = ("parts",)
 
-    def __init__(self, parts: tuple[int, ...]):
+    def __init__(self, parts: Sequence[int]):
+        if not isinstance(parts, Sequence):
+            raise ValidationError(f"cycle type must be a sequence of lengths, got {parts!r}")
+        parts = tuple(parts)
         if any(json_int(p) < 1 for p in parts):
             raise ValidationError(f"cycle lengths must be positive: {parts}")
         if tuple(sorted(parts, reverse=True)) != parts:
@@ -318,7 +322,7 @@ class CycleType(_Frozen):
 
     @classmethod
     def of(cls, parts: Iterable[int]) -> "CycleType":
-        return cls(tuple(sorted(parts, reverse=True)))
+        return cls(sorted(parts, reverse=True))
 
 
 def permutation_cycles(w: GroupElement) -> list[tuple[int, ...]]:

@@ -557,9 +557,11 @@ def predict_connected_count(
         )
     if (params.r, params.s) != (report.r, report.s):
         raise ValidationError("group parameters do not match the report")
+    if ctype.n != params.n:
+        raise ValidationError(f"cycle type sums to {ctype.n}, group has n={params.n}")
     if report.trivial_product is not None and bool(trivial_product) != report.trivial_product:
         raise ValidationError("entry-product class does not match the report")
-    if m != tuple_length_for(report.g, ctype.n, report.ell):
+    if json_count(m, "m") != tuple_length_for(report.g, ctype.n, report.ell):
         raise ValidationError(
             f"m={m} inconsistent with g={report.g}, n={ctype.n}, ell={report.ell}"
         )
@@ -709,7 +711,7 @@ def grsn_pvalue_from_sn_expansion(
     `sn_polys` maps integer genus to fitted S_n polynomials.  Terms whose
     inner genus is negative or half-integer vanish (no symmetric-group data
     at that parity)."""
-    g = Fraction(g)
+    g = parse_genus(g)
     q = r // s
     t = 0 if trivial_product else 1
     if t == 1 and q < 2:

@@ -65,14 +65,18 @@ def cyclic_count(q: int, t: int, m: int) -> int:
 class EgfSeries(_Frozen):
     """Truncated exponential generating series with exact rational
     coefficients: sum of coeffs[m] * x^m for m <= order, where
-    coeffs[m] = (count at m) / m!."""
+    coeffs[m] = (count at m) / m!, each an int or a Fraction, kept as a
+    tuple."""
 
     __slots__ = _fields = ("order", "coeffs")
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
         json_count(order, "series order")
+        coeffs = tuple(coeffs)
         if len(coeffs) != order + 1:
             raise ValidationError("coefficient array must have length order+1")
+        if not {int, Fraction}.issuperset(map(type, coeffs)):
+            raise ValidationError(f"series coefficients must be ints or Fractions: {coeffs}")
         _set(self, "order", order)
         _set(self, "coeffs", coeffs)
 
@@ -81,7 +85,7 @@ class EgfSeries(_Frozen):
         json_count(order, "series order")
         cs = [Fraction(c) for c in coeffs[: order + 1]]
         cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(order, tuple(cs))
+        return cls(order, cs)
 
     @classmethod
     def constant(cls, value, order: int) -> "EgfSeries":
@@ -105,9 +109,7 @@ class EgfSeries(_Frozen):
     def _binop(self, other, op):
         if self.order != other.order:
             raise ValidationError("series orders differ")
-        return EgfSeries(
-            self.order, tuple(op(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return EgfSeries(self.order, [op(a, b) for a, b in zip(self.coeffs, other.coeffs)])
 
     def __add__(self, other: "EgfSeries") -> "EgfSeries":
         return self._binop(other, lambda a, b: a + b)
@@ -127,7 +129,7 @@ class EgfSeries(_Frozen):
                     b = other.coeffs[j]
                     if b:
                         out[i + j] += a * b
-            return EgfSeries(self.order, tuple(out))
+            return EgfSeries(self.order, out)
         scalar = Fraction(other)
         return EgfSeries(self.order, tuple(scalar * c for c in self.coeffs))
 
@@ -148,9 +150,7 @@ class EgfSeries(_Frozen):
     def scale_argument(self, a) -> "EgfSeries":
         """Substitute x -> a*x."""
         a = Fraction(a)
-        return EgfSeries(
-            self.order, tuple(c * a**m for m, c in enumerate(self.coeffs))
-        )
+        return EgfSeries(self.order, [c * a**m for m, c in enumerate(self.coeffs)])
 
     def to_json(self) -> dict:
         return {
@@ -168,7 +168,7 @@ def exp_series(a, order: int) -> EgfSeries:
     for m in range(order + 1):
         coeffs.append(power / math.factorial(m))
         power *= a
-    return EgfSeries(order, tuple(coeffs))
+    return EgfSeries(order, coeffs)
 
 
 def cyclic_series(q: int, t: int, order: int) -> EgfSeries:
@@ -195,7 +195,7 @@ def sn_connected_series(
     """EGF of connected counts of the permutation part, in S_n."""
     counts = _sn_connected(permutation_part(w), order, opts)
     coeffs = [Fraction(count, math.factorial(m)) for m, count in enumerate(counts)]
-    return EgfSeries(order, tuple(coeffs))
+    return EgfSeries(order, coeffs)
 
 
 def comparison_refined(

@@ -158,6 +158,45 @@ def test_cut_and_join_graphs_match_element_search(r, s, n):
     assert keys[0] == expected[0][0] and _by_key(keys, moves) == _by_key(*expected)
 
 
+@pytest.mark.parametrize(
+    "r,s,n,keys,moves",
+    [
+        (
+            1, 1, 4,
+            [
+                ((1, 0), (1, 0), (1, 0), (1, 0)),
+                ((1, 0), (1, 0), (2, 0)),
+                ((2, 0), (2, 0)),
+                ((1, 0), (3, 0)),
+                ((4, 0),),
+            ],
+            [
+                [(1, 6, 0)],
+                [(2, 1, 0), (3, 4, 0), (0, 1, 0)],
+                [(4, 4, 0), (1, 2, 0)],
+                [(4, 3, 0), (1, 3, 0)],
+                [(3, 4, 0), (2, 2, 0)],
+            ],
+        ),
+        (
+            2, 1, 2,
+            [((1, 0), (1, 0)), ((2, 0),), ((1, 0), (1, 1)), ((1, 1), (1, 1)), ((2, 1),)],
+            [
+                [(1, 2, 0), (2, 0, 2)],
+                [(0, 1, 0), (3, 1, 0), (4, 0, 2)],
+                [(4, 2, 0), (3, 0, 1), (0, 0, 1)],
+                [(1, 2, 0), (2, 0, 2)],
+                [(2, 2, 0), (1, 0, 2)],
+            ],
+        ),
+    ],
+)
+def test_class_graph_keeps_its_order(r, s, n, keys, moves):
+    # class_sizes and verify-comparison's mismatches follow this order: the
+    # classes as the search finds them, each row's targets as first reached
+    assert _classes(r, s, n) == (keys, moves)
+
+
 @pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3), (2, 1, 4)])
 def test_class_key_is_the_colored_cycle_type(r, s, n):
     for w in all_elements(GroupParams(r, s, n)):

@@ -577,6 +577,57 @@ def test_fit_inconsistent_within_one_n_is_not_blamed_on_the_normalization():
     assert "n-dependent" not in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda report: predict_connected_count(
+                report, CycleType((5,)), GroupParams(1, 1, 3), None, 4
+            ),
+            "^cycle type sums to 5, group has n=3$",
+            id="5-cycle in S_3",
+        ),
+        pytest.param(
+            lambda report: predict_connected_count(
+                report, CycleType((2,)), GroupParams(1, 1, 2), None, True
+            ),
+            "^expected an integer, got True$",
+            id="m=True",
+        ),
+        pytest.param(
+            lambda report: predict_connected_count(
+                report, CycleType((8,)), GroupParams(1, 1, 8), None, 7.0
+            ),
+            "^expected an integer, got 7.0$",
+            id="m=7.0",
+        ),
+        pytest.param(
+            lambda report: grsn_pvalue_from_sn_expansion(-1, 1, 2, 1, True, {}, (2,)),
+            "^genus must be a nonnegative integer or half-integer$",
+            id="genus -1",
+        ),
+        pytest.param(
+            lambda report: grsn_pvalue_from_sn_expansion(
+                Fraction(1, 3), 1, 2, 1, True, {}, (2,)
+            ),
+            "^genus must be a nonnegative integer or half-integer$",
+            id="genus 1/3",
+        ),
+        pytest.param(
+            lambda report: grsn_pvalue_from_sn_expansion("x", 1, 2, 1, True, {}, (2,)),
+            "^bad genus 'x'",
+            id="genus 'x'",
+        ),
+    ],
+)
+def test_predictions_and_expansions_read_their_inputs_by_the_value_rules(call, message):
+    # each of these once answered (S_5's count for the 5-cycle, m = 1 for
+    # True, 0 for a genus outside the window) or raised a bare error
+    report = fit_sn_polynomial(0, 1, minimal_cycle_samples((2, 3, 4)))
+    with pytest.raises(ValidationError, match=message):
+        call(report)
+
+
 def test_predictions_refuse_what_the_report_does_not_cover():
     samples = collect_samples(2, 2, 0, 1, True, (2, 3))
     report = fit_grsn_polynomial(0, 1, True, 2, 2, "derived", samples)

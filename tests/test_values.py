@@ -153,6 +153,40 @@ def test_symmetric_laurent_poly_defaults_its_inverse_sum_coefficient():
     assert SymmetricLaurentPoly(1, terms) == POLY == SymmetricLaurentPoly(nvars=1, terms=terms)
 
 
+def test_cycle_types_and_series_keep_a_tuple_of_any_sequence():
+    assert CycleType([2, 1]) == CycleType(range(2, 0, -1)) == CycleType((2, 1))
+    assert CycleType([2, 1]).parts.__class__ is tuple
+    series = EgfSeries(1, [Fraction(1), Fraction(0)])
+    assert series.coeffs.__class__ is tuple
+    assert hash(series) == hash(EgfSeries(1, (Fraction(1), Fraction(0))))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        pytest.param(
+            lambda: CycleType(5),
+            "^cycle type must be a sequence of lengths, got 5$",
+            id="CycleType(5)",
+        ),
+        pytest.param(
+            lambda: EgfSeries(1, (True, 0)),
+            r"^series coefficients must be ints or Fractions: \(True, 0\)$",
+            id="EgfSeries(1, (True, 0))",
+        ),
+        pytest.param(
+            lambda: EgfSeries(1, (0.5, 0)),
+            r"^series coefficients must be ints or Fractions: \(0.5, 0\)$",
+            id="EgfSeries(1, (0.5, 0))",
+        ),
+    ],
+)
+def test_cycle_types_and_series_refuse_what_they_cannot_keep(build, message):
+    # a bool coefficient printed "True" in to_json; a float one failed there
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_values_of_different_classes_never_compare_equal():
     walk, series = Walk(0, (1,)), EgfSeries(0, (1,))  # the same fields
     assert walk != series and series != walk and hash(walk) == hash(series)
