@@ -66,8 +66,8 @@ def _search(r, s, n, start, max_orbits):
                     for d in range(r):
                         cut = rest + ((i, d), (length - i, (color - d) % r))
                         found.append((others + (tuple(sorted(cut)),), swaps, 0))
-                for k in range(1, r // s):
-                    turned = rest + ((length, (color + s * k) % r),)
+                for d in range(s, r, s):  # a diagonal turns a color by a multiple of s
+                    turned = rest + ((length, (color + d) % r),)
                     found.append((others + (tuple(sorted(turned)),), 0, length))
         counts: dict = {}
         for target, swaps, diags in found:

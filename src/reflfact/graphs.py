@@ -33,6 +33,10 @@ class DecoratedGraph(_Frozen):
     __slots__ = _fields = ("params", "edges")
 
     def __init__(self, params: GroupParams, edges: tuple[tuple[int, int, int], ...]):
+        try:
+            edges = tuple(edges)
+        except TypeError as exc:
+            raise ValidationError(f"edges must be a sequence of [i, j, k], got {edges!r}") from exc
         checked = []
         for idx, edge in enumerate(edges):
             if not isinstance(edge, (list, tuple)) or len(edge) != 3:

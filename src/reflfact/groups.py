@@ -169,7 +169,10 @@ class GroupElement(_Frozen):
 
     def __init__(self, params: GroupParams, perm: tuple[int, ...], exps: tuple[int, ...]):
         r, s, n = params.triple
-        perm, exps = tuple(perm), tuple(exps)
+        try:
+            perm, exps = tuple(perm), tuple(exps)
+        except TypeError as exc:
+            raise ValidationError(f"perm, exps must be sequences, got {perm!r}, {exps!r}") from exc
         if len(perm) != n or len(exps) != n:
             raise ValidationError(f"perm/exps must have length n={n}")
         # one rule for every entry: an int, as `json_int` reads one; a bool,

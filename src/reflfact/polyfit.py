@@ -20,6 +20,10 @@ whether the fitted coefficients can be independent of n:
 
 The two agree at r = 1.  Which one actually yields n-independent
 coefficients is decided empirically by `normalization_verdict`.
+
+Each input has one reader: `parse_genus` the genus, `_cycle_count` ell,
+`GroupParams` the pair (r, s), `_product_class` the entry-product class
+and `prefactor` the normalization.
 """
 
 from __future__ import annotations
@@ -144,16 +148,16 @@ def parse_genus(g) -> Fraction:
     nonnegative integer or half-integer."""
     try:
         genus = Fraction(g)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ValidationError(f"bad genus {g!r}: {exc}") from exc
-    if genus < 0 or (2 * genus).denominator != 1:
+    if genus.numerator < 0 or genus.denominator > 2:
         raise ValidationError("genus must be a nonnegative integer or half-integer")
     return genus
 
 
 def genus_window(g, ell: int) -> tuple[Fraction, Fraction]:
     """Closed interval of allowed total degrees: [2g-3+ell, 3g-3+ell]."""
-    g = Fraction(g)
+    g = parse_genus(g)
     return 2 * g - 3 + ell, 3 * g - 3 + ell
 
 
@@ -172,13 +176,11 @@ def _cycle_count(ell) -> int:
 
 
 def tuple_length_for(g, n: int, ell: int) -> int:
-    """The factorization length m with genus g on an n-element group with
-    ell cycles: m = 2g + n + ell - 2; n and ell are ints, as `json_int`
-    reads one."""
-    genus = Fraction(g)
-    twice_g, rem = divmod(2 * genus.numerator, genus.denominator)
-    m = twice_g + json_int(n) + json_int(ell) - 2
-    if rem or m < 0:
+    """The factorization length m = 2g + n + ell - 2 with genus g on an
+    n-element group with ell cycles; n is an int, as `json_int` reads one."""
+    genus = parse_genus(g)
+    m = 2 * genus.numerator // genus.denominator + json_int(n) + _cycle_count(ell) - 2
+    if m < 0:
         raise ValidationError(f"no valid tuple length for g={g}, n={n}, ell={ell}")
     return m
 
@@ -201,16 +203,8 @@ def cycle_type_factor(ctype: CycleType) -> Fraction:
 
 
 def _scale(m: int, r: int, ctype: CycleType, normalization: str) -> Fraction:
-    """What a connected count at m over a cycle type is divided by under
-    the normalization: prefactor(...) * cycle_type_factor(ctype)."""
-    pre = prefactor(m, r, ctype.n, normalization)
-    factor = cycle_type_factor(ctype)
-    return Fraction(pre.numerator * factor.numerator, pre.denominator * factor.denominator)
-
-
-def _normalized(count: int, scale: Fraction) -> Fraction:
-    """count / scale, by one division."""
-    return Fraction(count * scale.denominator, scale.numerator)
+    """What a connected count at m over `ctype` is divided by."""
+    return prefactor(m, r, ctype.n, normalization) * cycle_type_factor(ctype)
 
 
 def elsv_normalize(
@@ -219,7 +213,7 @@ def elsv_normalize(
     """Divide a connected count by its combinatorial prefactor, leaving the
     value of the symmetric polynomial at the cycle type."""
     json_count(m, "m")
-    return _normalized(count, _scale(m, params.r, ctype, normalization))
+    return count / _scale(m, params.r, ctype, normalization)
 
 
 # ---------------------------------------------------------------------------
@@ -252,13 +246,8 @@ def basis_functions(g, ell: int):
     one-variable negative windows, and the inverse-sum convention for
     the (0,2) case: with ell >= 1, a window below zero is one of these
     two."""
-    _cycle_count(ell)
-    g = Fraction(g)
-    lo_f, hi_f = genus_window(g, ell)
-    lo = math.ceil(lo_f)
-    hi = math.floor(hi_f)
-    if hi < lo:
-        raise ValidationError(f"empty degree window for g={g}, ell={ell}")
+    lo_f, hi_f = genus_window(g, _cycle_count(ell))
+    lo, hi = math.ceil(lo_f), math.floor(hi_f)
     if hi < 0:
         if ell == 1:
             return [(d,) for d in range(lo, hi + 1)]
@@ -267,6 +256,12 @@ def basis_functions(g, ell: int):
     for d in range(max(lo, 0), hi + 1):
         basis.extend(_partitions_at_most(d, ell))
     return basis
+
+
+def _system(basis, samples) -> tuple[list[list], list]:
+    """The rows and right-hand side that fit `samples` in `basis`."""
+    rows = [[_basis_value(fn, sample.ctype.parts) for fn in basis] for sample in samples]
+    return rows, [sample.normalized for sample in samples]
 
 
 def _basis_value(fn, point: Sequence):
@@ -444,7 +439,7 @@ def _prepare_samples(g, ell, r, normalization, samples) -> list[FitSample]:
                 f"cycle type {ctype.parts} has {ctype.ell} parts, expected {ell}"
             )
         m = tuple_length_for(g, ctype.n, ell)
-        normalized = _normalized(count, _scale(m, r, ctype, normalization))
+        normalized = count / _scale(m, r, ctype, normalization)
         prepared.append(FitSample(ctype, ctype.n, m, count, normalized))
     return prepared
 
@@ -453,22 +448,17 @@ def _fit(g, ell, r, s, trivial_product, normalization, prepared) -> FitReport:
     if not prepared:
         raise ValidationError("no samples to fit")
     basis = basis_functions(g, ell)
-    rows = [
-        [_basis_value(fn, sample.ctype.parts) for fn in basis] for sample in prepared
-    ]
-    rhs = [sample.normalized for sample in prepared]
-    solution, training, residuals = _solve_exact(rows, rhs)
+    solution, training, residuals = _solve_exact(*_system(basis, prepared))
     poly = _poly_from_solution(ell, basis, solution)
-    window = genus_window(g, ell)
     return FitReport(
-        g=Fraction(g),
+        g=g,
         ell=ell,
         r=r,
         s=s,
         trivial_product=trivial_product,
         normalization=normalization,
         polynomial=poly,
-        window=window,
+        window=genus_window(g, ell),
         window_ok=degree_window_check(poly, g, ell),
         samples=tuple(prepared),
         training_indices=training,
@@ -503,20 +493,15 @@ def fit_grsn_polynomial(
     the raised error says so explicitly (the normalization hides an
     n-dependence)."""
     g = parse_genus(g)
-    if normalization not in NORMALIZATIONS:
-        raise ValidationError(f"unknown normalization {normalization!r}")
-    GroupParams(r, s, 1)  # validates s | r
-    triples = list(samples)
+    _product_class(GroupParams(r, s, 1), trivial_product)
     pairs = []
-    for ctype, n, count in triples:
+    for ctype, n, count in samples:
         if ctype.n != n:
             raise ValidationError(f"cycle type {ctype.parts} does not sum to n={n}")
         pairs.append((ctype, count))
-    n_seen = sorted({n for _, n, _ in triples})
+    n_seen = sorted({ctype.n for ctype, _ in pairs})
     if len(n_seen) < 2:
-        raise ValidationError(
-            f"samples must span at least two distinct n, got n={n_seen}"
-        )
+        raise ValidationError(f"samples must span at least two distinct n, got n={n_seen}")
     prepared = _prepare_samples(g, ell, r, normalization, pairs)
     try:
         return _fit(g, ell, r, s, trivial_product, normalization, prepared)
@@ -535,10 +520,8 @@ def _consistent_per_n(g, ell, prepared) -> bool:
     for sample in prepared:
         by_n.setdefault(sample.n, []).append(sample)
     for group in by_n.values():
-        rows = [[_basis_value(fn, s.ctype.parts) for fn in basis] for s in group]
-        rhs = [s.normalized for s in group]
         try:
-            _solve_exact(rows, rhs)
+            _solve_exact(*_system(basis, group))
         except UnderdeterminedFitError:
             continue
         except FitInconsistencyError:
@@ -559,8 +542,10 @@ def predict_connected_count(
         raise ValidationError("group parameters do not match the report")
     if ctype.n != params.n:
         raise ValidationError(f"cycle type sums to {ctype.n}, group has n={params.n}")
-    if report.trivial_product is not None and bool(trivial_product) != report.trivial_product:
-        raise ValidationError("entry-product class does not match the report")
+    if report.trivial_product is not None:
+        if trivial_product != report.trivial_product:
+            raise ValidationError("entry-product class does not match the report")
+        _product_class(params, trivial_product)
     if json_count(m, "m") != tuple_length_for(report.g, ctype.n, report.ell):
         raise ValidationError(
             f"m={m} inconsistent with g={report.g}, n={ctype.n}, ell={report.ell}"
@@ -577,6 +562,16 @@ def predict_connected_count(
 # Sample generation straight from the counting machinery
 
 
+def _product_class(params: GroupParams, trivial_product: bool) -> int:
+    """The class's target exponent t in Z_(r/s), 0 if `trivial_product`
+    else 1: a bool, as `CountKey` reads `connected`."""
+    if trivial_product.__class__ is not bool:
+        raise ValidationError(f"expected true or false, got {trivial_product!r}")
+    if not trivial_product and params.q < 2:
+        raise ValidationError("nontrivial entry product impossible when r == s")
+    return 0 if trivial_product else 1
+
+
 def canonical_element(
     params: GroupParams, ctype: CycleType, trivial_product: bool
 ) -> GroupElement:
@@ -588,11 +583,7 @@ def canonical_element(
     if ctype.n != params.n:
         raise ValidationError(f"cycle type sums to {ctype.n}, group has n={params.n}")
     pairs = [(length, 0) for length in sorted(ctype.parts)]
-    if not trivial_product:
-        if params.q < 2:
-            raise ValidationError(
-                "nontrivial entry product impossible when r == s"
-            )
+    if _product_class(params, trivial_product):
         pairs[0] = (pairs[0][0], params.s)
     return class_representative(params, pairs)
 
@@ -619,6 +610,7 @@ def collect_samples(
     requested n, using the canonical representative of each class.  A
     repeated n is refused: it would only check a sample against itself."""
     _cycle_count(ell)
+    g = parse_genus(g)
     n_values = [json_int(n) for n in n_values]
     if len(set(n_values)) < len(n_values):
         raise ValidationError(f"repeated n in {n_values}")
@@ -676,9 +668,9 @@ def normalization_verdict(
     """Decide empirically which prefactor yields n-independent coefficients:
     fit both product classes under both normalizations and record which
     normalizations fit all available data exactly."""
+    g = parse_genus(g)
     n_values = tuple(sorted(n_values))
-    q = r // s
-    classes = [True] + ([False] if q >= 2 else [])
+    classes = [True] + ([False] if GroupParams(r, s, 1).q >= 2 else [])
     reports: dict = {}
     failures: dict = {}
     for trivial in classes:
@@ -695,9 +687,7 @@ def normalization_verdict(
         for norm in NORMALIZATIONS
         if all((norm, trivial) in reports for trivial in classes)
     )
-    return NormalizationVerdict(
-        Fraction(g), ell, r, s, n_values, reports, failures, winners
-    )
+    return NormalizationVerdict(g, ell, r, s, n_values, reports, failures, winners)
 
 
 def grsn_pvalue_from_sn_expansion(
@@ -712,12 +702,11 @@ def grsn_pvalue_from_sn_expansion(
     inner genus is negative or half-integer vanish (no symmetric-group data
     at that parity)."""
     g = parse_genus(g)
-    q = r // s
-    t = 0 if trivial_product else 1
-    if t == 1 and q < 2:
-        raise ValidationError("nontrivial entry product impossible when r == s")
-    xs = [Fraction(x) for x in point]
-    xsum = sum(xs)
+    params = GroupParams(r, s, 1)
+    t = _product_class(params, trivial_product)
+    if len(point) != _cycle_count(ell):
+        raise ValidationError(f"point has {len(point)} entries, expected ell={ell}")
+    xsum = sum(map(Fraction, point))
     total = Fraction(0)
     for j in range(int(2 * g) + 1):
         inner = g - Fraction(j, 2)
@@ -726,11 +715,10 @@ def grsn_pvalue_from_sn_expansion(
         inner_poly = sn_polys.get(int(inner))
         if inner_poly is None:
             raise ValidationError(f"missing symmetric-group polynomial for genus {inner}")
-        term = (
+        total += (
             Fraction(1, r**j)
-            * Fraction(cyclic_count(q, t, j), math.factorial(j))
+            * Fraction(cyclic_count(params.q, t, j), math.factorial(j))
             * xsum**j
             * inner_poly.evaluate(point)
         )
-        total += term
     return total

@@ -72,7 +72,10 @@ class EgfSeries(_Frozen):
 
     def __init__(self, order: int, coeffs: tuple[Fraction, ...]):
         json_count(order, "series order")
-        coeffs = tuple(coeffs)
+        try:
+            coeffs = tuple(coeffs)
+        except TypeError as exc:
+            raise ValidationError(f"coefficients must be a sequence, got {coeffs!r}") from exc
         if len(coeffs) != order + 1:
             raise ValidationError("coefficient array must have length order+1")
         if not {int, Fraction}.issuperset(map(type, coeffs)):

@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -617,3 +618,61 @@ def test_verify_comparison_prints_its_mismatches_and_exits_5(capsys, monkeypatch
     assert len(payload["mismatches"]) == 5 * 6  # one per class and split
     assert {bad["enumeration"] for bad in payload["mismatches"]} == {"-1"}
     assert sum(bad["class_size"] for bad in payload["mismatches"]) == 8 * 6
+
+
+def _zero_group_argvs():
+    """Each subcommand that reads r, s or n, with one of them zero."""
+    omega = ["--omega", '{"perm":[1,2],"exps":[0,0]}']
+    triples = [("0", "1", "2"), ("2", "0", "2"), ("1", "1", "0")]
+    for r, s, n in triples:
+        group = ["--r", r, "--s", s, "--n", n]
+        yield ["reflections", *group]
+        yield ["count", *group, *omega, "--m", "1"]
+        yield ["count-refined", *group, *omega, "--m1", "1", "--m2", "0"]
+        yield ["count-connected", *group, *omega, "--m", "1"]
+        yield ["verify-comparison", *group, "--max-m", "2"]
+        yield ["series", "--kind", "long-cycle", *group, "--order", "2"]
+        graph = {"r": int(r), "s": int(s), "n": int(n), "edges": []}
+        yield ["walks", "--graph", json.dumps(graph)]
+    for r, s, _ in triples[:2]:
+        yield ["series", "--kind", "cyclic", "--r", r, "--s", s, "--order", "2"]
+        for normalization in ("derived", "verdict"):
+            yield [
+                "fit", "--g", "0", "--ell", "1", "--r", r, "--s", s,
+                "--normalization", normalization, "--n-values", "2,3",
+            ]
+    yield ["series", "--kind", "sn-long-cycle", "--n", "0", "--order", "2"]
+    yield ["fit", "--g", "0", "--ell", "1", "--n-values", "0,2"]  # S_n
+
+
+def test_a_zero_r_s_or_n_is_refused_with_exit_3(capsys):
+    # `fit --normalization verdict --s 0` once ended in a ZeroDivisionError
+    # traceback, exit 1
+    for argv in _zero_group_argvs():
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_VALIDATION, ""), argv
+        assert err.count("\n") == 1 and err.startswith("reflfact: "), argv
+
+
+def _readme_examples():
+    """(argv, the comment line after it) of each `reflfact` line of the
+    README's command-line block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines() + [""]
+    return [
+        (shlex.split(line)[1:], lines[i + 1])
+        for i, line in enumerate(lines)
+        if line.startswith("reflfact ")
+    ]
+
+
+def test_readme_examples_print_one_sorted_json_document(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 8
+    for argv, _ in examples:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_OK, (argv, err)
+        assert out == json.dumps(json.loads(out), sort_keys=True) + "\n", argv
+    argv, comment = examples[0]
+    assert run_cli(capsys, *argv)[1] == comment.removeprefix("# ") + "\n"

@@ -514,8 +514,12 @@ def test_laurent_polynomials_refuse_malformed_terms():
 
 
 def test_normalization_helpers_refuse_what_names_no_count():
-    for g, n, ell in ((Fraction(1, 3), 3, 1), (0, 1, 0)):  # 2g not an int; m = -1
-        with pytest.raises(ValidationError, match="no valid tuple length"):
+    for g, n, ell, message in (
+        (Fraction(1, 3), 3, 1, "genus must be a nonnegative integer"),
+        (0, 1, 0, "^ell must be positive, got 0$"),
+        (0, 0, 1, "no valid tuple length"),  # m = -1
+    ):
+        with pytest.raises(ValidationError, match=message):
             tuple_length_for(g, n, ell)
     with pytest.raises(ValidationError, match="unknown normalization 'other'"):
         prefactor(3, 2, 2, "other")
@@ -545,7 +549,7 @@ def test_n_and_ell_are_read_by_the_value_rules(function, args):
 
 def test_basis_functions_refuse_empty_and_unconventional_windows():
     for g, ell in ((Fraction(1, 4), 1), (-1, 3)):  # ceil(lo) > floor(hi)
-        with pytest.raises(ValidationError, match="empty degree window"):
+        with pytest.raises(ValidationError, match="genus must be a nonnegative integer"):
             basis_functions(g, ell)
     # a window below zero other than the conventions of (g, 1) and (0, 2)
     # needs ell < 1, which names no cycle type
@@ -626,6 +630,66 @@ def test_predictions_and_expansions_read_their_inputs_by_the_value_rules(call, m
     report = fit_sn_polynomial(0, 1, minimal_cycle_samples((2, 3, 4)))
     with pytest.raises(ValidationError, match=message):
         call(report)
+
+
+GENUS_RULE = "^genus must be a nonnegative integer or half-integer$"
+GROUP_RULE = r"^r, s, n must be positive, got GroupParams\(r=2, s=0, n=1\)$"
+
+
+def _trivial_samples(r, s):
+    return collect_samples(r, s, 0, 1, True, (2, 3))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: collect_samples(1, 1, -1, 1, True, [5]), GENUS_RULE, id="samples g=-1"
+        ),
+        pytest.param(
+            lambda: collect_samples(1, 1, "x", 1, True, []), "^bad genus 'x'", id="samples g='x'"
+        ),
+        pytest.param(lambda: basis_functions("x", 1), "^bad genus 'x'", id="basis g='x'"),
+        pytest.param(lambda: genus_window(-1, 1), GENUS_RULE, id="window g=-1"),
+        pytest.param(lambda: genus_window(math.inf, 1), "^bad genus inf", id="window g=inf"),
+        pytest.param(
+            lambda: tuple_length_for(0, 3, 0), "^ell must be positive, got 0$", id="length ell=0"
+        ),
+        pytest.param(
+            lambda: normalization_verdict(0, 1, 2, 0, [2, 3]), GROUP_RULE, id="verdict s=0"
+        ),
+        pytest.param(
+            lambda: grsn_pvalue_from_sn_expansion(0, 1, 2, 0, True, {}, (1,)),
+            GROUP_RULE,
+            id="expansion s=0",
+        ),
+        pytest.param(
+            lambda: fit_grsn_polynomial(0, 1, 1, 2, 1, "derived", _trivial_samples(2, 1)),
+            "^expected true or false, got 1$",
+            id="fit class 1",
+        ),
+        pytest.param(
+            lambda: fit_grsn_polynomial(0, 1, False, 2, 2, "derived", _trivial_samples(2, 2)),
+            "^nontrivial entry product impossible when r == s$",
+            id="fit nontrivial class at r == s",
+        ),
+        pytest.param(
+            lambda: grsn_pvalue_from_sn_expansion(
+                0, 2, 2, 1, True,
+                {0: fit_sn_polynomial(0, 1, minimal_cycle_samples((2, 3, 4))).polynomial},
+                (3,),
+            ),
+            "^point has 1 entries, expected ell=2$",
+            id="expansion point of 1 entry at ell=2",
+        ),
+    ],
+)
+def test_fit_inputs_are_refused_by_their_one_reader(call, message):
+    # each of these once answered (a genus -1 sample, an empty list, a
+    # window, m = 1, a fit storing 1 or a class G(2,2,n) lacks, 1/9) or
+    # raised a bare ValueError, OverflowError or ZeroDivisionError
+    with pytest.raises(ValidationError, match=message):
+        call()
 
 
 def test_predictions_refuse_what_the_report_does_not_cover():

@@ -191,3 +191,46 @@ def test_only_counting_reaches_into_the_kernels():
             ):
                 found.append(f"{path.name}:{node.lineno} reads counting.{node.attr}")
     assert found == []
+
+
+def test_each_fit_input_has_one_reader():
+    # (r, s) is read by `GroupParams`, which derives q = r // s; the genus
+    # by `polyfit.parse_genus`; the entry-product class by one helper
+    # that holds its refusal
+    def named(node, name):
+        return (
+            isinstance(node, ast.Name) and node.id == name
+            or isinstance(node, ast.Attribute) and node.attr == name
+        )
+
+    def nodes_outside(tree, kind, name):
+        """The nodes of `tree` outside the definitions of that kind and name."""
+        inside = {
+            id(sub)
+            for node in ast.walk(tree)
+            if isinstance(node, kind) and node.name == name
+            for sub in ast.walk(node)
+        }
+        return [node for node in ast.walk(tree) if id(node) not in inside]
+
+    found = []
+    refusals = 0
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        refusals += text.count("nontrivial entry product impossible")
+        tree = ast.parse(text)
+        for node in nodes_outside(tree, ast.ClassDef, "GroupParams"):
+            if (
+                isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                and named(node.left, "r") and named(node.right, "s")
+            ):
+                found.append(f"{path.name}:{node.lineno} r // s")
+        if path.name == "polyfit.py":
+            for node in nodes_outside(tree, ast.FunctionDef, "parse_genus"):
+                if (
+                    isinstance(node, ast.Call) and named(node.func, "Fraction")
+                    and len(node.args) == 1 and named(node.args[0], "g")
+                ):
+                    found.append(f"{path.name}:{node.lineno} Fraction(g)")
+    assert found == []
+    assert refusals == 1

@@ -179,10 +179,31 @@ def test_cycle_types_and_series_keep_a_tuple_of_any_sequence():
             r"^series coefficients must be ints or Fractions: \(0.5, 0\)$",
             id="EgfSeries(1, (0.5, 0))",
         ),
+        pytest.param(
+            lambda: EgfSeries(1, 5),
+            "^coefficients must be a sequence, got 5$",
+            id="EgfSeries(1, 5)",
+        ),
+        pytest.param(
+            lambda: GroupElement(GroupParams(1, 1, 2), 5, (0, 0)),
+            r"^perm, exps must be sequences, got 5, \(0, 0\)$",
+            id="GroupElement(p, 5, (0, 0))",
+        ),
+        pytest.param(
+            lambda: GroupElement(GroupParams(1, 1, 2), (2, 1), None),
+            r"^perm, exps must be sequences, got \(2, 1\), None$",
+            id="GroupElement(p, (2, 1), None)",
+        ),
+        pytest.param(
+            lambda: DecoratedGraph(GroupParams(1, 1, 2), 5),
+            r"^edges must be a sequence of \[i, j, k\], got 5$",
+            id="DecoratedGraph(p, 5)",
+        ),
     ],
 )
 def test_cycle_types_and_series_refuse_what_they_cannot_keep(build, message):
-    # a bool coefficient printed "True" in to_json; a float one failed there
+    # a bool coefficient printed "True" in to_json; a float one failed there;
+    # a part that is no sequence raised a bare TypeError
     with pytest.raises(ValidationError, match=message):
         build()
 
