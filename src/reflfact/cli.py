@@ -328,18 +328,14 @@ def _cmd_series(args) -> dict:
     elif args.kind == "long-cycle":
         if args.r is None or args.s is None or args.n is None:
             raise UsageError("kind=long-cycle needs --r, --s, --n")
-        params = GroupParams(args.r, args.s, args.n)
-        series = long_cycle_series(params, args.t, args.order)
+        series = long_cycle_series(_params(args), args.t, args.order)
         meta = {"r": args.r, "s": args.s, "n": args.n, "t": args.t}
     else:
         if args.r is None or args.s is None or args.n is None or args.omega is None:
             raise UsageError("kind=connected needs --r, --s, --n, --omega")
-        params = GroupParams(args.r, args.s, args.n)
-        w = GroupElement.from_json(_load_json_arg(args.omega), params)
-        series = connected_series(w, args.order, _options(args))
+        series = connected_series(_element(args, _params(args)), args.order, _options(args))
         meta = {"r": args.r, "s": args.s, "n": args.n}
-    payload = {"kind": args.kind, **meta, **series.to_json()}
-    return payload
+    return {"kind": args.kind, **meta, **series.to_json()}
 
 
 def _cmd_fit(args) -> dict:

@@ -19,10 +19,12 @@ Three independent routes are implemented and cross-checked in tests:
   group element.
 
 Both connected routes answer a whole row: `connected_rows` gives the
-orbit DP's counts by m2 for each m up to max_m, and `connected_totals`
-the inversion's counts for m = 0..max_m, so no caller loops over m
-asking for one count at a time (each such call reads every smaller
-group the element's blocks need, which the cache may have dropped).
+orbit DP's counts by m2 for each m up to max_m, m+1 of them in every
+group (zeros past m2 = 0 without diagonal reflections), and
+`connected_totals` the inversion's counts for m = 0..max_m, so no
+caller loops over m asking for one count at a time (each such call
+reads every smaller group the element's blocks need, which the cache
+may have dropped).
 
 Both DPs are `_kernels_pure.dp_orbits` over a graph of colored cycle
 types, which `_kernels_pure` builds by the cut-and-join rules and never
@@ -199,15 +201,17 @@ def connected_rows(
 ) -> list[list[int]]:
     """The rows for m = min_m..max_m of the connected counts of w by m2,
     by the orbit DP: the one-block orbit's mass divided by |class(w)|.
-    Row m has m+1 entries, or one (m2 = 0) when the group has no
-    diagonal reflections."""
+    Row m has m+1 entries, m2 = 0..m, in every group."""
     min_m, max_m = json_count(min_m, "min_m"), json_count(max_m, "max_m")
     key = class_key(w.perm, w.exps, w.params.r)
     size = _class_size(w.params, key)
     rounds = _rounds(w.params, max_m, "dp_orbits", opts)
-    return [
+    rows = [
         _per_element(rounds[m].get((key,), []), size, key, m) for m in range(min_m, max_m + 1)
     ]
+    for m, row in enumerate(rows, min_m):
+        row += [0] * (m + 1 - len(row))  # no orbit, or no diagonal reflections
+    return rows
 
 
 def class_sizes(params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS) -> dict:
@@ -246,8 +250,7 @@ def count_connected_enum(
 ) -> int:
     """Connected refined count by the orbit DP: the trusted oracle."""
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
-    (row,) = connected_rows(w, m1 + m2, opts, min_m=m1 + m2)
-    return row[m2] if m2 < len(row) else 0
+    return connected_rows(w, m1 + m2, opts, min_m=m1 + m2)[0][m2]
 
 
 def count_connected_total_enum(

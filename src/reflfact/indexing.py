@@ -19,7 +19,6 @@ on these classes, and `class_representative` gives one element of each.
 from __future__ import annotations
 
 import itertools
-import math
 
 from .errors import ValidationError
 from .groups import GroupElement, GroupParams
@@ -50,19 +49,18 @@ class GroupIndexer:
 
     def __init__(self, params: GroupParams):
         self.params = params
-        self.q = params.q
-        self.exp_block = params.r ** (params.n - 1) * self.q
-        self.size = math.factorial(params.n) * self.exp_block
+        self.exp_block = params.r ** (params.n - 1) * params.q
+        self.size = params.group_order()
 
     def _exps_rank(self, exps) -> int:
-        r, q = self.params.r, self.q
+        r, q = self.params.r, self.params.q
         x = 0
         for e in reversed(exps[:-1]):
             x = x * r + e
         return x * q + exps[-1] // self.params.s
 
     def _exps_unrank(self, rank: int) -> list[int]:
-        r, s, q, n = self.params.r, self.params.s, self.q, self.params.n
+        r, s, q, n = self.params.r, self.params.s, self.params.q, self.params.n
         c = rank % q
         rank //= q
         exps = []

@@ -22,8 +22,11 @@ The two agree at r = 1.  Which one actually yields n-independent
 coefficients is decided empirically by `normalization_verdict`.
 
 Each input has one reader: `parse_genus` the genus, `_cycle_count` ell,
-`GroupParams` the pair (r, s), `_product_class` the entry-product class
-and `prefactor` the normalization.
+`GroupParams` the pair (r, s), `_product_class` the entry-product class,
+`prefactor` the normalization, `json_count` a sample's count and
+`_point` the point a polynomial is evaluated at.  `_basis_value` gives
+the basis values of both a fit's rows and `SymmetricLaurentPoly.evaluate`,
+so a prediction evaluates exactly the functions that were fitted.
 """
 
 from __future__ import annotations
@@ -96,21 +99,12 @@ class SymmetricLaurentPoly(_Frozen):
         return degs
 
     def evaluate(self, point: Sequence) -> Fraction:
-        if len(point) != self.nvars:
-            raise ValidationError(
-                f"point has {len(point)} entries, polynomial has {self.nvars} variables"
-            )
-        xs = [Fraction(x) for x in point]
-        if any(x == 0 for x in xs) and (
-            self.inv_sum_coeff or any(e < 0 for exps, _ in self.terms for e in exps)
-        ):
-            raise ValidationError("cannot evaluate negative powers at zero")
-        value = Fraction(0)
-        for exps, coeff in self.terms:
-            value += coeff * _monomial_value(exps, xs)
-        if self.inv_sum_coeff:
-            value += self.inv_sum_coeff / sum(xs)
-        return value
+        xs = _point(point, self.nvars, f"polynomial has {self.nvars} variables")
+        terms = (*self.terms, (INV_SUM, self.inv_sum_coeff))
+        try:  # each term's basis value, as a fit's row holds it
+            return sum((c * _basis_value(fn, xs) for fn, c in terms if c), Fraction(0))
+        except ZeroDivisionError as exc:
+            raise ValidationError("cannot evaluate negative powers at zero") from exc
 
     def to_json(self) -> dict:
         return {
@@ -121,6 +115,19 @@ class SymmetricLaurentPoly(_Frozen):
             ],
             "inv_sum_coefficient": str(self.inv_sum_coeff),
         }
+
+
+def _point(point, size: int, expected: str) -> list[Fraction]:
+    """`point` as Fractions, if it is a sequence of `size` numbers: the one
+    reader of a point a polynomial is evaluated at.  `expected` ends the
+    refusal of a point of another length."""
+    try:
+        xs = [Fraction(x) for x in point]
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValidationError(f"point must be a sequence of numbers, got {point!r}") from exc
+    if len(xs) != size:
+        raise ValidationError(f"point has {len(xs)} entries, {expected}")
+    return xs
 
 
 def _monomial_value(exps: tuple[int, ...], xs: Sequence):
@@ -439,7 +446,7 @@ def _prepare_samples(g, ell, r, normalization, samples) -> list[FitSample]:
                 f"cycle type {ctype.parts} has {ctype.ell} parts, expected {ell}"
             )
         m = tuple_length_for(g, ctype.n, ell)
-        normalized = count / _scale(m, r, ctype, normalization)
+        normalized = json_count(count, "count") / _scale(m, r, ctype, normalization)
         prepared.append(FitSample(ctype, ctype.n, m, count, normalized))
     return prepared
 
@@ -611,6 +618,7 @@ def collect_samples(
     repeated n is refused: it would only check a sample against itself."""
     _cycle_count(ell)
     g = parse_genus(g)
+    _product_class(GroupParams(r, s, 1), trivial_product)
     n_values = [json_int(n) for n in n_values]
     if len(set(n_values)) < len(n_values):
         raise ValidationError(f"repeated n in {n_values}")
@@ -704,9 +712,8 @@ def grsn_pvalue_from_sn_expansion(
     g = parse_genus(g)
     params = GroupParams(r, s, 1)
     t = _product_class(params, trivial_product)
-    if len(point) != _cycle_count(ell):
-        raise ValidationError(f"point has {len(point)} entries, expected ell={ell}")
-    xsum = sum(map(Fraction, point))
+    xs = _point(point, _cycle_count(ell), f"expected ell={ell}")
+    xsum = sum(xs)
     total = Fraction(0)
     for j in range(int(2 * g) + 1):
         inner = g - Fraction(j, 2)
@@ -719,6 +726,6 @@ def grsn_pvalue_from_sn_expansion(
             Fraction(1, r**j)
             * Fraction(cyclic_count(params.q, t, j), math.factorial(j))
             * xsum**j
-            * inner_poly.evaluate(point)
+            * inner_poly.evaluate(xs)
         )
     return total

@@ -84,15 +84,8 @@ class EgfSeries(_Frozen):
         _set(self, "coeffs", coeffs)
 
     @classmethod
-    def from_coeffs(cls, coeffs, order: int) -> "EgfSeries":
-        json_count(order, "series order")
-        cs = [Fraction(c) for c in coeffs[: order + 1]]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(order, cs)
-
-    @classmethod
     def constant(cls, value, order: int) -> "EgfSeries":
-        return cls.from_coeffs([Fraction(value)], order)
+        return cls(json_count(order, "series order"), [Fraction(value)] + [Fraction(0)] * order)
 
     def coefficient(self, m: int) -> Fraction:
         if not 0 <= json_int(m) <= self.order:
@@ -319,8 +312,7 @@ def comparison_mismatches(
             for m1 in range(m + 1):
                 m2 = m - m1
                 formula = _comparison(params, t, m1, m2, sn[m1])
-                enum = row[m2] if m2 < len(row) else 0
-                if formula != enum:
-                    bad.append(ComparisonMismatch(w, size, m1, m2, formula, enum))
+                if formula != row[m2]:
+                    bad.append(ComparisonMismatch(w, size, m1, m2, formula, row[m2]))
         checks += size * (max_m + 1) * (max_m + 2) // 2
     return checks, bad

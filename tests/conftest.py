@@ -259,7 +259,7 @@ def element_comparison_mismatches(params: GroupParams, max_m: int):
             for m1 in range(m + 1):
                 m2 = m - m1
                 formula = _comparison(params, t, m1, m2, sn[m1])
-                enum = row[m2] if m2 < len(row) else 0
+                enum = row[m2]
                 checks += 1
                 if formula != enum:
                     bad.append(ComparisonMismatch(w, 1, m1, m2, formula, enum))

@@ -86,9 +86,11 @@ def test_orbit_dp_on_larger_groups(group, m, index):
     assert count_connected_total_enum(w, m) == connected_from_all(w, m)
 
 
-# (group, cycle lengths, color of the first cycle): the identity, a long
-# cycle, a transposition and an (n-2)-cycle of G(4,1,6) (10146 orbits)
-# and G(6,2,5), and five cycle types of G(2,1,8) and its identity
+# (group, cycle lengths, color of the first cycle or the exponent vector):
+# the identity, a long cycle, a transposition and an (n-2)-cycle of
+# G(4,1,6) (10146 orbits) and G(6,2,5), five cycle types of G(2,1,8) and
+# its identity, and an element each of S_8 and G(3,3,4), which have no
+# diagonal reflections
 REPRESENTATIVES = [
     *(((4, 1, 6), lengths, color) for lengths, color in (
         ((1,) * 6, 0), ((6,), 1), ((2, 1, 1, 1, 1), 3), ((4, 1, 1), 2),
@@ -99,6 +101,8 @@ REPRESENTATIVES = [
     *(((2, 1, 8), lengths, color) for lengths, color in (
         ((8,), 1), ((7, 1), 0), ((6, 2), 1), ((4, 4), 0), ((3, 3, 2), 1), ((1,) * 8, 0),
     )),
+    ((1, 1, 8), (3, 2, 1, 1, 1), 0),
+    ((3, 3, 4), (2, 2), (1, 2, 0, 0)),
 ]
 
 
@@ -110,7 +114,8 @@ def test_orbit_dp_on_representatives_of_larger_groups(group, lengths, color):
     for length in lengths:
         perm += [*range(start + 1, start + length), start]
         start += length
-    w = GroupElement(GroupParams(*group), tuple(perm), (color,) + (0,) * (len(perm) - 1))
+    exps = color if isinstance(color, tuple) else (color,) + (0,) * (len(perm) - 1)
+    w = GroupElement(GroupParams(*group), tuple(perm), exps)
     for m, row in enumerate(connected_rows(w, 8)):
         assert sum(row) == connected_from_all(w, m)
         assert row == [comparison_refined(w, m - m2, m2) for m2 in range(m + 1)]

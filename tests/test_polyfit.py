@@ -24,6 +24,7 @@ from reflfact.polyfit import (
     _exact_quotient,
     _monomial_value,
     _solve_exact,
+    _system,
     basis_functions,
     canonical_element,
     collect_samples,
@@ -122,6 +123,29 @@ def test_unstable_conventions():
     assert report02.polynomial.terms == ()
     assert report02.polynomial.inv_sum_coeff == 1
     assert degree_window_check(report02.polynomial, 0, 2)
+
+
+@pytest.mark.parametrize("ell", [1, 2])
+def test_evaluation_is_the_fit_row_times_its_solution(ell):
+    # a polynomial is evaluated by the basis functions whose values built
+    # the fit's rows: a negative power at (g, ell) = (0, 1), the inverse
+    # sum at (0, 2)
+    samples = collect_samples(1, 1, 0, ell, True, (2, 3, 4, 5))
+    report = fit_sn_polynomial(0, ell, [(ctype, count) for ctype, _, count in samples])
+    rows, rhs = _system(basis_functions(0, ell), report.samples)
+    solution, _, _ = _solve_exact(rows, rhs)
+    for sample, row in zip(report.samples, rows):
+        value = sum(x * c for x, c in zip(row, solution))
+        assert report.polynomial.evaluate(sample.ctype.parts) == value == sample.normalized
+
+
+def test_inverse_sum_is_evaluated_by_its_basis_function():
+    # the point's sum is the one denominator: (0, 3) takes no power of zero,
+    # and a zero sum is refused by the rule for negative powers at zero
+    inv = SymmetricLaurentPoly.from_dict(2, {}, inv_sum_coeff=Fraction(1))
+    assert inv.evaluate((0, 3)) == Fraction(1, 3)
+    with pytest.raises(ValidationError, match="^cannot evaluate negative powers at zero$"):
+        inv.evaluate((1, -1))
 
 
 def test_predictions():
@@ -634,6 +658,7 @@ def test_predictions_and_expansions_read_their_inputs_by_the_value_rules(call, m
 
 GENUS_RULE = "^genus must be a nonnegative integer or half-integer$"
 GROUP_RULE = r"^r, s, n must be positive, got GroupParams\(r=2, s=0, n=1\)$"
+POINT_RULE = "^point must be a sequence of numbers, got "
 
 
 def _trivial_samples(r, s):
@@ -681,6 +706,48 @@ def _trivial_samples(r, s):
             ),
             "^point has 1 entries, expected ell=2$",
             id="expansion point of 1 entry at ell=2",
+        ),
+        # a sample count, the group and class of an empty sampling and a
+        # point that is no sequence of numbers: each once fitted, answered
+        # [] or raised a bare AttributeError, TypeError or ValueError
+        *(
+            pytest.param(
+                lambda c=c: fit_sn_polynomial(
+                    1, 1, [(CycleType((2,)), 1), (CycleType((3,)), c)]
+                ),
+                message,
+                id=f"sample count {c!r}",
+            )
+            for c, message in (
+                (True, "^expected an integer, got True$"),
+                (-27, "^count must be nonnegative, got -27$"),
+                (1.5, "^expected an integer, got 1.5$"),
+                ("3", "^expected an integer, got '3'$"),
+            )
+        ),
+        pytest.param(
+            lambda: collect_samples(0, 1, 0, 1, 1, []),
+            r"^r, s, n must be positive, got GroupParams\(r=0, s=1, n=1\)$",
+            id="samples r=0 at no n",
+        ),
+        pytest.param(
+            lambda: SymmetricLaurentPoly.from_dict(1, {(-2,): 1}).evaluate(5),
+            POINT_RULE + "5$",
+            id="evaluate point 5",
+        ),
+        pytest.param(
+            lambda: SymmetricLaurentPoly.from_dict(1, {(-2,): 1}).evaluate(("x",)),
+            POINT_RULE + r"\('x',\)$",
+            id="evaluate point ('x',)",
+        ),
+        pytest.param(
+            lambda: grsn_pvalue_from_sn_expansion(
+                0, 1, 2, 1, True,
+                {0: fit_sn_polynomial(0, 1, minimal_cycle_samples((2, 3, 4))).polynomial},
+                5,
+            ),
+            POINT_RULE + "5$",
+            id="expansion point 5",
         ),
     ],
 )

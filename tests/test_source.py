@@ -234,3 +234,48 @@ def test_each_fit_input_has_one_reader():
                     found.append(f"{path.name}:{node.lineno} Fraction(g)")
     assert found == []
     assert refusals == 1
+
+
+def _outside_function(tree, name):
+    """The nodes of `tree` outside the function definitions named `name`."""
+    inside = {
+        id(sub)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == name
+        for sub in ast.walk(node)
+    }
+    return [node for node in ast.walk(tree) if id(node) not in inside]
+
+
+def test_connected_rows_own_their_width():
+    # `counting.connected_rows` pads each row to m+1 entries in every group,
+    # so its readers index row[m2]; only `count_refined` tests the width of
+    # a kernel's row, which is 1 in a group without diagonal reflections
+    found = []
+    for path in [*sorted(SRC.glob("*.py")), ROOT / "tests" / "conftest.py"]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = "count_refined" if path.name == "counting.py" else ""
+        for node in _outside_function(tree, allowed):
+            if (
+                isinstance(node, ast.Compare)
+                and isinstance(node.left, ast.Name) and node.left.id == "m2"
+                and isinstance(node.ops[0], ast.Lt)
+                and isinstance(node.comparators[0], ast.Call)
+                and isinstance(node.comparators[0].func, ast.Name)
+                and node.comparators[0].func.id == "len"
+            ):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_basis_values_have_one_owner():
+    # a fit's rows and a polynomial's evaluation both read basis values
+    # from `polyfit._basis_value`
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in _outside_function(ast.parse(path.read_text(encoding="utf-8")), "_basis_value")
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name) and node.func.id == "_monomial_value"
+    ]
+    assert found == []
