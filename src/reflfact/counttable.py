@@ -1,5 +1,6 @@
 """The persistent count table: counts keyed by element, factor counts and
-kind, with provenance, kept in a JSON-lines file.
+kind, with provenance, kept in a JSON-lines file that saves only append to
+(`CountTable.save`), so its records are in append order.
 
 This module loads no kernel, so a CLI count answered from its --cache
 file runs no counting code.  `reflfact.counting` re-exports both names.
@@ -7,7 +8,6 @@ file runs no counting code.  `reflfact.counting` re-exports both names.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import threading
@@ -110,12 +110,13 @@ class CountTable:
         return len(self.entries)
 
     def save(self, path) -> None:
-        """Merge this table into the file at `path`.  Under an exclusive
-        lock on `<path>.lock`, the file as it is now is read back and
-        merged with the conflict rule of `load`, so runs sharing one path
-        keep each other's entries.  The result goes to a temporary file
-        beside `path`, which is then renamed over `path`: a save that
-        fails partway leaves the previous file intact.  A file that
+        """Append to the file at `path` the records of this table it lacks.
+        Under an exclusive lock on `<path>.lock`, the file is read back and
+        merged with the conflict rule of `load`; a conflict raises
+        CacheConflictError and leaves the file as it was.  The new records
+        go at its end in one write (records are in append order); with none
+        the file is untouched.  An unterminated last line, an append cut
+        short, is cut off first, and so is a failed write.  A file that
         cannot be opened, read or written raises ValidationError."""
         import fcntl  # only a save locks: a cache hit never loads it
 
@@ -123,47 +124,49 @@ class CountTable:
         try:
             with open(f"{path}.lock", "a") as lock:
                 fcntl.flock(lock, fcntl.LOCK_EX)
-                merged = CountTable.load(path) if os.path.exists(path) else CountTable()
+                held = CountTable.load(path) if os.path.exists(path) else CountTable()
+                lines = []
                 for key, (value, provs) in self.entries.items():
+                    new = provs - held.provenances(key)
                     for prov in provs:
                         try:
-                            merged.insert(key, value, prov)
+                            held.insert(key, value, prov)
                         except ConsistencyError as exc:
                             raise CacheConflictError(f"{path}: {exc}") from exc
-                merged._write(path)
+                    record = {"key": key.to_json(), "value": _digits(value),
+                              "tool_version": _tool_version}
+                    lines += (json.dumps({**record, "provenance": prov}, sort_keys=True) + "\n"
+                              for prov in new)
+                if not lines:
+                    return
+                data = "".join(sorted(lines)).encode("ascii")
+                with open(path, "a+b", buffering=0) as fh:
+                    end = fh.seek(0, os.SEEK_END)
+                    if end and os.pread(fh.fileno(), 1, end - 1) != b"\n":
+                        end = os.pread(fh.fileno(), end, 0).rfind(b"\n") + 1
+                        fh.truncate(end)
+                    try:
+                        if os.write(fh.fileno(), data) != len(data):
+                            raise OSError(f"wrote part of {len(data)} bytes")
+                    except BaseException:
+                        fh.truncate(end)
+                        raise
         except OSError as exc:
             raise ValidationError(f"cannot save count cache {path}: {exc}") from exc
 
-    def _write(self, path: str) -> None:
-        tmp = f"{path}.{os.getpid()}.tmp"
-        try:
-            with open(tmp, "w", encoding="utf-8") as fh:
-                for key in sorted(self.entries, key=lambda k: json.dumps(k.to_json())):
-                    value, provs = self.entries[key]
-                    for prov in sorted(provs):
-                        record = {
-                            "key": key.to_json(),
-                            "value": _digits(value),
-                            "provenance": prov,
-                            "tool_version": _tool_version,
-                        }
-                        fh.write(json.dumps(record, sort_keys=True) + "\n")
-            os.replace(tmp, path)
-        except BaseException:
-            with contextlib.suppress(FileNotFoundError):
-                os.unlink(tmp)
-            raise
-
     @classmethod
     def load(cls, path) -> "CountTable":
-        """The table held in the file at `path`.  A malformed record, or a
-        file that cannot be opened or decoded as UTF-8, raises
-        ValidationError; two values for one key, CacheConflictError."""
+        """The table held in the file at `path`, but for an unterminated last
+        line: an append cut short, which the next save cuts off.  Any other
+        malformed record, or a file that cannot be opened or decoded as
+        UTF-8, raises ValidationError; two values for one key, CacheConflictError."""
         table = cls()
         try:
-            with open(path, "r", encoding="utf-8") as fh:
+            with open(path, "rb") as fh:
                 for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
+                    if not line.endswith(b"\n"):
+                        break  # an unterminated last line: an append cut short
+                    line = line.decode("utf-8").strip()
                     if not line:
                         continue
                     try:
@@ -176,9 +179,7 @@ class CountTable:
                     except ConsistencyError as exc:
                         raise CacheConflictError(f"{path}:{lineno}: {exc}") from exc
                     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                        raise ValidationError(
-                            f"{path}:{lineno}: bad record: {exc}"
-                        ) from exc
+                        raise ValidationError(f"{path}:{lineno}: bad record: {exc}") from exc
         except (OSError, UnicodeDecodeError) as exc:
             raise ValidationError(f"cannot read count cache {path}: {exc}") from exc
         return table

@@ -118,16 +118,22 @@ class SymmetricLaurentPoly(_Frozen):
 
 
 def _point(point, size: int, expected: str) -> list[Fraction]:
-    """`point` as Fractions, if it is a sequence of `size` numbers: the one
-    reader of a point a polynomial is evaluated at.  `expected` ends the
-    refusal of a point of another length."""
+    """`point` as Fractions, if it is a sequence of `size` numbers, each an
+    int or a Fraction: a str is no such sequence, and a bool, str or float
+    entry is not read as a number.  The one reader of a point a polynomial
+    is evaluated at; `expected` ends the refusal of a point of another
+    length."""
     try:
-        xs = [Fraction(x) for x in point]
-    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ValidationError(f"point must be a sequence of numbers, got {point!r}") from exc
+        xs = list(point)
+    except TypeError:
+        xs = None
+    if xs is None or isinstance(point, (str, bytes)) or any(
+        x.__class__ not in (int, Fraction) for x in xs
+    ):
+        raise ValidationError(f"point must be a sequence of numbers, got {point!r}")
     if len(xs) != size:
         raise ValidationError(f"point has {len(xs)} entries, {expected}")
-    return xs
+    return [Fraction(x) for x in xs]
 
 
 def _monomial_value(exps: tuple[int, ...], xs: Sequence):

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from reflfact.cli import _SUBCOMMANDS, _options, build_parser, main
-from reflfact.counting import DEFAULT_MAX_DP_CELLS, Options, clear_caches
+from reflfact.counting import DEFAULT_MAX_DP_CELLS, CountTable, Options, clear_caches
 from reflfact.errors import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -298,6 +298,44 @@ def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
     assert run_json(capsys, *args) == {"count": "3"}  # served from cache
     after = os.stat(cache)
     assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+
+def test_cache_miss_appends_in_place(capsys, tmp_path):
+    cache = tmp_path / "counts.jsonl"
+    args = (
+        "count", "--r", "1", "--s", "1", "--n", "3",
+        "--omega", '{"perm":[2,3,1],"exps":[0,0,0]}', "--cache", str(cache),
+    )
+    run_json(capsys, *args, "--m", "2")
+    before, first = os.stat(cache), cache.read_bytes()
+    assert run_json(capsys, *args, "--m", "4") == {"count": "27"}
+    assert os.stat(cache).st_ino == before.st_ino
+    after = cache.read_bytes()
+    assert after.startswith(first) and after.count(b"\n") == 2
+
+
+def test_cache_torn_tail_is_skipped_then_cut_off(capsys, tmp_path):
+    cache = tmp_path / "counts.jsonl"
+    args = (
+        "count", "--r", "1", "--s", "1", "--n", "3",
+        "--omega", '{"perm":[2,3,1],"exps":[0,0,0]}', "--cache", str(cache),
+    )
+    run_json(capsys, *args, "--m", "2")
+    whole = cache.read_bytes()
+    with open(cache, "ab") as fh:  # an append cut short: half a record
+        fh.write(whole[: len(whole) // 2])
+    assert len(CountTable.load(cache)) == 1
+    assert run_json(capsys, *args, "--m", "2") == {"count": "3"}  # served from cache
+    assert run_json(capsys, *args, "--m", "4") == {"count": "27"}
+    lines = cache.read_bytes().splitlines(keepends=True)
+    assert lines[0] == whole and len(lines) == 2
+    assert [json.loads(line)["value"] for line in lines] == ["3", "27"]
+    assert len(CountTable.load(cache)) == 2
+    # a malformed last line that ends in a newline is a bad record
+    with open(cache, "ab") as fh:
+        fh.write(whole[: len(whole) // 2] + b"\n")
+    code, out, err = run_cli(capsys, *args, "--m", "2")
+    assert code == EXIT_VALIDATION and not out and "bad record" in err
 
 
 def test_cache_record_cannot_answer_a_refused_query(capsys, tmp_path):

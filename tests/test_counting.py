@@ -6,8 +6,10 @@ import json
 import math
 import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -789,18 +791,21 @@ def test_count_table_failed_save_keeps_previous_file(tmp_path, monkeypatch):
     previous = CountTable()
     previous.insert(CountKey(identity(p), 0, None, False), 1, "dp")
     previous.save(path)
-    before = path.read_text()
+    before = path.read_bytes()
     table = CountTable()
     table.insert(CountKey(identity(p), 1, None, False), 0, "dp")
 
-    # every record is written to the temporary file, then its rename fails
-    def replace_fails(src, dst):
-        raise OSError("rename refused")
+    # the append writes part of its bytes, then fails
+    real_write = os.write
 
-    monkeypatch.setattr(os, "replace", replace_fails)
-    with pytest.raises(ValidationError, match="rename refused"):
+    def write_fails(fd, data):
+        real_write(fd, data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "write", write_fails)
+    with pytest.raises(ValidationError, match="disk full"):
         table.save(path)
-    assert path.read_text() == before
+    assert path.read_bytes() == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["cache.jsonl", "cache.jsonl.lock"]
 
 
@@ -813,6 +818,55 @@ def test_count_table_saves_merge(tmp_path):
     first.save(path)
     second.save(path)
     assert len(CountTable.load(path)) == 2
+
+
+def test_count_table_save_of_nothing_new_leaves_file(tmp_path):
+    p = GroupParams(1, 1, 2)
+    path = tmp_path / "cache.jsonl"
+    table = CountTable()
+    table.insert(CountKey(identity(p), 0, None, False), 1, "dp")
+    table.insert(CountKey(identity(p), 2, None, False), 1, "dp")
+    table.save(path)
+    before = os.stat(path)
+    for same in (table, CountTable.load(path), CountTable()):
+        same.save(path)  # no record is new: the file is not opened to write
+    after = os.stat(path)
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+    CountTable().save(tmp_path / "none.jsonl")
+    assert not (tmp_path / "none.jsonl").exists()
+
+
+_SAVE_KEYS = """
+import sys
+from reflfact import GroupParams, identity
+from reflfact.counting import CountKey, CountTable
+path, first = sys.argv[1], int(sys.argv[2])
+w = identity(GroupParams(1, 1, 2))
+sys.stdin.readline()  # both start together
+for m in range(first, first + 20):
+    table = CountTable()
+    table.insert(CountKey(w, m, None, False), 1 - m % 2, "dp")
+    table.save(path)
+"""
+
+
+def test_count_table_concurrent_saves_keep_every_key(tmp_path):
+    path = tmp_path / "cache.jsonl"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", _SAVE_KEYS, str(path), str(first)],
+                         env=env, stdin=subprocess.PIPE)
+        for first in (0, 20)
+    ]
+    for proc in procs:
+        proc.stdin.write(b"go\n")
+        proc.stdin.flush()
+    for proc in procs:
+        proc.stdin.close()
+        assert proc.wait(timeout=60) == 0
+    table = CountTable.load(path)
+    assert sorted(key.m1 for key in table.entries) == list(range(40))
+    assert all(table.get(key) == 1 - key.m1 % 2 for key in table.entries)
 
 
 def test_count_table_save_conflict_keeps_file(tmp_path):

@@ -749,6 +749,30 @@ def _trivial_samples(r, s):
             POINT_RULE + "5$",
             id="expansion point 5",
         ),
+        # a str point is no sequence of numbers, and a bool, str or float
+        # entry is not read as the number it equals
+        *(
+            pytest.param(
+                lambda point=point: SymmetricLaurentPoly.from_dict(2, {(1, 0): 1}).evaluate(point),
+                POINT_RULE + message,
+                id=f"evaluate point {point!r}",
+            )
+            for point, message in (
+                ("12", "'12'$"),
+                ((True, 2), r"\(True, 2\)$"),
+                (("1", 2), r"\('1', 2\)$"),
+                ((1.0, 2), r"\(1\.0, 2\)$"),
+            )
+        ),
+        pytest.param(
+            lambda: grsn_pvalue_from_sn_expansion(
+                0, 1, 2, 1, True,
+                {0: fit_sn_polynomial(0, 1, minimal_cycle_samples((2, 3, 4))).polynomial},
+                (True,),
+            ),
+            POINT_RULE + r"\(True,\)$",
+            id="expansion point (True,)",
+        ),
     ],
 )
 def test_fit_inputs_are_refused_by_their_one_reader(call, message):
