@@ -50,13 +50,6 @@ def _element(args, params: GroupParams) -> GroupElement:
     return GroupElement.from_json(_load_json_arg(args.omega), params)
 
 
-def _options(args):
-    """The Options of --max-dp-cells, or the library's when it is not given."""
-    from .counting import Options
-
-    return Options() if args.max_dp_cells is None else Options(args.max_dp_cells)
-
-
 def _with_cache(args, key, provenance: str, compute) -> int:
     """The count under `key`: read from the --cache file when it holds
     it, else compute() inserted with `provenance`, and the file saved.
@@ -82,7 +75,7 @@ def _add_params(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, required=True)
 
 
-def _add_budget(parser: argparse.ArgumentParser, with_cache=False) -> None:
+def _add_budget(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-dp-cells",
         type=int,
@@ -91,29 +84,30 @@ def _add_budget(parser: argparse.ArgumentParser, with_cache=False) -> None:
         "refined counts and one per orbit of states, round and diagonal "
         "count for the connected DP",
     )
-    if with_cache:
-        parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
+
+
+def _add_counted(parser: argparse.ArgumentParser) -> None:
+    """The arguments count, count-refined and count-connected share: the
+    group, the budget, the --cache file and the element."""
+    _add_params(parser)
+    _add_budget(parser)
+    parser.add_argument("--cache", default=None, help="JSON-lines count cache path")
+    parser.add_argument("--omega", required=True, help="element JSON (inline or @file)")
 
 
 def _args_count(p: argparse.ArgumentParser) -> None:
-    _add_params(p)
-    _add_budget(p, with_cache=True)
-    p.add_argument("--omega", required=True, help="element JSON (inline or @file)")
+    _add_counted(p)
     p.add_argument("--m", type=int, required=True)
 
 
 def _args_count_refined(p: argparse.ArgumentParser) -> None:
-    _add_params(p)
-    _add_budget(p, with_cache=True)
-    p.add_argument("--omega", required=True)
+    _add_counted(p)
     p.add_argument("--m1", type=int, required=True)
     p.add_argument("--m2", type=int, required=True)
 
 
 def _args_count_connected(p: argparse.ArgumentParser) -> None:
-    _add_params(p)
-    _add_budget(p, with_cache=True)
-    p.add_argument("--omega", required=True)
+    _add_counted(p)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--m1", type=int, default=None)
     p.add_argument("--m2", type=int, default=None)
@@ -239,22 +233,21 @@ def _cmd_count(args) -> dict:
     def compute() -> int:
         from . import counting
 
-        opts = _options(args)
         if method == "comparison":
             from . import series
 
             if split:
-                return series.comparison_refined(w, m1, m2, opts)
-            return series.comparison_total(w, m1, opts)
+                return series.comparison_refined(w, m1, m2, args.max_dp_cells)
+            return series.comparison_total(w, m1, args.max_dp_cells)
         if method == "enum":
             if split:
-                return counting.count_connected_enum(w, m1, m2, opts)
-            return counting.count_connected_total_enum(w, m1, opts)
+                return counting.count_connected_enum(w, m1, m2, args.max_dp_cells)
+            return counting.count_connected_total_enum(w, m1, args.max_dp_cells)
         if method == "inversion":
-            return counting.connected_from_all(w, m1, opts)
+            return counting.connected_from_all(w, m1, args.max_dp_cells)
         if split:
-            return counting.count_refined(w, m1, m2, opts)
-        return counting.count_all(w, m1, opts)
+            return counting.count_refined(w, m1, m2, args.max_dp_cells)
+        return counting.count_all(w, m1, args.max_dp_cells)
 
     provenance = {
         "dp": "dp", "enum": "enumeration", "comparison": "closed-form", "inversion": "inversion"
@@ -270,8 +263,7 @@ def _cmd_verify_comparison(args) -> dict:
     from .series import comparison_mismatches
 
     params = _params(args)
-    opts = _options(args)
-    checks, mismatches = comparison_mismatches(params, args.max_m, opts)
+    checks, mismatches = comparison_mismatches(params, args.max_m, args.max_dp_cells)
     payload = {
         "r": params.r,
         "s": params.s,
@@ -333,7 +325,7 @@ def _cmd_series(args) -> dict:
     else:
         if args.r is None or args.s is None or args.n is None or args.omega is None:
             raise UsageError("kind=connected needs --r, --s, --n, --omega")
-        series = connected_series(_element(args, _params(args)), args.order, _options(args))
+        series = connected_series(_element(args, _params(args)), args.order, args.max_dp_cells)
         meta = {"r": args.r, "s": args.s, "n": args.n}
     return {"kind": args.kind, **meta, **series.to_json()}
 
@@ -347,17 +339,16 @@ def _cmd_fit(args) -> dict:
         parse_genus,
     )
 
-    opts = _options(args)
     g = parse_genus(args.g)
     pieces = args.n_values.split(",")
     if not all(x.isascii() and x.isdigit() for x in pieces):
         raise ValidationError(f"bad --n-values {args.n_values!r}: expected e.g. 2,3,4")
     n_values = [int(x) for x in pieces]
     if args.normalization == "verdict":
-        verdict = normalization_verdict(g, args.ell, args.r, args.s, n_values, opts)
+        verdict = normalization_verdict(g, args.ell, args.r, args.s, n_values, args.max_dp_cells)
         return {"verdict": verdict.to_json()}
     trivial = bool(args.trivial_product)
-    samples = collect_samples(args.r, args.s, g, args.ell, trivial, n_values, opts)
+    samples = collect_samples(args.r, args.s, g, args.ell, trivial, n_values, args.max_dp_cells)
     if args.r == 1 and args.s == 1:
         report = fit_sn_polynomial(g, args.ell, [(c, v) for c, _, v in samples])
     else:

@@ -32,10 +32,11 @@ from group elements; every kept round maps a key to its counts by m2.
 One cache holds, for the 16 groups used most recently, the rounds 0..m
 of every DP, which a count at a larger m extends from the last one, the
 orbit graph, and the inversion's memo, which holds no more counts than
-the class DP's rounds beside it.  `Options.max_dp_cells` bounds
-the cells a DP's kept rounds hold; every count checks it before it reads
-the cache or runs a round, and one that a lower bound on the classes
-already puts over it before the classes are counted.  The persistent
+the class DP's rounds beside it.  Every entry point that counts takes
+`max_dp_cells`, the cells a DP's kept rounds may hold (None for
+DEFAULT_MAX_DP_CELLS), which only `_rounds` reads; every count checks
+it before it reads the cache or runs a round, and one that a lower bound
+on the classes already puts over it before the classes are counted.  The persistent
 count table, `CountKey` and `CountTable`, lives in
 `reflfact.counttable`, which loads no kernel; both are re-exported here.
 All counts are arbitrary-precision integers.
@@ -50,24 +51,10 @@ from itertools import chain, groupby, product
 from . import _kernels_pure
 from .counttable import CountKey, CountTable  # noqa: F401  (re-exported)
 from .errors import ConsistencyError, ResourceLimitError
-from .groups import GroupElement, GroupParams, _Frozen, _set, json_count
+from .groups import GroupElement, GroupParams, json_count
 from .indexing import class_count, class_key
 
 DEFAULT_MAX_DP_CELLS = 5 * 10**7
-
-
-class Options(_Frozen):
-    """Execution knobs shared by the counting entry points: a count whose
-    kernel would keep more than max_dp_cells cells is refused instead of
-    attempted.  max_dp_cells must be a nonnegative int."""
-
-    __slots__ = _fields = ("max_dp_cells",)
-
-    def __init__(self, max_dp_cells: int = DEFAULT_MAX_DP_CELLS):
-        _set(self, "max_dp_cells", json_count(max_dp_cells, "max_dp_cells"))
-
-
-DEFAULT_OPTIONS = Options()
 
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
@@ -85,10 +72,10 @@ def clear_caches() -> None:
     _cache.clear()
 
 
-def _refusal(kernel: str, params: GroupParams, m: int, cells, opts: Options):
+def _refusal(kernel: str, params: GroupParams, m: int, cells, limit: int):
     what = {"dp_orbits": "connected DP", "dp_refined": "refined class DP"}.get(kernel, "class DP")
     return ResourceLimitError(
-        f"{what} over {params} up to m={m} needs {cells} cells (limit {opts.max_dp_cells})"
+        f"{what} over {params} up to m={m} needs {cells} cells (limit {limit})"
     )
 
 
@@ -101,12 +88,14 @@ def _keep(triple, record: dict) -> None:
         _cache.popitem(last=False)
 
 
-def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
+def _rounds(params: GroupParams, m: int, kernel: str, max_dp_cells: int | None) -> list:
     """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
     over the group, kept under that name in the group's record, which
     every cached count is read from.  The record becomes the most
     recently used (see `_keep`), and the cells the kernel keeps up to m
-    are checked against the budget first: per class, or per state orbit
+    are checked against the budget first: max_dp_cells, which is read
+    here only, None as DEFAULT_MAX_DP_CELLS and any other value by
+    `json_count`.  The cells are counted per class, or per state orbit
     for the connected DP, one slot in each of rounds 0..m, or j+1 in
     round j for the refined and connected DPs in a group with diagonal
     reflections.
@@ -119,6 +108,10 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
     refused count runs no round and leaves them as they were.  The
     kernel is looked up at call time, so a rebinding of the module's
     name is seen."""
+    if max_dp_cells is None:
+        limit = DEFAULT_MAX_DP_CELLS
+    else:
+        limit = json_count(max_dp_cells, "max_dp_cells")
     slots = m + 1  # per class or orbit, over rounds 0..m
     if kernel != "dp_total" and params.q > 1:
         slots = slots * (m + 2) // 2
@@ -127,8 +120,8 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
         # G(r,s,n) has 2^(k-1) classes or more, for the largest k with
         # k(k+1)/2 <= n: each subset of {2..k}, padded with 1s, is a cycle type
         least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
-        if least > opts.max_dp_cells:
-            raise _refusal(kernel, params, m, f"at least {least}", opts)
+        if least > limit:
+            raise _refusal(kernel, params, m, f"at least {least}", limit)
         record = {"class_count": class_count(params)}
         _keep(params.triple, record)
     else:
@@ -136,34 +129,32 @@ def _rounds(params: GroupParams, m: int, kernel: str, opts: Options) -> list:
     group, cells = params.triple, record["class_count"] * slots
     if kernel == "dp_orbits":
         if "orbits" not in record:
-            if cells > opts.max_dp_cells:
-                raise _refusal(kernel, params, m, f"at least {cells}", opts)
-            budget = opts.max_dp_cells // slots
+            if cells > limit:
+                raise _refusal(kernel, params, m, f"at least {cells}", limit)
+            budget = limit // slots
             record["orbits"] = _kernels_pure.orbit_graph(*params.triple, budget)
         group = (record["orbits"],)
         cells = len(record["orbits"][0]) * slots
-    if cells > opts.max_dp_cells:
-        raise _refusal(kernel, params, m, cells, opts)
+    if cells > limit:
+        raise _refusal(kernel, params, m, cells, limit)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
         rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, rounds, m)
     return rounds
 
 
-def count_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
+def count_all(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
     """Number of m-tuples of reflections multiplying to w."""
     json_count(m, "m")
     p = w.params
-    return _rounds(p, m, "dp_total", opts)[m][class_key(w.perm, w.exps, p.r)][0]
+    return _rounds(p, m, "dp_total", max_dp_cells)[m][class_key(w.perm, w.exps, p.r)][0]
 
 
-def count_refined(
-    w: GroupElement, m1: int, m2: int, opts: Options = DEFAULT_OPTIONS
-) -> int:
+def count_refined(w: GroupElement, m1: int, m2: int, max_dp_cells: int | None = None) -> int:
     """Number of (m1+m2)-tuples multiplying to w with exactly m2 diagonal
     factors (and m1 swap factors)."""
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
-    rounds = _rounds(w.params, m1 + m2, "dp_refined", opts)
+    rounds = _rounds(w.params, m1 + m2, "dp_refined", max_dp_cells)
     # a group without diagonal reflections keeps the m2 = 0 slot only
     slots = rounds[m1 + m2][class_key(w.perm, w.exps, w.params.r)]
     return slots[m2] if m2 < len(slots) else 0
@@ -197,7 +188,7 @@ def _per_element(masses, size: int, key, m: int) -> list[int]:
 
 
 def connected_rows(
-    w: GroupElement, max_m: int, opts: Options = DEFAULT_OPTIONS, min_m: int = 0
+    w: GroupElement, max_m: int, max_dp_cells: int | None = None, min_m: int = 0
 ) -> list[list[int]]:
     """The rows for m = min_m..max_m of the connected counts of w by m2,
     by the orbit DP: the one-block orbit's mass divided by |class(w)|.
@@ -205,7 +196,7 @@ def connected_rows(
     min_m, max_m = json_count(min_m, "min_m"), json_count(max_m, "max_m")
     key = class_key(w.perm, w.exps, w.params.r)
     size = _class_size(w.params, key)
-    rounds = _rounds(w.params, max_m, "dp_orbits", opts)
+    rounds = _rounds(w.params, max_m, "dp_orbits", max_dp_cells)
     rows = [
         _per_element(rounds[m].get((key,), []), size, key, m) for m in range(min_m, max_m + 1)
     ]
@@ -214,14 +205,14 @@ def connected_rows(
     return rows
 
 
-def class_sizes(params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS) -> dict:
+def class_sizes(params: GroupParams, max_m: int, max_dp_cells: int | None = None) -> dict:
     """{class key: |class|} over the G(r,1,n)-conjugacy classes of
     G(r,s,n) = params, in the class graph's key order, for a sweep that
     reads `connected_rows` up to max_m.  The orbit DP's budget is checked
     first, and its rounds run: its graph has an orbit for every class, so
     the budget bounds the class search too.  Class sizes that do not sum
     to the group order raise ConsistencyError."""
-    _rounds(params, json_count(max_m, "max_m"), "dp_orbits", opts)
+    _rounds(params, json_count(max_m, "max_m"), "dp_orbits", max_dp_cells)
     keys = _kernels_pure._reversed_classes(*params.triple)[0][0]
     sizes = {key: _class_size(params, key) for key in keys}
     if sum(sizes.values()) != params.group_order():
@@ -232,13 +223,13 @@ def class_sizes(params: GroupParams, max_m: int, opts: Options = DEFAULT_OPTIONS
     return sizes
 
 
-def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
+def count_all_by_enum(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
     """count_all recomputed by the orbit DP (cross-check path): the
     masses of every orbit whose merged blocks equal w's colored cycle
     type, over |class(w)|."""
     json_count(m, "m")
     key = class_key(w.perm, w.exps, w.params.r)
-    masses = _rounds(w.params, m, "dp_orbits", opts)[m]
+    masses = _rounds(w.params, m, "dp_orbits", max_dp_cells)[m]
     merged = {orbit: tuple(sorted(chain.from_iterable(orbit))) for orbit in masses}
     mass = sum(sum(counts) for orbit, counts in masses.items() if merged[orbit] == key)
     (count,) = _per_element((mass,), _class_size(w.params, key), key, m)
@@ -246,19 +237,19 @@ def count_all_by_enum(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) 
 
 
 def count_connected_enum(
-    w: GroupElement, m1: int, m2: int, opts: Options = DEFAULT_OPTIONS
+    w: GroupElement, m1: int, m2: int, max_dp_cells: int | None = None
 ) -> int:
     """Connected refined count by the orbit DP: the trusted oracle."""
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
-    return connected_rows(w, m1 + m2, opts, min_m=m1 + m2)[0][m2]
+    return connected_rows(w, m1 + m2, max_dp_cells, min_m=m1 + m2)[0][m2]
 
 
 def count_connected_total_enum(
-    w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS
+    w: GroupElement, m: int, max_dp_cells: int | None = None
 ) -> int:
     """Connected count over all diagonal/swap splits, by the orbit DP."""
     json_count(m, "m")
-    (row,) = connected_rows(w, m, opts, min_m=m)
+    (row,) = connected_rows(w, m, max_dp_cells, min_m=m)
     return sum(row)
 
 
@@ -274,15 +265,15 @@ def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     return out
 
 
-def connected_totals(w: GroupElement, max_m: int, opts: Options = DEFAULT_OPTIONS) -> list[int]:
+def connected_totals(w: GroupElement, max_m: int, max_dp_cells: int | None = None) -> list[int]:
     """The connected counts of w for m = 0..max_m, by inverting the block
     product formula (see `connected_from_all`): one row, read with one
     inversion, as `connected_rows` reads the orbit DP's.  A copy of the
     memo's counts, so the caller may change it."""
-    return _invert(w, max_m, opts)[: max_m + 1]
+    return _invert(w, max_m, max_dp_cells)[: max_m + 1]
 
 
-def connected_from_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS) -> int:
+def connected_from_all(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
     """Connected count obtained by inverting the block product formula:
     subtract, from the total count, every way of splitting the element into
     two or more independent blocks with connected factorizations.  The
@@ -290,10 +281,10 @@ def connected_from_all(w: GroupElement, m: int, opts: Options = DEFAULT_OPTIONS)
     colored cycle type to its counts for m = 0, 1, ..., which a call at a
     larger m extends in place; a caller that needs several m asks
     `connected_totals` once."""
-    return _invert(w, m, opts)[m]
+    return _invert(w, m, max_dp_cells)[m]
 
 
-def _invert(w: GroupElement, m: int, opts: Options) -> list[int]:
+def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
     """The inversion memo's list of w's connected counts for m' = 0, 1,
     ..., extended in place to m or beyond; callers must not change it.
 
@@ -317,7 +308,7 @@ def _invert(w: GroupElement, m: int, opts: Options) -> list[int]:
         inversion memo."""
         if n not in held:
             sub = p if n == p.n else GroupParams(r, s, n)  # p is checked already
-            _rounds(sub, m, "dp_total", opts)
+            _rounds(sub, m, "dp_total", max_dp_cells)
             held[n] = _cache[sub.triple]  # _rounds has just made it the newest
             held[n].setdefault("connected_from_all", {})
         return held[n]

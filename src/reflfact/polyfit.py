@@ -36,7 +36,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .counting import DEFAULT_OPTIONS, Options, connected_from_all
+from .counting import connected_from_all
 from .errors import (
     ConsistencyError,
     FitInconsistencyError,
@@ -45,7 +45,7 @@ from .errors import (
 )
 from .groups import CycleType, GroupElement, GroupParams, _Frozen, json_count, json_int
 from .indexing import class_representative
-from .series import cyclic_count
+from .series import _rational, cyclic_count
 
 NORMALIZATIONS = ("printed", "derived")
 
@@ -72,19 +72,26 @@ class SymmetricLaurentPoly(_Frozen):
     def from_dict(
         cls, nvars: int, terms: dict, inv_sum_coeff=Fraction(0)
     ) -> "SymmetricLaurentPoly":
+        """The polynomial of the {exponent vector: coefficient} terms, by
+        the value rules: nvars is read by `_cycle_count`, each exponent by
+        `json_int`, and each coefficient, as inv_sum_coeff, only as an
+        int or a Fraction.  A zero coefficient is dropped before its
+        exponent vector is read."""
+        nvars = _cycle_count(nvars)
+        inv_sum_coeff = _rational(inv_sum_coeff, "inv_sum_coeff")
         clean = []
         for exps, coeff in terms.items():
-            coeff = Fraction(coeff)
+            coeff = _rational(coeff, "coefficient")
             if not coeff:
                 continue
-            exps = tuple(exps)
+            exps = tuple(map(json_int, exps))
             if len(exps) != nvars:
                 raise ValidationError(f"exponent vector {exps} must have {nvars} entries")
             if tuple(sorted(exps, reverse=True)) != exps:
                 raise ValidationError(f"exponent vector {exps} must be sorted descending")
             clean.append((exps, coeff))
         clean.sort()
-        return cls(nvars, tuple(clean), Fraction(inv_sum_coeff))
+        return cls(nvars, tuple(clean), inv_sum_coeff)
 
     def term_dict(self) -> dict[tuple[int, ...], Fraction]:
         return dict(self.terms)
@@ -617,7 +624,7 @@ def collect_samples(
     ell: int,
     trivial_product: bool,
     n_values: Sequence[int],
-    opts: Options = DEFAULT_OPTIONS,
+    max_dp_cells: int | None = None,
 ) -> list[tuple[CycleType, int, int]]:
     """Measure connected counts for every cycle type with `ell` parts at each
     requested n, using the canonical representative of each class.  A
@@ -637,7 +644,7 @@ def collect_samples(
         for parts in partitions_into(n, ell):
             ctype = CycleType(parts)
             w = canonical_element(params, ctype, trivial_product)
-            count = connected_from_all(w, m, opts)
+            count = connected_from_all(w, m, max_dp_cells)
             out.append((ctype, n, count))
     return out
 
@@ -677,7 +684,7 @@ def normalization_verdict(
     r: int,
     s: int,
     n_values: Sequence[int],
-    opts: Options = DEFAULT_OPTIONS,
+    max_dp_cells: int | None = None,
 ) -> NormalizationVerdict:
     """Decide empirically which prefactor yields n-independent coefficients:
     fit both product classes under both normalizations and record which
@@ -688,7 +695,7 @@ def normalization_verdict(
     reports: dict = {}
     failures: dict = {}
     for trivial in classes:
-        samples = collect_samples(r, s, g, ell, trivial, n_values, opts)
+        samples = collect_samples(r, s, g, ell, trivial, n_values, max_dp_cells)
         for norm in NORMALIZATIONS:
             try:
                 reports[(norm, trivial)] = fit_grsn_polynomial(

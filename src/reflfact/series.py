@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, ValidationError
 from .groups import (
@@ -31,9 +30,6 @@ from .groups import (
     json_int,
     permutation_part,
 )
-
-if TYPE_CHECKING:
-    from .counting import Options
 
 
 def _cyclic_target(q: int, t: int) -> tuple[int, int]:
@@ -62,6 +58,16 @@ def cyclic_count(q: int, t: int, m: int) -> int:
     return base
 
 
+def _rational(value, name: str) -> Fraction:
+    """`value` as a Fraction, if it is an int or a Fraction: a bool, float
+    or str is not read as the number it equals.  The one rule for a
+    series scalar and a polynomial coefficient; `name` names the value in
+    the refusal."""
+    if value.__class__ not in (int, Fraction):
+        raise ValidationError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
+
+
 class EgfSeries(_Frozen):
     """Truncated exponential generating series with exact rational
     coefficients: sum of coeffs[m] * x^m for m <= order, where
@@ -85,7 +91,8 @@ class EgfSeries(_Frozen):
 
     @classmethod
     def constant(cls, value, order: int) -> "EgfSeries":
-        return cls(json_count(order, "series order"), [Fraction(value)] + [Fraction(0)] * order)
+        value, order = _rational(value, "series scalar"), json_count(order, "series order")
+        return cls(order, [value] + [Fraction(0)] * order)
 
     def coefficient(self, m: int) -> Fraction:
         if not 0 <= json_int(m) <= self.order:
@@ -103,6 +110,8 @@ class EgfSeries(_Frozen):
         return [self.count(m) for m in range(self.order + 1)]
 
     def _binop(self, other, op):
+        if not isinstance(other, EgfSeries):
+            raise ValidationError(f"a series adds and subtracts series only, got {other!r}")
         if self.order != other.order:
             raise ValidationError("series orders differ")
         return EgfSeries(self.order, [op(a, b) for a, b in zip(self.coeffs, other.coeffs)])
@@ -126,7 +135,7 @@ class EgfSeries(_Frozen):
                     if b:
                         out[i + j] += a * b
             return EgfSeries(self.order, out)
-        scalar = Fraction(other)
+        scalar = _rational(other, "series scalar")
         return EgfSeries(self.order, tuple(scalar * c for c in self.coeffs))
 
     __rmul__ = __mul__
@@ -145,7 +154,7 @@ class EgfSeries(_Frozen):
 
     def scale_argument(self, a) -> "EgfSeries":
         """Substitute x -> a*x."""
-        a = Fraction(a)
+        a = _rational(a, "series scalar")
         return EgfSeries(self.order, [c * a**m for m, c in enumerate(self.coeffs)])
 
     def to_json(self) -> dict:
@@ -158,7 +167,7 @@ class EgfSeries(_Frozen):
 
 def exp_series(a, order: int) -> EgfSeries:
     """Truncation of exp(a*x)."""
-    a, order = Fraction(a), json_count(order, "series order")
+    a, order = _rational(a, "series scalar"), json_count(order, "series order")
     coeffs = []
     power = Fraction(1)
     for m in range(order + 1):
@@ -177,25 +186,23 @@ def cyclic_series(q: int, t: int, order: int) -> EgfSeries:
     return series
 
 
-def _sn_connected(base: GroupElement, order: int, opts: "Options | None") -> list[int]:
+def _sn_connected(base: GroupElement, order: int, max_dp_cells: int | None) -> list[int]:
     """Connected counts of the S_n element base at m = 0..order, by
     inversion."""
     from . import counting
 
-    return counting.connected_totals(base, order, opts or counting.DEFAULT_OPTIONS)
+    return counting.connected_totals(base, order, max_dp_cells)
 
 
-def sn_connected_series(
-    w: GroupElement, order: int, opts: "Options | None" = None
-) -> EgfSeries:
+def sn_connected_series(w: GroupElement, order: int, max_dp_cells: int | None = None) -> EgfSeries:
     """EGF of connected counts of the permutation part, in S_n."""
-    counts = _sn_connected(permutation_part(w), order, opts)
+    counts = _sn_connected(permutation_part(w), order, max_dp_cells)
     coeffs = [Fraction(count, math.factorial(m)) for m, count in enumerate(counts)]
     return EgfSeries(order, coeffs)
 
 
 def comparison_refined(
-    w: GroupElement, m1: int, m2: int, opts: "Options | None" = None
+    w: GroupElement, m1: int, m2: int, max_dp_cells: int | None = None
 ) -> int:
     """Connected refined count computed from the S_n connected count:
     r^(m1-n+1) * n^m2 * C(m1+m2, m1) * (cyclic count at m2) * (S_n count at m1).
@@ -205,9 +212,7 @@ def comparison_refined(
     from . import counting
 
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
-    sn_count = counting.connected_from_all(
-        permutation_part(w), m1, opts or counting.DEFAULT_OPTIONS
-    )
+    sn_count = counting.connected_from_all(permutation_part(w), m1, max_dp_cells)
     return _comparison(w.params, entry_product(w), m1, m2, sn_count)
 
 
@@ -230,10 +235,10 @@ def _comparison(p: GroupParams, t: int, m1: int, m2: int, sn_count: int) -> int:
     return quotient
 
 
-def comparison_total(w: GroupElement, m: int, opts: "Options | None" = None) -> int:
+def comparison_total(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
     """Connected count at m as the sum of refined comparisons over splits."""
     json_count(m, "m")
-    sn = _sn_connected(permutation_part(w), m, opts)
+    sn = _sn_connected(permutation_part(w), m, max_dp_cells)
     t = entry_product(w)
     return sum(_comparison(w.params, t, m1, m - m1, sn[m1]) for m1 in range(m + 1))
 
@@ -246,12 +251,11 @@ def _comparison_series(p: GroupParams, t: int, sn: EgfSeries) -> EgfSeries:
     return cyc * sn.scale_argument(p.r) * Fraction(1, p.r ** (p.n - 1))
 
 
-def connected_series(
-    w: GroupElement, order: int, opts: "Options | None" = None
-) -> EgfSeries:
+def connected_series(w: GroupElement, order: int, max_dp_cells: int | None = None) -> EgfSeries:
     """EGF of connected counts of w, as the rescaled product of the cyclic
     series and the S_n connected series."""
-    return _comparison_series(w.params, entry_product(w), sn_connected_series(w, order, opts))
+    sn = sn_connected_series(w, order, max_dp_cells)
+    return _comparison_series(w.params, entry_product(w), sn)
 
 
 def sn_long_cycle_series(n: int, order: int) -> EgfSeries:
@@ -280,7 +284,7 @@ class ComparisonMismatch(_Frozen):
 
 
 def comparison_mismatches(
-    params: GroupParams, max_m: int, opts: "Options | None" = None
+    params: GroupParams, max_m: int, max_dp_cells: int | None = None
 ) -> tuple[int, list[ComparisonMismatch]]:
     """Exhaustively compare the refined comparison formula against the
     connected oracle (the orbit DP behind `count_connected_enum`) for
@@ -301,14 +305,13 @@ def comparison_mismatches(
     from .indexing import class_representative
 
     json_count(max_m, "max_m")
-    opts = opts or counting.DEFAULT_OPTIONS
     checks = 0
     bad: list[ComparisonMismatch] = []
-    for key, size in counting.class_sizes(params, max_m, opts).items():
+    for key, size in counting.class_sizes(params, max_m, max_dp_cells).items():
         w = class_representative(params, key)
         t = entry_product(w)
-        sn = _sn_connected(permutation_part(w), max_m, opts)
-        for m, row in enumerate(counting.connected_rows(w, max_m, opts)):
+        sn = _sn_connected(permutation_part(w), max_m, max_dp_cells)
+        for m, row in enumerate(counting.connected_rows(w, max_m, max_dp_cells)):
             for m1 in range(m + 1):
                 m2 = m - m1
                 formula = _comparison(params, t, m1, m2, sn[m1])

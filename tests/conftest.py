@@ -249,13 +249,12 @@ def element_comparison_mismatches(params: GroupParams, max_m: int):
     Returns (number of checks, mismatches), the mismatches by element in
     index order, then by m, then by m1, each of class size 1: it stands
     for its element only."""
-    opts = counting.DEFAULT_OPTIONS
     checks = 0
     bad = []
     for w in GroupIndexer(params):
         t = entry_product(w)
-        sn = _sn_connected(permutation_part(w), max_m, opts)
-        for m, row in enumerate(counting.connected_rows(w, max_m, opts)):
+        sn = _sn_connected(permutation_part(w), max_m, None)
+        for m, row in enumerate(counting.connected_rows(w, max_m, None)):
             for m1 in range(m + 1):
                 m2 = m - m1
                 formula = _comparison(params, t, m1, m2, sn[m1])

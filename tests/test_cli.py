@@ -8,8 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-from reflfact.cli import _SUBCOMMANDS, _options, build_parser, main
-from reflfact.counting import DEFAULT_MAX_DP_CELLS, CountTable, Options, clear_caches
+from reflfact.cli import _SUBCOMMANDS, build_parser, main
+from reflfact.counting import DEFAULT_MAX_DP_CELLS, CountTable, clear_caches
 from reflfact.errors import (
     EXIT_CONSISTENCY,
     EXIT_OK,
@@ -234,9 +234,17 @@ def test_exit_codes(capsys, tmp_path):
         [*fit, "--n-values", "2,3"],
         [*fit, "--n-values", "2,3", "--normalization", "verdict"],
         ["count", *group, *omega, "--m", "1"],
+        ["count-refined", *group, *omega, "--m1", "1", "--m2", "1"],
+        *(
+            ["count-connected", *group, *omega, "--m", "1", "--method", method]
+            for method in ("inversion", "enum", "comparison")
+        ),
+        ["verify-comparison", *group, "--max-m", "1"],
+        ["series", "--kind", "connected", *group, *omega, "--order", "1"],
     ):
         code, out, err = run_cli(capsys, *argv, "--max-dp-cells", "-1")
-        assert code == EXIT_VALIDATION and "nonnegative" in err and not out, argv
+        assert code == EXIT_VALIDATION and not out, argv
+        assert err == "reflfact: max_dp_cells must be nonnegative, got -1\n", argv
     # resource refusal
     code, _, err = run_cli(
         capsys, "count", "--r", "6", "--s", "1", "--n", "4",
@@ -526,9 +534,10 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
     assert [m for m in json.loads(proc.stdout) if m.startswith("reflfact.")] == []
 
 
-def test_max_dp_cells_default_matches_library():
-    # without --max-dp-cells a subcommand runs with the library's Options();
-    # a value given reaches Options as it is
+def test_max_dp_cells_default_matches_library(capsys):
+    # without --max-dp-cells a subcommand passes None, which the library
+    # reads as DEFAULT_MAX_DP_CELLS; a value given reaches the library as
+    # it is
     parser = build_parser()
     group = ["--r", "1", "--s", "1", "--n", "2"]
     for argv in (
@@ -539,10 +548,30 @@ def test_max_dp_cells_default_matches_library():
         ["series", "--kind", "cyclic", "--q", "2", "--order", "3"],
         ["fit", "--g", "0", "--ell", "1", "--n-values", "2"],
     ):
-        assert _options(parser.parse_args(argv)) == Options(), argv[0]
+        assert parser.parse_args(argv).max_dp_cells is None, argv[0]
         given = parser.parse_args([*argv, "--max-dp-cells", "7"])
-        assert _options(given) == Options(max_dp_cells=7), argv[0]
-    assert Options().max_dp_cells == DEFAULT_MAX_DP_CELLS
+        assert given.max_dp_cells == 7, argv[0]
+    # S_1000's classes alone are over either budget, so every subcommand
+    # that counts is refused at once, naming the limit it read
+    big = ["--r", "1", "--s", "1", "--n", "1000"]
+    omega = ["--omega", json.dumps({"perm": list(range(1, 1001)), "exps": [0] * 1000})]
+    fit = ["fit", "--g", "0", "--ell", "1", "--n-values", "1000"]
+    for argv in (
+        ["count", *big, *omega, "--m", "1"],
+        ["count-refined", *big, *omega, "--m1", "1", "--m2", "0"],
+        *(
+            ["count-connected", *big, *omega, "--m", "1", "--method", method]
+            for method in ("inversion", "enum", "comparison")
+        ),
+        ["verify-comparison", *big, "--max-m", "1"],
+        ["series", "--kind", "connected", *big, *omega, "--order", "1"],
+        fit,
+        [*fit, "--normalization", "verdict"],
+    ):
+        for budget, limit in (([], DEFAULT_MAX_DP_CELLS), (["--max-dp-cells", "7"], 7)):
+            code, out, err = run_cli(capsys, *argv, *budget)
+            assert code == EXIT_RESOURCE and f"(limit {limit})" in err and not out, argv
+    clear_caches()
 
 
 def test_parser_for_the_chosen_subcommand_prints_as_the_full_one(capsys):
@@ -644,7 +673,7 @@ def test_verify_comparison_prints_its_mismatches_and_exits_5(capsys, monkeypatch
 
     monkeypatch.setattr(
         counting, "connected_rows",
-        lambda w, max_m, opts: [[-1] * (m + 1) for m in range(max_m + 1)],
+        lambda w, max_m, max_dp_cells: [[-1] * (m + 1) for m in range(max_m + 1)],
     )
     code, out, err = run_cli(
         capsys, "verify-comparison", "--r", "2", "--s", "1", "--n", "2", "--max-m", "2"

@@ -28,7 +28,6 @@ from reflfact import (
 from reflfact.counting import (
     CountKey,
     CountTable,
-    Options,
     class_sizes,
     clear_caches,
     connected_from_all,
@@ -324,7 +323,7 @@ def test_parity_vanishing_sn():
 def test_resource_limits():
     p = GroupParams(6, 2, 4)
     w = identity(p)
-    tiny = Options(max_dp_cells=10)
+    tiny = 10
     with pytest.raises(ResourceLimitError):
         count_all(w, 3, tiny)
     with pytest.raises(ResourceLimitError):
@@ -340,9 +339,9 @@ def test_connected_dp_budget_bounds_live_states():
     clear_caches()
     w = identity(GroupParams(1, 1, 4))
     with pytest.raises(ResourceLimitError, match="more than 13 state orbits"):
-        count_connected_total_enum(w, 3, Options(max_dp_cells=55))
+        count_connected_total_enum(w, 3, max_dp_cells=55)
     assert "orbits" not in counting._cache[(1, 1, 4)]
-    assert count_connected_total_enum(w, 3, Options(max_dp_cells=56)) == connected_from_all(w, 3)
+    assert count_connected_total_enum(w, 3, max_dp_cells=56) == connected_from_all(w, 3)
     assert len(counting._cache[(1, 1, 4)]["orbits"][0]) == 14
     clear_caches()
 
@@ -359,9 +358,9 @@ def test_orbit_search_refused_by_the_class_count(monkeypatch):
     monkeypatch.setattr(_kernels_pure, "orbit_graph", orbit_graph_ran)
     w = identity(GroupParams(1, 1, 10))
     for query in (
-        lambda: count_connected_total_enum(w, 2, Options(100)),
-        lambda: count_all_by_enum(w, 2, Options(100)),
-        lambda: class_sizes(w.params, 2, Options(100)),
+        lambda: count_connected_total_enum(w, 2, 100),
+        lambda: count_all_by_enum(w, 2, 100),
+        lambda: class_sizes(w.params, 2, 100),
     ):
         with pytest.raises(ResourceLimitError, match="up to m=2 needs at least 126 cells"):
             query()
@@ -408,10 +407,10 @@ def test_refused_extension_keeps_cached_rounds(monkeypatch):
     monkeypatch.setattr(_kernels_pure, "dp_orbits", recording)
     # refused by the budget check before any round runs
     with pytest.raises(ResourceLimitError, match="connected DP over .* up to m=3 needs 56 cells"):
-        count_connected_total_enum(w, 3, Options(max_dp_cells=55))
+        count_connected_total_enum(w, 3, max_dp_cells=55)
     assert count_connected_total_enum(w, 2) == connected_from_all(w, 2)  # no kernel call
     assert given == []
-    assert count_connected_total_enum(w, 3, Options(max_dp_cells=56)) == connected_from_all(w, 3)
+    assert count_connected_total_enum(w, 3, max_dp_cells=56) == connected_from_all(w, 3)
     assert len(given) == 1 and given[0] is kept and len(kept) == 3
     clear_caches()
 
@@ -441,9 +440,9 @@ def test_refined_budget_counts_kept_rounds():
     w = identity(p)
     cells = class_count(p) * 10
     with pytest.raises(ResourceLimitError):
-        count_refined(w, 2, 1, Options(max_dp_cells=cells - 1))
-    refined = [count_refined(w, 3 - m2, m2, Options(max_dp_cells=cells)) for m2 in range(4)]
-    assert sum(refined) == count_all(w, 3, Options(max_dp_cells=cells - 1))
+        count_refined(w, 2, 1, max_dp_cells=cells - 1)
+    refined = [count_refined(w, 3 - m2, m2, max_dp_cells=cells) for m2 in range(4)]
+    assert sum(refined) == count_all(w, 3, max_dp_cells=cells - 1)
     clear_caches()
 
 
@@ -507,8 +506,8 @@ def test_refined_dp_keeps_one_row_without_diagonal_reflections():
     assert rounds == _kernels_pure.dp_total(1, 1, 4, None, 6)
     cells = class_count(p) * 41
     with pytest.raises(ResourceLimitError):
-        count_refined(w, 40, 0, Options(max_dp_cells=cells - 1))
-    assert count_refined(w, 40, 0, Options(max_dp_cells=cells)) == count_all(w, 40)
+        count_refined(w, 40, 0, max_dp_cells=cells - 1)
+    assert count_refined(w, 40, 0, max_dp_cells=cells) == count_all(w, 40)
     assert count_refined(w, 38, 2) == count_refined(w, 0, 4) == 0
     for v in all_elements(GroupParams(1, 1, 3)):
         total, _ = brute_counts(v, 3)
@@ -551,15 +550,15 @@ def test_warm_cache_never_bypasses_the_budget():
     # the cells it needs: 4 rounds of classes, 10 rows for refined counts,
     # and 10 slots of state orbits
     for cells, query in (
-        (4 * classes, lambda opts: count_all(w, 3, opts)),
-        (4 * classes, lambda opts: connected_from_all(w, 3, opts)),
-        (10 * classes, lambda opts: count_refined(w, 2, 1, opts)),
-        (dp_cells, lambda opts: count_connected_total_enum(w, 3, opts)),
-        (dp_cells, lambda opts: count_connected_enum(w, 2, 1, opts)),
+        (4 * classes, lambda budget: count_all(w, 3, budget)),
+        (4 * classes, lambda budget: connected_from_all(w, 3, budget)),
+        (10 * classes, lambda budget: count_refined(w, 2, 1, budget)),
+        (dp_cells, lambda budget: count_connected_total_enum(w, 3, budget)),
+        (dp_cells, lambda budget: count_connected_enum(w, 2, 1, budget)),
     ):
         with pytest.raises(ResourceLimitError):
-            query(Options(max_dp_cells=cells - 1))
-        query(Options(max_dp_cells=cells))
+            query(cells - 1)
+        query(cells)
     assert count_all(w, 3) == total and connected_from_all(w, 3) == inverted
     assert [count_refined(w, 3 - m2, m2) for m2 in range(4)] == refined
     assert count_connected_total_enum(w, 3) == connected
@@ -567,8 +566,8 @@ def test_warm_cache_never_bypasses_the_budget():
     # a cold cache refuses the same budget
     clear_caches()
     with pytest.raises(ResourceLimitError):
-        count_connected_total_enum(w, 3, Options(max_dp_cells=dp_cells - 1))
-    assert count_connected_total_enum(w, 3, Options(max_dp_cells=dp_cells)) == connected
+        count_connected_total_enum(w, 3, max_dp_cells=dp_cells - 1)
+    assert count_connected_total_enum(w, 3, max_dp_cells=dp_cells) == connected
     clear_caches()
 
 
@@ -616,7 +615,6 @@ def _factor_count_entry_points():
         "CountKey m1": lambda v: CountKey(w, v, None, False),
         "CountKey m1 of a split": lambda v: CountKey(w, v, 0, True),
         "CountKey m2": lambda v: CountKey(w, 1, v, True),
-        "Options max_dp_cells": lambda v: Options(max_dp_cells=v),
         "CountTable.insert": lambda v: CountTable().insert(CountKey(w, 1, None, False), v, "dp"),
     }
 
@@ -629,6 +627,52 @@ def test_factor_counts_are_read_by_one_rule(entry, value):
     says = "nonnegative" if value == -1 else "expected an integer"
     with pytest.raises(ValidationError, match=says):
         _factor_count_entry_points()[entry](value)
+    clear_caches()
+
+
+def _budget_entry_points():
+    """name -> (an entry point that counts, its arguments before the budget)."""
+    from reflfact import polyfit, series
+
+    w = GroupElement(GroupParams(2, 1, 2), (2, 1), (0, 1))
+    return {
+        "count_all": (count_all, (w, 2)),
+        "count_refined": (count_refined, (w, 1, 1)),
+        "connected_rows": (counting.connected_rows, (w, 2)),
+        "class_sizes": (class_sizes, (w.params, 2)),
+        "count_all_by_enum": (count_all_by_enum, (w, 2)),
+        "count_connected_enum": (count_connected_enum, (w, 1, 1)),
+        "count_connected_total_enum": (count_connected_total_enum, (w, 2)),
+        "connected_totals": (connected_totals, (w, 2)),
+        "connected_from_all": (connected_from_all, (w, 2)),
+        "sn_connected_series": (series.sn_connected_series, (w, 2)),
+        "comparison_refined": (series.comparison_refined, (w, 1, 1)),
+        "comparison_total": (series.comparison_total, (w, 2)),
+        "connected_series": (series.connected_series, (w, 2)),
+        "comparison_mismatches": (series.comparison_mismatches, (w.params, 2)),
+        "collect_samples": (polyfit.collect_samples, (2, 1, 0, 1, True, (2, 3))),
+        "normalization_verdict": (polyfit.normalization_verdict, (0, 1, 2, 1, (2, 3))),
+    }
+
+
+@pytest.mark.parametrize("entry", sorted(_budget_entry_points()))
+def test_the_budget_is_read_by_every_entry_point(entry):
+    # max_dp_cells is a plain int: None is the default budget, a bool or a
+    # float is not read as the int it equals, a negative budget is refused
+    # with the one message of `json_count`, and one too small is a
+    # resource refusal that names it
+    call, args = _budget_entry_points()[entry]
+    assert call(*args, max_dp_cells=None) == call(*args)
+    for value, says in (
+        (True, "^expected an integer, got True$"),
+        (1.5, "^expected an integer, got 1.5$"),
+        (2.0, "^expected an integer, got 2.0$"),
+        (-1, "^max_dp_cells must be nonnegative, got -1$"),
+    ):
+        with pytest.raises(ValidationError, match=says):
+            call(*args, max_dp_cells=value)
+    with pytest.raises(ResourceLimitError, match=r"cells \(limit 1\)$"):
+        call(*args, max_dp_cells=1)
     clear_caches()
 
 

@@ -773,6 +773,37 @@ def _trivial_samples(r, s):
             POINT_RULE + r"\(True,\)$",
             id="expansion point (True,)",
         ),
+        # a polynomial's variable count is read as ell is, its exponents
+        # as JSON ints and its coefficients as ints or Fractions only
+        *(
+            pytest.param(
+                lambda args=args, kwargs=kwargs: SymmetricLaurentPoly.from_dict(*args, **kwargs),
+                message,
+                id=f"from_dict {label}",
+            )
+            for label, args, kwargs, message in (
+                ("nvars True", (True, {(1,): 1}), {}, "^expected an integer, got True$"),
+                ("nvars 0", (0, {}), {}, "^ell must be positive, got 0$"),
+                ("exponent 1.5", (1, {(1.5,): 1}), {}, "^expected an integer, got 1.5$"),
+                ("exponent True", (1, {(True,): 1}), {}, "^expected an integer, got True$"),
+                (
+                    "coefficient True", (1, {(1,): True}), {},
+                    "^coefficient must be an int or a Fraction, got True$",
+                ),
+                (
+                    "coefficient 0.5", (1, {(1,): 0.5}), {},
+                    "^coefficient must be an int or a Fraction, got 0.5$",
+                ),
+                (
+                    "coefficient 'x'", (1, {(1,): "x"}), {},
+                    "^coefficient must be an int or a Fraction, got 'x'$",
+                ),
+                (
+                    "inv_sum_coeff '1/3'", (2, {}), {"inv_sum_coeff": "1/3"},
+                    "^inv_sum_coeff must be an int or a Fraction, got '1/3'$",
+                ),
+            )
+        ),
     ],
 )
 def test_fit_inputs_are_refused_by_their_one_reader(call, message):

@@ -171,8 +171,8 @@ def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypat
     # per class and split, in key order, then by m, then by m1
     monkeypatch.setattr(
         counting, "connected_rows",
-        lambda w, max_m, opts: [
-            [comparison_refined(w, m - m2, m2, opts) + 1 for m2 in range(m + 1)]
+        lambda w, max_m, max_dp_cells: [
+            [comparison_refined(w, m - m2, m2, max_dp_cells) + 1 for m2 in range(m + 1)]
             for m in range(max_m + 1)
         ],
     )
@@ -212,7 +212,7 @@ def test_comparison_sweep_checks_the_budget_before_the_class_search(monkeypatch)
 
     monkeypatch.setattr(_kernels_pure, "_reversed_classes", search)
     with pytest.raises(ResourceLimitError, match="connected DP"):
-        comparison_mismatches(GroupParams(2, 1, 3), 3, counting.Options(max_dp_cells=10))
+        comparison_mismatches(GroupParams(2, 1, 3), 3, max_dp_cells=10)
 
 
 def test_series_read_each_group_once_per_row(monkeypatch):
@@ -240,7 +240,7 @@ def test_series_read_each_group_once_per_row(monkeypatch):
 def test_comparison_refined_rejects_an_inexact_division(monkeypatch):
     # r^(m1-n+1) with m1 < n-1 divides; a value r^2 does not divide raises
     w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
-    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, opts: 1)
+    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, max_dp_cells: 1)
     with pytest.raises(ConsistencyError, match="m1=0, m2=0 is not integral: 1/4$"):
         comparison_refined(w, 0, 0)
     assert comparison_refined(w, 2, 0) == 1  # 2^0 * 1
@@ -397,6 +397,42 @@ def test_series_read_their_ints_by_the_value_rules(call):
         call(exp_series(1, 3))
 
 
+SCALAR_RULE = "^series scalar must be an int or a Fraction, got "
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        pytest.param(lambda e: EgfSeries.constant(True, 2), "True$", id="constant(True)"),
+        pytest.param(lambda e: EgfSeries.constant("x", 2), "'x'$", id="constant('x')"),
+        pytest.param(lambda e: exp_series("1/2", 2), "'1/2'$", id="exp_series('1/2')"),
+        pytest.param(lambda e: exp_series(0.5, 2), r"0\.5$", id="exp_series(0.5)"),
+        pytest.param(lambda e: e * 1.5, r"1\.5$", id="series * 1.5"),
+        pytest.param(lambda e: 1.5 * e, r"1\.5$", id="1.5 * series"),
+        pytest.param(lambda e: e * True, "True$", id="series * True"),
+        pytest.param(lambda e: e * "2", "'2'$", id="series * '2'"),
+        pytest.param(lambda e: e.scale_argument(2.0), r"2\.0$", id="scale_argument(2.0)"),
+        pytest.param(lambda e: e.scale_argument(True), "True$", id="scale_argument(True)"),
+    ],
+)
+def test_series_read_their_scalars_by_the_value_rules(call, message):
+    # each once answered as the number it equals (True as 1, '1/2' as
+    # 1/2, 1.5 as 3/2) or raised a bare ValueError
+    with pytest.raises(ValidationError, match=SCALAR_RULE + message):
+        call(exp_series(1, 3))
+
+
+def test_series_add_and_subtract_series_only():
+    e = exp_series(1, 3)
+    for combine in (lambda a, b: a + b, lambda a, b: a - b):
+        for other in (1, Fraction(1, 2)):
+            with pytest.raises(ValidationError, match="adds and subtracts series only"):
+                combine(e, other)
+    half = EgfSeries.constant(Fraction(1, 2), 3)
+    assert e * 2 == 2 * e == e * Fraction(2) == e + e
+    assert (e * Fraction(1, 2)).coeffs == (e - half * e).coeffs
+
+
 def test_series_refuse_malformed_arguments():
     e = exp_series(1, 3)
     with pytest.raises(ValidationError, match="length order\\+1"):
@@ -431,6 +467,6 @@ def test_comparison_refined_divides_exactly_below_n_minus_one(monkeypatch):
     # S_n counts vanish for m1 < n-1, so only a wrong count reaches the
     # division by r^(n-1-m1): a multiple of it divides exactly
     w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
-    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, opts: 8)
+    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, max_dp_cells: 8)
     assert comparison_refined(w, 0, 0) == 2  # 8 / 2^2
     assert comparison_refined(w, 1, 0) == 4  # 8 / 2

@@ -303,3 +303,29 @@ def test_the_count_cache_is_append_only():
                 and node.value.endswith(".tmp"):
             found.append(f"temporary file:{node.lineno}")
     assert found == []
+
+
+def test_the_budget_has_one_reader():
+    # the cell budget is a plain int, max_dp_cells=None at every entry
+    # point that counts: no options object wraps it, and only
+    # `counting._rounds` maps None to DEFAULT_MAX_DP_CELLS and reads any
+    # other value by `json_count(..., "max_dp_cells")`
+    gone = {"Options", "DEFAULT_OPTIONS", "opts", "TYPE_CHECKING", "_options"}
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        inside = "_rounds" if path.name == "counting.py" else ""
+        for node in ast.walk(tree):
+            names = [
+                getattr(node, field, None) for field in ("id", "attr", "arg", "name", "asname")
+            ]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in gone]
+        for node in _outside_function(tree, inside):
+            if (
+                isinstance(node, ast.Name) and node.id == "DEFAULT_MAX_DP_CELLS"
+                and isinstance(node.ctx, ast.Load)
+                or isinstance(node, ast.Attribute) and node.attr == "DEFAULT_MAX_DP_CELLS"
+                or isinstance(node, ast.Constant) and node.value == "max_dp_cells"
+            ):
+                found.append(f"{path.name}:{node.lineno} reads the budget")
+    assert found == []

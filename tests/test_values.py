@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import reflfact
-from reflfact.counting import CountKey, CountTable, Options
+from reflfact.counting import CountKey, CountTable
 from reflfact.errors import ValidationError
 from reflfact.graphs import DecoratedGraph, Walk, graph_of_tuple
 from reflfact.groups import (
@@ -54,7 +54,6 @@ VALUES = [
         (((1,), (2,)), (W, W)),
         f"ElementPartition(blocks=((1,), (2,)), restrictions=({W_REPR}, {W_REPR}))",
     ),
-    (Options(7), (7,), "Options(max_dp_cells=7)"),
     (
         CountKey(W, 3, None, True),
         (W, 3, None, True),
