@@ -615,6 +615,7 @@ def _factor_count_entry_points():
         "CountKey m1": lambda v: CountKey(w, v, None, False),
         "CountKey m1 of a split": lambda v: CountKey(w, v, 0, True),
         "CountKey m2": lambda v: CountKey(w, 1, v, True),
+        "Options max_dp_cells": lambda v: count_all(w, 2, max_dp_cells=v),
         "CountTable.insert": lambda v: CountTable().insert(CountKey(w, 1, None, False), v, "dp"),
     }
 
