@@ -14,7 +14,7 @@ cycles lie in different ones; a cut of (L, c) into (i, d) and
 2i = L; a diagonal move of (L, c) to (L, c+s*k), for k in [1, r/s), by
 L diagonals.  From one block of n fixed points the search finds the
 class graph of the G(r,1,n)-conjugacy classes of G(r,s,n), named by
-`reflfact.indexing.class_key`; run over it reversed, the class DPs map
+`reflfact.groups.class_key`; run over it reversed, the class DPs map
 class keys to per-element counts.  From n one-point blocks, the
 components the swap factors have joined, it finds the orbit graph; the
 connected DP maps orbit keys to orbit masses, the counts of (tuple,

@@ -15,7 +15,7 @@ import sys
 
 from . import __version__
 from .errors import ReflFactError, UsageError, ValidationError
-from .groups import GroupElement, GroupParams, reflections
+from .groups import GroupElement, GroupParams, cell_budget, reflections
 
 # Each handler imports the modules it runs when it runs, so a process
 # that counts does not load the fitting and series code.
@@ -229,6 +229,7 @@ def _cmd_count(args) -> dict:
     if not split:
         m1 = m
     key = CountKey(w, m1, m2, connected=method != "dp")
+    cell_budget(args.max_dp_cells)  # read before the lookup: a hit is refused as a miss is
 
     def compute() -> int:
         from . import counting

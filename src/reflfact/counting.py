@@ -32,14 +32,20 @@ from group elements; every kept round maps a key to its counts by m2.
 One cache holds, for the 16 groups used most recently, the rounds 0..m
 of every DP, which a count at a larger m extends from the last one, the
 orbit graph, and the inversion's memo, which holds no more counts than
-the class DP's rounds beside it.  Every entry point that counts takes
-`max_dp_cells`, the cells a DP's kept rounds may hold (None for
-DEFAULT_MAX_DP_CELLS), which only `_rounds` reads; every count checks
-it before it reads the cache or runs a round, and one that a lower bound
-on the classes already puts over it before the classes are counted.  The persistent
-count table, `CountKey` and `CountTable`, lives in
-`reflfact.counttable`, which loads no kernel; both are re-exported here.
-All counts are arbitrary-precision integers.
+the class DP's rounds beside it.  Every entry point given an element
+reads its class key from the element, `GroupElement.class_key`, which
+an element computes once and a whole-group sweep fills, so a count the
+cache holds is a key lookup.
+
+Every entry point that counts takes `max_dp_cells`, the cells a DP's
+kept rounds may hold, which `_rounds` reads by `groups.cell_budget`
+(None for DEFAULT_MAX_DP_CELLS, re-exported here) before it reads the
+cache; every count is checked against it before it is answered or a
+round runs, and one that a lower bound on the classes already puts
+over it before the classes are counted.  The persistent count table,
+`CountKey` and `CountTable`, lives in `reflfact.counttable`, which
+loads no kernel; both are re-exported here.  All counts are
+arbitrary-precision integers.
 """
 
 from __future__ import annotations
@@ -51,10 +57,9 @@ from itertools import chain, groupby, product
 from . import _kernels_pure
 from .counttable import CountKey, CountTable  # noqa: F401  (re-exported)
 from .errors import ConsistencyError, ResourceLimitError
-from .groups import GroupElement, GroupParams, json_count
-from .indexing import class_count, class_key
-
-DEFAULT_MAX_DP_CELLS = 5 * 10**7
+from .groups import DEFAULT_MAX_DP_CELLS  # noqa: F401  (re-exported)
+from .groups import GroupElement, GroupParams, cell_budget, json_count
+from .indexing import class_count
 
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
@@ -88,57 +93,65 @@ def _keep(triple, record: dict) -> None:
         _cache.popitem(last=False)
 
 
+def _record(params: GroupParams, m: int, kernel: str, slots: int, limit: int) -> dict:
+    """A new cache record for the group, made the most recently used: its
+    class count, and no kernel's rounds yet.  Refused before the classes
+    are counted when a lower bound on them (and so on the orbits) needs
+    more cells than `limit`, at `slots` cells a class."""
+    # G(r,s,n) has 2^(k-1) classes or more, for the largest k with
+    # k(k+1)/2 <= n: each subset of {2..k}, padded with 1s, is a cycle type
+    least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
+    if least > limit:
+        raise _refusal(kernel, params, m, f"at least {least}", limit)
+    record = {"class_count": class_count(params)}
+    _keep(params.triple, record)
+    return record
+
+
+def _orbit_count(record: dict, params: GroupParams, m: int, slots: int, limit: int) -> int:
+    """The number of state orbits in the group's orbit graph, which is
+    built on first use: every class key is a one-block orbit, so the
+    search is refused before it starts when the classes alone need more
+    cells than `limit`, at `slots` cells an orbit, and as soon as the
+    orbits found do."""
+    if "orbits" not in record:
+        cells = record["class_count"] * slots
+        if cells > limit:
+            raise _refusal("dp_orbits", params, m, f"at least {cells}", limit)
+        record["orbits"] = _kernels_pure.orbit_graph(*params.triple, limit // slots)
+    return len(record["orbits"][0])
+
+
 def _rounds(params: GroupParams, m: int, kernel: str, max_dp_cells: int | None) -> list:
     """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
     over the group, kept under that name in the group's record, which
     every cached count is read from.  The record becomes the most
     recently used (see `_keep`), and the cells the kernel keeps up to m
-    are checked against the budget first: max_dp_cells, which is read
-    here only, None as DEFAULT_MAX_DP_CELLS and any other value by
-    `json_count`.  The cells are counted per class, or per state orbit
-    for the connected DP, one slot in each of rounds 0..m, or j+1 in
-    round j for the refined and connected DPs in a group with diagonal
-    reflections.
-    A new record is refused before the classes are counted when a lower
-    bound on them (and so on the orbits) exceeds the budget.  The orbit
-    graph is built here on first use: every class key is a one-block
-    orbit, so the search is refused before it starts when the classes
-    alone need more cells, and as soon as the orbits found do.  Cached
-    rounds that stop short of m are extended from the last one; a
-    refused count runs no round and leaves them as they were.  The
-    kernel is looked up at call time, so a rebinding of the module's
-    name is seen."""
-    if max_dp_cells is None:
-        limit = DEFAULT_MAX_DP_CELLS
-    else:
-        limit = json_count(max_dp_cells, "max_dp_cells")
-    slots = m + 1  # per class or orbit, over rounds 0..m
+    are checked against the budget, read by `cell_budget`, before the
+    rounds are read or run: per class, or per state orbit for the
+    connected DP, one slot in each of rounds 0..m, or j+1 in round j for
+    the refined and connected DPs in a group with diagonal reflections.
+    So rounds already kept cost one cache get, the LRU touch and one
+    budget compare.  A new record is refused by `_record`'s lower bound,
+    and the orbit graph is built by `_orbit_count`.  Cached rounds that
+    stop short of m are extended from the last one; a refused count runs
+    no round and leaves them as they were.  The kernel is looked up at
+    call time, so a rebinding of the module's name is seen."""
+    limit = cell_budget(max_dp_cells)
+    slots = m + 1
     if kernel != "dp_total" and params.q > 1:
         slots = slots * (m + 2) // 2
-    record = _cache.get(params.triple)
-    if record is None:
-        # G(r,s,n) has 2^(k-1) classes or more, for the largest k with
-        # k(k+1)/2 <= n: each subset of {2..k}, padded with 1s, is a cycle type
-        least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
-        if least > limit:
-            raise _refusal(kernel, params, m, f"at least {least}", limit)
-        record = {"class_count": class_count(params)}
-        _keep(params.triple, record)
-    else:
-        _cache.move_to_end(params.triple)
-    group, cells = params.triple, record["class_count"] * slots
+    record = _cache.get(params.triple) or _record(params, m, kernel, slots, limit)
+    _cache.move_to_end(params.triple)
     if kernel == "dp_orbits":
-        if "orbits" not in record:
-            if cells > limit:
-                raise _refusal(kernel, params, m, f"at least {cells}", limit)
-            budget = limit // slots
-            record["orbits"] = _kernels_pure.orbit_graph(*params.triple, budget)
-        group = (record["orbits"],)
-        cells = len(record["orbits"][0]) * slots
-    if cells > limit:
-        raise _refusal(kernel, params, m, cells, limit)
+        units = _orbit_count(record, params, m, slots, limit)
+    else:
+        units = record["class_count"]
+    if units * slots > limit:
+        raise _refusal(kernel, params, m, units * slots, limit)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
+        group = (record["orbits"],) if kernel == "dp_orbits" else params.triple
         rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, rounds, m)
     return rounds
 
@@ -146,8 +159,7 @@ def _rounds(params: GroupParams, m: int, kernel: str, max_dp_cells: int | None) 
 def count_all(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
     """Number of m-tuples of reflections multiplying to w."""
     json_count(m, "m")
-    p = w.params
-    return _rounds(p, m, "dp_total", max_dp_cells)[m][class_key(w.perm, w.exps, p.r)][0]
+    return _rounds(w.params, m, "dp_total", max_dp_cells)[m][w.class_key][0]
 
 
 def count_refined(w: GroupElement, m1: int, m2: int, max_dp_cells: int | None = None) -> int:
@@ -156,7 +168,7 @@ def count_refined(w: GroupElement, m1: int, m2: int, max_dp_cells: int | None = 
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
     rounds = _rounds(w.params, m1 + m2, "dp_refined", max_dp_cells)
     # a group without diagonal reflections keeps the m2 = 0 slot only
-    slots = rounds[m1 + m2][class_key(w.perm, w.exps, w.params.r)]
+    slots = rounds[m1 + m2][w.class_key]
     return slots[m2] if m2 < len(slots) else 0
 
 
@@ -194,7 +206,7 @@ def connected_rows(
     by the orbit DP: the one-block orbit's mass divided by |class(w)|.
     Row m has m+1 entries, m2 = 0..m, in every group."""
     min_m, max_m = json_count(min_m, "min_m"), json_count(max_m, "max_m")
-    key = class_key(w.perm, w.exps, w.params.r)
+    key = w.class_key
     size = _class_size(w.params, key)
     rounds = _rounds(w.params, max_m, "dp_orbits", max_dp_cells)
     rows = [
@@ -228,7 +240,7 @@ def count_all_by_enum(w: GroupElement, m: int, max_dp_cells: int | None = None) 
     masses of every orbit whose merged blocks equal w's colored cycle
     type, over |class(w)|."""
     json_count(m, "m")
-    key = class_key(w.perm, w.exps, w.params.r)
+    key = w.class_key
     masses = _rounds(w.params, m, "dp_orbits", max_dp_cells)[m]
     merged = {orbit: tuple(sorted(chain.from_iterable(orbit))) for orbit in masses}
     mass = sum(sum(counts) for orbit, counts in masses.items() if merged[orbit] == key)
@@ -340,6 +352,6 @@ def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
         counts.extend(new)
         return counts
 
-    counts = connected(class_key(w.perm, w.exps, r), p.n)
+    counts = connected(w.class_key, p.n)
     _keep(p.triple, held[p.n])
     return counts

@@ -106,6 +106,20 @@ def json_count(value, name: str) -> int:
     return value
 
 
+DEFAULT_MAX_DP_CELLS = 5 * 10**7
+
+
+def cell_budget(max_dp_cells) -> int:
+    """The cells a DP's kept rounds may hold: max_dp_cells, read by
+    `json_count`, or DEFAULT_MAX_DP_CELLS for None.  The one reader of the
+    budget, which `counting._rounds` calls before every count and the CLI
+    before a cache lookup, so a count read from a cache file is refused
+    as the count itself would be."""
+    if max_dp_cells is None:
+        return DEFAULT_MAX_DP_CELLS
+    return json_count(max_dp_cells, "max_dp_cells")
+
+
 def _json_list(values, size: int, field: str) -> list:
     """`values` if it is a JSON list of `size` entries."""
     if not isinstance(values, list) or len(values) != size:
@@ -162,10 +176,12 @@ class GroupElement(_Frozen):
     Each rule reads one part only, so `indexing.GroupIndexer`'s sweep
     checks each permutation and each exponent vector once, by building
     an element from it, and pairs the checked parts through
-    `_from_checked_parts`."""
+    `_from_checked_parts`, with the class key it found for them.  The
+    class key sits in a slot outside the fields, so equality, hash,
+    repr, JSON, pickles and copies do not see it."""
 
-    __slots__ = ("params", "perm", "exps")
-    _fields = __slots__
+    __slots__ = ("params", "perm", "exps", "_key")
+    _fields = ("params", "perm", "exps")
 
     def __init__(self, params: GroupParams, perm: tuple[int, ...], exps: tuple[int, ...]):
         r, s, n = params.triple
@@ -191,15 +207,27 @@ class GroupElement(_Frozen):
         _set(self, "exps", exps)
 
     @classmethod
-    def _from_checked_parts(cls, params: GroupParams, perm: tuple, exps: tuple):
-        """The element (perm, exps) of `params`, built without a check:
-        perm and exps must each be taken from an element of `params` that
-        passed __init__."""
+    def _from_checked_parts(cls, params: GroupParams, perm: tuple, exps: tuple, key: tuple):
+        """The element (perm, exps) of `params`, with class key `key`, built
+        without a check: perm and exps must each be taken from an element
+        of `params` that passed __init__, and key must be their
+        `class_key`."""
         self = object.__new__(cls)
-        _set(self, "params", params)
-        _set(self, "perm", perm)
-        _set(self, "exps", exps)
+        _set_params(self, params)
+        _set_perm(self, perm)
+        _set_exps(self, exps)
+        _set_key(self, key)
         return self
+
+    @property
+    def class_key(self) -> tuple[tuple[int, int], ...]:
+        """The colored cycle type, by `class_key`: computed on first use
+        and kept, or given by the sweep that built the element."""
+        try:
+            return self._key
+        except AttributeError:
+            _set(self, "_key", class_key(self.perm, self.exps, self.params.r))
+            return self._key
 
     def __mul__(self, other: "GroupElement") -> "GroupElement":
         return multiply(self, other)
@@ -256,6 +284,14 @@ class GroupElement(_Frozen):
         except (KeyError, TypeError, ValueError) as exc:
             raise ValidationError(f"malformed element JSON: {exc}") from exc
         return cls(params, perm, exps)
+
+
+# the slots' own setters, for `GroupElement._from_checked_parts`, which
+# builds every element of a sweep: they skip the name lookup that
+# object.__setattr__ makes
+_set_params, _set_perm, _set_exps, _set_key = (
+    getattr(GroupElement, name).__set__ for name in GroupElement.__slots__
+)
 
 
 def identity(params: GroupParams) -> GroupElement:
@@ -326,6 +362,31 @@ class CycleType(_Frozen):
     @classmethod
     def of(cls, parts: Iterable[int]) -> "CycleType":
         return cls(sorted(parts, reverse=True))
+
+
+def class_key(perm, exps, r: int) -> tuple[tuple[int, int], ...]:
+    """Colored cycle type of the element (perm, exps), perm a 1-based
+    permutation: the sorted (length, color) pairs of its cycles, a
+    cycle's color being the sum of its exponents mod r.  It names the
+    element's G(r,1,n)-conjugacy class.  The one rule: an element keeps
+    its key as `GroupElement.class_key`, and `indexing.GroupIndexer`'s
+    sweep calls this once per sequence of cycle lengths and tuple of
+    cycle colors."""
+    seen = [False] * len(perm)
+    key = []
+    for start, i in enumerate(perm):
+        if seen[start]:
+            continue
+        length, color = 1, exps[start]
+        i -= 1
+        while i != start:
+            seen[i] = True
+            length += 1
+            color += exps[i]
+            i = perm[i] - 1
+        key.append((length, color % r))
+    key.sort()
+    return tuple(key)
 
 
 def permutation_cycles(w: GroupElement) -> list[tuple[int, ...]]:

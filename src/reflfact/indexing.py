@@ -9,11 +9,19 @@ exponent vectors: the first n-1 exponents are free digits base r and
 the last is determined mod s by the zero-sum constraint, leaving a free
 quotient digit in [0, r/s).
 
-The colored cycle type of an element is the sorted tuple of (cycle
+The colored cycle type of an element, `class_key` (whose rule lives in
+`reflfact.groups`, re-exported here), is the sorted tuple of (cycle
 length, sum of the exponents on the cycle mod r) pairs.  It names the
 element's G(r,1,n)-conjugacy class; the reflection set of G(r,s,n) is
 stable under that conjugation, so every factorization count is constant
 on these classes, and `class_representative` gives one element of each.
+An element keeps its class key once computed.  The whole-group sweep,
+`iter(GroupIndexer(params))`, fills the key of every element it yields
+at the cost of one tuple and one dict lookup: it finds each
+permutation's cycles once, colors each cycle's vertex set under every
+exponent vector of the block once per sweep (a table of at most
+(2^n - 1) * E ints, freed when the sweep ends), and runs `class_key`
+once per sequence of cycle lengths and tuple of cycle colors.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ValidationError
-from .groups import GroupElement, GroupParams
+from .groups import GroupElement, GroupParams, class_key, permutation_cycles
 
 
 def perm_rank(perm0: list[int]) -> int:
@@ -97,9 +105,17 @@ class GroupIndexer:
         (Lehmer) order, and under each one the exponent vectors in
         `_exps_unrank` order, listed once.  Each part is checked once, by
         building an element from it (the exponent vectors all before the
-        first element is yielded), and the checked parts are paired."""
+        first element is yielded), and the checked parts are paired with
+        their class key.  The key depends only on the cycle lengths, in
+        the order of their least vertices, and the cycles' colors, so
+        `class_key` runs once per sweep for each such pair, at most
+        r(1+r)^(n-1) times, and a cycle's colors under the whole block
+        are found once per vertex set, at most 2^n - 1 lists of E ints.
+        This generator alone holds both tables, so they are freed when
+        the sweep ends; each element costs one tuple and one dict
+        lookup."""
         params = self.params
-        n = params.n
+        n, r = params.n, params.r
         ident = tuple(range(1, n + 1))
         block = [
             GroupElement(params, ident, self._exps_unrank(i)).exps
@@ -107,30 +123,25 @@ class GroupIndexer:
         ]
         zeros = (0,) * n
         pair = GroupElement._from_checked_parts
+        colors = {}  # vertex set -> its color under each exponent vector of block
+        keys = {}  # cycle lengths -> {their colors -> class key}
         for perm in itertools.permutations(ident):
-            perm = GroupElement(params, perm, zeros).perm
-            for exps in block:
-                yield pair(params, perm, exps)
-
-
-def class_key(perm, exps, r: int) -> tuple[tuple[int, int], ...]:
-    """Colored cycle type of the element (perm, exps), perm a 1-based
-    permutation."""
-    seen = [False] * len(perm)
-    key = []
-    for start, i in enumerate(perm):
-        if seen[start]:
-            continue
-        length, color = 1, exps[start]
-        i -= 1
-        while i != start:
-            seen[i] = True
-            length += 1
-            color += exps[i]
-            i = perm[i] - 1
-        key.append((length, color % r))
-    key.sort()
-    return tuple(key)
+            w = GroupElement(params, perm, zeros)
+            perm, cycles = w.perm, permutation_cycles(w)
+            columns = []
+            for cycle in cycles:
+                column = colors.get(vertices := frozenset(cycle))
+                if column is None:
+                    column = colors[vertices] = [
+                        sum(exps[v - 1] for v in cycle) % r for exps in block
+                    ]
+                columns.append(column)
+            shape = keys.setdefault(tuple(map(len, cycles)), {})
+            for exps, coloring in zip(block, zip(*columns)):
+                key = shape.get(coloring)
+                if key is None:
+                    key = shape[coloring] = class_key(perm, exps, r)
+                yield pair(params, perm, exps, key)
 
 
 def class_representative(params: GroupParams, key) -> GroupElement:

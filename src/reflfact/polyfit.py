@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .counting import connected_from_all
 from .errors import (
@@ -73,17 +73,22 @@ class SymmetricLaurentPoly(_Frozen):
         cls, nvars: int, terms: dict, inv_sum_coeff=Fraction(0)
     ) -> "SymmetricLaurentPoly":
         """The polynomial of the {exponent vector: coefficient} terms, by
-        the value rules: nvars is read by `_cycle_count`, each exponent by
-        `json_int`, and each coefficient, as inv_sum_coeff, only as an
-        int or a Fraction.  A zero coefficient is dropped before its
-        exponent vector is read."""
+        the value rules: nvars is read by `_cycle_count`, terms only as a
+        mapping, each exponent vector only as a sequence and each of its
+        exponents by `json_int`, and each coefficient, as inv_sum_coeff,
+        only as an int or a Fraction.  A zero coefficient is dropped
+        before its exponent vector is read."""
         nvars = _cycle_count(nvars)
         inv_sum_coeff = _rational(inv_sum_coeff, "inv_sum_coeff")
+        if not isinstance(terms, Mapping):
+            raise ValidationError(f"terms must map exponent vectors to coefficients, got {terms!r}")
         clean = []
         for exps, coeff in terms.items():
             coeff = _rational(coeff, "coefficient")
             if not coeff:
                 continue
+            if not isinstance(exps, Sequence):
+                raise ValidationError(f"exponent vector must be a sequence, got {exps!r}")
             exps = tuple(map(json_int, exps))
             if len(exps) != nvars:
                 raise ValidationError(f"exponent vector {exps} must have {nvars} entries")
@@ -617,6 +622,18 @@ def partitions_into(n: int, parts: int) -> list[tuple[int, ...]]:
     ]
 
 
+def _n_values(n_values) -> list[int]:
+    """The sample sizes, sorted: one n at least, each read by `json_int`,
+    none repeated, since a repeated n would only check a sample against
+    itself and no n would fit nothing."""
+    n_values = [json_int(n) for n in n_values]
+    if not n_values:
+        raise ValidationError("n_values must hold at least one n")
+    if len(set(n_values)) < len(n_values):
+        raise ValidationError(f"repeated n in {n_values}")
+    return sorted(n_values)
+
+
 def collect_samples(
     r: int,
     s: int,
@@ -627,16 +644,14 @@ def collect_samples(
     max_dp_cells: int | None = None,
 ) -> list[tuple[CycleType, int, int]]:
     """Measure connected counts for every cycle type with `ell` parts at each
-    requested n, using the canonical representative of each class.  A
-    repeated n is refused: it would only check a sample against itself."""
+    requested n, using the canonical representative of each class.  An
+    empty or repeated n_values is refused by `_n_values` before any
+    count."""
     _cycle_count(ell)
     g = parse_genus(g)
     _product_class(GroupParams(r, s, 1), trivial_product)
-    n_values = [json_int(n) for n in n_values]
-    if len(set(n_values)) < len(n_values):
-        raise ValidationError(f"repeated n in {n_values}")
     out = []
-    for n in sorted(n_values):
+    for n in _n_values(n_values):
         if n < ell:
             raise ValidationError(f"n={n} is smaller than ell={ell}")
         params = GroupParams(r, s, n)
@@ -690,7 +705,7 @@ def normalization_verdict(
     fit both product classes under both normalizations and record which
     normalizations fit all available data exactly."""
     g = parse_genus(g)
-    n_values = tuple(sorted(n_values))
+    n_values = tuple(_n_values(n_values))
     classes = [True] + ([False] if GroupParams(r, s, 1).q >= 2 else [])
     reports: dict = {}
     failures: dict = {}

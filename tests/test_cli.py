@@ -360,6 +360,28 @@ def test_cache_record_cannot_answer_a_refused_query(capsys, tmp_path):
         assert code == EXIT_VALIDATION and not out, extra
 
 
+def test_a_cache_hit_reads_the_budget(capsys, tmp_path):
+    # the budget is read before the lookup: a count the --cache file holds
+    # is refused as the same count without the file is
+    cache = str(tmp_path / "counts.jsonl")
+    group = ["--r", "2", "--s", "1", "--n", "2"]
+    omega = ["--omega", '{"perm":[2,1],"exps":[0,1]}']
+    for argv in (
+        ["count", *group, *omega, "--m", "2"],
+        ["count-refined", *group, *omega, "--m1", "1", "--m2", "1"],
+        *(
+            ["count-connected", *group, *omega, "--m", "2", "--method", method]
+            for method in ("inversion", "enum", "comparison")
+        ),
+        ["count-connected", *group, *omega, "--m1", "1", "--m2", "1", "--method", "enum"],
+    ):
+        refused = run_cli(capsys, *argv, "--max-dp-cells", "-1")
+        assert refused == (EXIT_VALIDATION, "", "reflfact: max_dp_cells must be nonnegative, got -1\n")
+        counted = run_json(capsys, *argv, "--cache", cache)
+        assert run_cli(capsys, *argv, "--cache", cache, "--max-dp-cells", "-1") == refused, argv
+        assert run_json(capsys, *argv, "--cache", cache) == counted  # the hit is kept
+
+
 def test_cache_conflict_exit(capsys, tmp_path):
     cache = tmp_path / "counts.jsonl"
     args = (
@@ -482,7 +504,7 @@ def test_subcommands_import_only_what_they_run(capsys, tmp_path, reference_graph
             "reflfact.polyfit", "reflfact.series", "reflfact.kernels", *unused
         }, argv
         run_json(capsys, *argv, "--cache", cache)
-        hits.append([*argv, "--cache", cache])
+        hits.append([*argv, "--cache", cache, "--max-dp-cells", "5"])  # the budget is read
     # a count answered from the --cache file loads no counting code
     for argv in (
         *hits,

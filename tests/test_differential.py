@@ -6,6 +6,8 @@ comparison formula) and with itself whether the cache is cold or
 warm; the same on representatives of groups whose orbit graphs only the
 cut-and-join search reaches in a test."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,11 +23,11 @@ from reflfact.counting import (
     count_refined,
 )
 from reflfact.groups import GroupElement, GroupParams
-from reflfact.indexing import GroupIndexer
+from reflfact.indexing import GroupIndexer, class_key
 from reflfact._kernels_pure import enum_bucketed
 from reflfact.series import comparison_refined
 
-from conftest import all_elements, dense_tables, dp_components, encode_reflections
+from conftest import CONFIGS, all_elements, dense_tables, dp_components, encode_reflections
 
 SMALL_GROUPS = [
     (r, s, n)
@@ -119,6 +121,32 @@ def test_orbit_dp_on_representatives_of_larger_groups(group, lengths, color):
     for m, row in enumerate(connected_rows(w, 8)):
         assert sum(row) == connected_from_all(w, m)
         assert row == [comparison_refined(w, m - m2, m2) for m2 in range(m + 1)]
+
+
+SWEEP_LIMIT = 2**15  # elements checked per group
+
+
+@pytest.mark.parametrize(
+    "group",
+    sorted({
+        *CONFIGS,
+        *(group for group, _, _ in REPRESENTATIVES),
+        (1, 1, 5), (2, 1, 6), (3, 1, 4), (6, 2, 3), (2, 2, 4), (3, 3, 3), (6, 3, 3),
+    }),
+    ids=lambda group: "G(%d,%d,%d)" % group,
+)
+def test_the_sweep_fills_every_class_key_by_the_one_rule(group):
+    # the sweep colors each cycle's vertex set once and keys each tuple of
+    # cycle colors once per permutation: every key it fills (read from the
+    # slot, which no lazy read has filled) is the one computed from scratch.
+    # G(4,1,6), G(6,2,5) and G(2,1,8) hold more than SWEEP_LIMIT elements
+    # and are checked on the first SWEEP_LIMIT, whole permutations' blocks
+    params = GroupParams(*group)
+    swept = 0
+    for w in itertools.islice(GroupIndexer(params), SWEEP_LIMIT):
+        assert w._key == class_key(w.perm, w.exps, params.r), w
+        swept += 1
+    assert swept == min(params.group_order(), SWEEP_LIMIT)
 
 
 def _answers(w, m):

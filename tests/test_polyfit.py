@@ -730,6 +730,17 @@ def _trivial_samples(r, s):
             r"^r, s, n must be positive, got GroupParams\(r=0, s=1, n=1\)$",
             id="samples r=0 at no n",
         ),
+        # no n: once [] and a verdict with no winner, under any budget
+        pytest.param(
+            lambda: collect_samples(1, 1, 0, 1, True, [], max_dp_cells=-1),
+            "^n_values must hold at least one n$",
+            id="samples at no n",
+        ),
+        pytest.param(
+            lambda: normalization_verdict(0, 1, 1, 1, [], max_dp_cells=-1),
+            "^n_values must hold at least one n$",
+            id="verdict at no n",
+        ),
         pytest.param(
             lambda: SymmetricLaurentPoly.from_dict(1, {(-2,): 1}).evaluate(5),
             POINT_RULE + "5$",
@@ -784,6 +795,14 @@ def _trivial_samples(r, s):
             for label, args, kwargs, message in (
                 ("nvars True", (True, {(1,): 1}), {}, "^expected an integer, got True$"),
                 ("nvars 0", (0, {}), {}, "^ell must be positive, got 0$"),
+                (
+                    "terms a list", (1, [((1,), 1)]), {},
+                    r"^terms must map exponent vectors to coefficients, got \[\(\(1,\), 1\)\]$",
+                ),
+                (
+                    "exponent vector 1", (1, {1: 1}), {},
+                    "^exponent vector must be a sequence, got 1$",
+                ),
                 ("exponent 1.5", (1, {(1.5,): 1}), {}, "^expected an integer, got 1.5$"),
                 ("exponent True", (1, {(True,): 1}), {}, "^expected an integer, got True$"),
                 (

@@ -308,13 +308,13 @@ def test_the_count_cache_is_append_only():
 def test_the_budget_has_one_reader():
     # the cell budget is a plain int, max_dp_cells=None at every entry
     # point that counts: no options object wraps it, and only
-    # `counting._rounds` maps None to DEFAULT_MAX_DP_CELLS and reads any
+    # `groups.cell_budget` maps None to DEFAULT_MAX_DP_CELLS and reads any
     # other value by `json_count(..., "max_dp_cells")`
     gone = {"Options", "DEFAULT_OPTIONS", "opts", "TYPE_CHECKING", "_options"}
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        inside = "_rounds" if path.name == "counting.py" else ""
+        inside = "cell_budget" if path.name == "groups.py" else ""
         for node in ast.walk(tree):
             names = [
                 getattr(node, field, None) for field in ("id", "attr", "arg", "name", "asname")
@@ -328,4 +328,23 @@ def test_the_budget_has_one_reader():
                 or isinstance(node, ast.Constant) and node.value == "max_dp_cells"
             ):
                 found.append(f"{path.name}:{node.lineno} reads the budget")
+    assert found == []
+
+
+def test_counts_read_the_class_key_from_the_element():
+    # `groups.class_key` is the one rule, and `GroupElement.class_key` keeps
+    # its result, which the whole-group sweep fills: `counting` and
+    # `series` read the key from the element and never compute one from
+    # an element's permutation and exponents
+    found = []
+    for name in ("counting.py", "series.py"):
+        for node in ast.walk(ast.parse((SRC / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("perm", "exps"):
+                found.append(f"{name}:{node.lineno} reads .{node.attr}")
+            elif isinstance(node, ast.alias) and node.name == "class_key":
+                found.append(f"{name}:{node.lineno} imports class_key")
+            elif isinstance(node, ast.Call) and "class_key" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)
+            ):
+                found.append(f"{name}:{node.lineno} calls class_key")
     assert found == []

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import reflfact
-from reflfact.counting import CountKey, CountTable
+from reflfact.counting import CountKey, CountTable, count_all, count_refined
 from reflfact.errors import ValidationError
 from reflfact.graphs import DecoratedGraph, Walk, graph_of_tuple
 from reflfact.groups import (
@@ -261,6 +261,29 @@ def _round_trip_values():
             yield w
             yield CountKey(w, len(w.perm), None, False)
             yield CountKey(w, 2, 1, True)
+
+
+def test_a_swept_element_is_the_element_its_parts_build():
+    # the sweep fills an element's class key, and an element built from the
+    # same parts computes it on first use: the key sits outside the fields,
+    # so both are one value, with one pickle, and count alike
+    for params in (GroupParams(2, 1, 3), GroupParams(6, 2, 2), GroupParams(3, 3, 3)):
+        for w in GroupIndexer(params):
+            built = GroupElement(params, w.perm, w.exps)
+            assert built == w and hash(built) == hash(w)
+            assert repr(built) == repr(w) and built.to_json() == w.to_json()
+            assert pickle.dumps(w) == pickle.dumps(built)
+            for back in (pickle.loads(pickle.dumps(w)), copy.copy(w), copy.deepcopy(w)):
+                assert back == w and repr(back) == repr(w) and back.class_key == w.class_key
+            assert count_all(built, 3) == count_all(w, 3)
+            for m2 in range(4):
+                assert count_refined(built, 3 - m2, m2) == count_refined(w, 3 - m2, m2)
+            for value in (w, built):
+                for name in ("params", "perm", "exps", "_key", "class_key", "other"):
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        setattr(value, name, None)
+                    with pytest.raises(dataclasses.FrozenInstanceError):
+                        delattr(value, name)
 
 
 def test_every_accepted_value_reads_back_from_its_json():
