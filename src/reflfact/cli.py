@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import os
 import sys
@@ -54,9 +55,11 @@ def _with_cache(args, key, provenance: str, compute) -> int:
     """The count under `key`: read from the --cache file when it holds
     it, else compute() inserted with `provenance`, and the file saved.
     A hit leaves the file untouched and loads no counting code: only
-    compute() imports `counting`."""
+    compute() imports `counting`.  An empty path is refused first."""
     from .counttable import CountTable
 
+    if args.cache == "":
+        raise ValidationError("--cache needs a path, got ''")
     table = CountTable()
     if args.cache and os.path.exists(args.cache):
         table = CountTable.load(args.cache)
@@ -113,7 +116,7 @@ def _args_count_connected(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m2", type=int, default=None)
     p.add_argument(
         "--method",
-        choices=["enum", "inversion", "comparison"],
+        choices=[name for name in _ROUTES if name != "dp"],
         default="inversion",
     )
 
@@ -197,26 +200,34 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 def _cmd_reflections(args) -> dict:
     params = _params(args)
     refs = reflections(params)
-    return {
-        "r": params.r,
-        "s": params.s,
-        "n": params.n,
-        "count": len(refs),
-        "reflections": [ref.to_json() for ref in refs],
-    }
+    return {**params.to_json(), "count": len(refs), "reflections": [ref.to_json() for ref in refs]}
+
+
+# --method name -> (the module that counts, its function at --m, at --m1/--m2
+# or None, the provenance the --cache file records).  count and count-refined
+# count by "dp"; every other row is a connected route of count-connected.
+_ROUTES = {
+    "dp": ("counting", "count_all", "count_refined", "dp"),
+    "enum": ("counting", "count_connected_total_enum", "count_connected_enum", "enumeration"),
+    "inversion": ("counting", "connected_from_all", None, "inversion"),
+    "comparison": ("series", "comparison_total", "comparison_refined", "closed-form"),
+}
 
 
 def _cmd_count(args) -> dict:
     """count, count-refined and count-connected: w's count at --m, or at
-    --m1 swap and --m2 diagonal factors, under its CountKey.  count and
-    count-refined have no --method (they count by the class DP) and
-    their parsers require --m, or --m1 and --m2."""
+    --m1 swap and --m2 diagonal factors, under its CountKey, by the
+    `_ROUTES` row that --method names.  count and count-refined have no
+    --method (they count by the "dp" row) and their parsers require --m,
+    or --m1 and --m2.  The row's module is imported only on a miss, so a
+    count the --cache file holds loads no counting code."""
     from .counttable import CountKey
 
     w = _element(args, _params(args))
     given = vars(args)
     m, m1, m2 = given.get("m"), given.get("m1"), given.get("m2")
     method = given.get("method", "dp")
+    module, total, refined, provenance = _ROUTES[method]
     split = m1 is not None or m2 is not None
     if split and (m1 is None or m2 is None):
         raise UsageError("--m1 and --m2 must be given together")
@@ -224,35 +235,16 @@ def _cmd_count(args) -> dict:
         raise UsageError("give either --m or --m1/--m2, not both")
     if not split and m is None:
         raise UsageError("one of --m or --m1/--m2 is required")
-    if method == "inversion" and split:
-        raise UsageError("--method inversion computes totals; use --m")
-    if not split:
-        m1 = m
-    key = CountKey(w, m1, m2, connected=method != "dp")
+    if split and refined is None:
+        raise UsageError(f"--method {method} computes totals; use --m")
+    counts = (m1, m2) if split else (m,)
+    key = CountKey(w, counts[0], m2, connected=method != "dp")
     cell_budget(args.max_dp_cells)  # read before the lookup: a hit is refused as a miss is
 
     def compute() -> int:
-        from . import counting
+        counter = importlib.import_module(f".{module}", __package__)
+        return getattr(counter, refined if split else total)(w, *counts, args.max_dp_cells)
 
-        if method == "comparison":
-            from . import series
-
-            if split:
-                return series.comparison_refined(w, m1, m2, args.max_dp_cells)
-            return series.comparison_total(w, m1, args.max_dp_cells)
-        if method == "enum":
-            if split:
-                return counting.count_connected_enum(w, m1, m2, args.max_dp_cells)
-            return counting.count_connected_total_enum(w, m1, args.max_dp_cells)
-        if method == "inversion":
-            return counting.connected_from_all(w, m1, args.max_dp_cells)
-        if split:
-            return counting.count_refined(w, m1, m2, args.max_dp_cells)
-        return counting.count_all(w, m1, args.max_dp_cells)
-
-    provenance = {
-        "dp": "dp", "enum": "enumeration", "comparison": "closed-form", "inversion": "inversion"
-    }[method]
     payload = {"count": str(_with_cache(args, key, provenance, compute))}
     if key.connected:
         payload["method"] = method
@@ -266,9 +258,7 @@ def _cmd_verify_comparison(args) -> dict:
     params = _params(args)
     checks, mismatches = comparison_mismatches(params, args.max_m, args.max_dp_cells)
     payload = {
-        "r": params.r,
-        "s": params.s,
-        "n": params.n,
+        **params.to_json(),
         "max_m": args.max_m,
         "checked": checks,
         "classes": class_count(params),
@@ -321,13 +311,14 @@ def _cmd_series(args) -> dict:
     elif args.kind == "long-cycle":
         if args.r is None or args.s is None or args.n is None:
             raise UsageError("kind=long-cycle needs --r, --s, --n")
-        series = long_cycle_series(_params(args), args.t, args.order)
-        meta = {"r": args.r, "s": args.s, "n": args.n, "t": args.t}
+        series = long_cycle_series(params := _params(args), args.t, args.order)
+        meta = {**params.to_json(), "t": args.t}
     else:
         if args.r is None or args.s is None or args.n is None or args.omega is None:
             raise UsageError("kind=connected needs --r, --s, --n, --omega")
-        series = connected_series(_element(args, _params(args)), args.order, args.max_dp_cells)
-        meta = {"r": args.r, "s": args.s, "n": args.n}
+        params = _params(args)
+        series = connected_series(_element(args, params), args.order, args.max_dp_cells)
+        meta = params.to_json()
     return {"kind": args.kind, **meta, **series.to_json()}
 
 
@@ -366,9 +357,7 @@ def _cmd_walks(args) -> dict:
     walks = all_walks(graph)
     element = evaluate(graph)
     return {
-        "r": graph.params.r,
-        "s": graph.params.s,
-        "n": graph.params.n,
+        **graph.params.to_json(),
         "connected": is_connected(graph),
         "element": element.to_json(),
         "walks": [

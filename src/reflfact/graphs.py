@@ -53,12 +53,7 @@ class DecoratedGraph(_Frozen):
         return len(self.edges)
 
     def to_json(self) -> dict:
-        return {
-            "r": self.params.r,
-            "s": self.params.s,
-            "n": self.params.n,
-            "edges": [list(e) for e in self.edges],
-        }
+        return {**self.params.to_json(), "edges": [list(e) for e in self.edges]}
 
     @classmethod
     def from_json(cls, data: dict) -> "DecoratedGraph":

@@ -163,6 +163,10 @@ class GroupParams(_Frozen):
     def reflection_count(self) -> int:
         return (self.n * (self.n - 1) // 2) * self.r + self.n * (self.q - 1)
 
+    def to_json(self) -> dict:
+        """{"r", "s", "n"}: the one writer of a group in JSON."""
+        return {"r": self.r, "s": self.s, "n": self.n}
+
 
 @functools.lru_cache(maxsize=64)
 def _vertices(n: int) -> frozenset:
@@ -254,13 +258,7 @@ class GroupElement(_Frozen):
         )
 
     def to_json(self) -> dict:
-        return {
-            "r": self.params.r,
-            "s": self.params.s,
-            "n": self.params.n,
-            "perm": list(self.perm),
-            "exps": list(self.exps),
-        }
+        return {**self.params.to_json(), "perm": list(self.perm), "exps": list(self.exps)}
 
     @classmethod
     def from_json(cls, data: dict, params: GroupParams | None = None) -> "GroupElement":

@@ -186,17 +186,18 @@ def cyclic_series(q: int, t: int, order: int) -> EgfSeries:
     return series
 
 
-def _sn_connected(base: GroupElement, order: int, max_dp_cells: int | None) -> list[int]:
-    """Connected counts of the S_n element base at m = 0..order, by
-    inversion."""
+def _sn_connected(w: GroupElement, order: int, max_dp_cells: int | None) -> list[int]:
+    """The S_n row every comparison reads for the G(r,s,n) element w: the
+    connected counts of its permutation part at m = 0..order, by
+    inversion (`counting.connected_totals`)."""
     from . import counting
 
-    return counting.connected_totals(base, order, max_dp_cells)
+    return counting.connected_totals(permutation_part(w), order, max_dp_cells)
 
 
 def sn_connected_series(w: GroupElement, order: int, max_dp_cells: int | None = None) -> EgfSeries:
     """EGF of connected counts of the permutation part, in S_n."""
-    counts = _sn_connected(permutation_part(w), order, max_dp_cells)
+    counts = _sn_connected(w, order, max_dp_cells)
     coeffs = [Fraction(count, math.factorial(m)) for m, count in enumerate(counts)]
     return EgfSeries(order, coeffs)
 
@@ -209,10 +210,8 @@ def comparison_refined(
 
     Evaluated in exact integers; when m1 < n-1 the division by r^(n-1-m1)
     must be exact, and a remainder would indicate a bug and raises."""
-    from . import counting
-
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
-    sn_count = counting.connected_from_all(permutation_part(w), m1, max_dp_cells)
+    sn_count = _sn_connected(w, m1, max_dp_cells)[m1]
     return _comparison(w.params, entry_product(w), m1, m2, sn_count)
 
 
@@ -238,7 +237,7 @@ def _comparison(p: GroupParams, t: int, m1: int, m2: int, sn_count: int) -> int:
 def comparison_total(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
     """Connected count at m as the sum of refined comparisons over splits."""
     json_count(m, "m")
-    sn = _sn_connected(permutation_part(w), m, max_dp_cells)
+    sn = _sn_connected(w, m, max_dp_cells)
     t = entry_product(w)
     return sum(_comparison(w.params, t, m1, m - m1, sn[m1]) for m1 in range(m + 1))
 
@@ -310,7 +309,7 @@ def comparison_mismatches(
     for key, size in counting.class_sizes(params, max_m, max_dp_cells).items():
         w = class_representative(params, key)
         t = entry_product(w)
-        sn = _sn_connected(permutation_part(w), max_m, max_dp_cells)
+        sn = _sn_connected(w, max_m, max_dp_cells)
         for m, row in enumerate(counting.connected_rows(w, max_m, max_dp_cells)):
             for m1 in range(m + 1):
                 m2 = m - m1

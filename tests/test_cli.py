@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from reflfact.cli import _SUBCOMMANDS, build_parser, main
+from reflfact.cli import _ROUTES, _SUBCOMMANDS, build_parser, main
 from reflfact.counting import DEFAULT_MAX_DP_CELLS, CountTable, clear_caches
 from reflfact.errors import (
     EXIT_CONSISTENCY,
@@ -292,6 +292,47 @@ def test_cache_roundtrip(capsys, tmp_path):
     assert cache.read_text() == first
     record = json.loads(first.splitlines()[0])
     assert record["value"] == "3" and record["provenance"] == "dp"
+
+
+def test_each_route_records_its_provenance(capsys, tmp_path):
+    # a miss records the provenance of the `_ROUTES` row that counted it
+    group = ["--r", "2", "--s", "1", "--n", "2"]
+    omega = ["--omega", '{"perm":[2,1],"exps":[0,1]}']
+    provenances = {
+        "dp": "dp", "enum": "enumeration", "inversion": "inversion", "comparison": "closed-form"
+    }
+    assert {method: row[3] for method, row in _ROUTES.items()} == provenances
+    for method, provenance in provenances.items():
+        cache = tmp_path / f"{method}.jsonl"
+        argv = ["count"] if method == "dp" else ["count-connected", "--method", method]
+        run_json(capsys, *argv, *group, *omega, "--m", "2", "--cache", str(cache))
+        (line,) = cache.read_text().splitlines()
+        assert json.loads(line)["provenance"] == provenance, method
+
+
+def test_an_empty_cache_path_is_refused_before_counting(capsys, tmp_path, monkeypatch):
+    # '' names no file: each count subcommand exits 3 before any route
+    # counts, and writes nothing, not even a lock file beside the path
+    def counted(*args):
+        raise AssertionError("a route ran")
+
+    for module, total, refined, _ in _ROUTES.values():
+        for name in filter(None, (total, refined)):
+            monkeypatch.setattr(f"reflfact.{module}.{name}", counted)
+    monkeypatch.chdir(tmp_path)
+    group = ["--r", "1", "--s", "1", "--n", "3"]
+    omega = ["--omega", '{"perm":[2,3,1],"exps":[0,0,0]}']
+    for argv in (
+        ["count", *group, *omega, "--m", "2"],
+        ["count-refined", *group, *omega, "--m1", "2", "--m2", "0"],
+        *(
+            ["count-connected", *group, *omega, "--m", "2", "--method", method]
+            for method in ("inversion", "enum", "comparison")
+        ),
+    ):
+        code, out, err = run_cli(capsys, *argv, "--cache", "")
+        assert (code, out) == (EXIT_VALIDATION, "") and "--cache" in err, argv
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cache_hit_leaves_file_untouched(capsys, tmp_path):
@@ -667,13 +708,18 @@ def test_fit_refuses_an_ell_below_one(capsys):
 
 def test_count_connected_methods_agree_on_every_split(capsys):
     # every route of count-connected, at --m and at each --m1/--m2 split
+    # it has a reader for, as `_ROUTES` names them
     group = ["--r", "2", "--s", "1", "--n", "3"]
     omega = ["--omega", '{"perm":[2,3,1],"exps":[0,1,1]}']
+    connected = [method for method in _ROUTES if method != "dp"]
+    by_split = [method for method in connected if _ROUTES[method][2] is not None]
+    assert {"enum", "comparison", "inversion"} <= set(connected)
+    assert {"enum", "comparison"} <= set(by_split)
     for m in range(5):
         totals = {
             run_json(capsys, "count-connected", *group, *omega, "--m", str(m),
                      "--method", method)["count"]
-            for method in ("enum", "comparison", "inversion")
+            for method in connected
         }
         assert len(totals) == 1, m
         split = []
@@ -681,7 +727,7 @@ def test_count_connected_methods_agree_on_every_split(capsys):
             counts = {
                 run_json(capsys, "count-connected", *group, *omega, "--m1", str(m1),
                          "--m2", str(m - m1), "--method", method)["count"]
-                for method in ("enum", "comparison")
+                for method in by_split
             }
             assert len(counts) == 1, (m1, m - m1)
             split.append(int(counts.pop()))

@@ -240,7 +240,7 @@ def test_series_read_each_group_once_per_row(monkeypatch):
 def test_comparison_refined_rejects_an_inexact_division(monkeypatch):
     # r^(m1-n+1) with m1 < n-1 divides; a value r^2 does not divide raises
     w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
-    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, max_dp_cells: 1)
+    monkeypatch.setattr(counting, "connected_totals", lambda w, m, max_dp_cells: [1] * (m + 1))
     with pytest.raises(ConsistencyError, match="m1=0, m2=0 is not integral: 1/4$"):
         comparison_refined(w, 0, 0)
     assert comparison_refined(w, 2, 0) == 1  # 2^0 * 1
@@ -467,6 +467,6 @@ def test_comparison_refined_divides_exactly_below_n_minus_one(monkeypatch):
     # S_n counts vanish for m1 < n-1, so only a wrong count reaches the
     # division by r^(n-1-m1): a multiple of it divides exactly
     w = GroupElement(GroupParams(2, 1, 3), (2, 3, 1), (0, 0, 0))
-    monkeypatch.setattr(counting, "connected_from_all", lambda w, m, max_dp_cells: 8)
+    monkeypatch.setattr(counting, "connected_totals", lambda w, m, max_dp_cells: [8] * (m + 1))
     assert comparison_refined(w, 0, 0) == 2  # 8 / 2^2
     assert comparison_refined(w, 1, 0) == 4  # 8 / 2

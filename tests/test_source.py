@@ -236,6 +236,45 @@ def test_each_fit_input_has_one_reader():
     assert refusals == 1
 
 
+def test_count_routes_and_group_json_have_one_owner():
+    # `cli._ROUTES` names the function each count route calls, so
+    # `cli._cmd_count` names no counting or series function; a group's
+    # (r, s, n) is written to JSON by `GroupParams.to_json` alone
+    def top_level_functions(name):
+        tree = ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+        return {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+
+    counters = {"counting", "series", *top_level_functions("counting")}
+    counters |= top_level_functions("series")
+    found = []
+    cli = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    (cmd_count,) = [
+        node for node in cli.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_count"
+    ]
+    for node in ast.walk(cmd_count):
+        names = {getattr(node, "id", None), getattr(node, "attr", None)}
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {getattr(node, "module", None), *(alias.name for alias in node.names)}
+        found += [f"cli.py:{node.lineno} _cmd_count names {name}" for name in names & counters]
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {
+            id(sub)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef) and cls.name == "GroupParams"
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef) and node.name == "to_json"
+            for sub in ast.walk(node)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Dict) and id(node) not in owner:
+                keys = {getattr(key, "value", None) for key in node.keys}
+                if keys >= {"r", "s", "n"}:
+                    found.append(f"{path.name}:{node.lineno} writes r, s and n")
+    assert found == []
+
+
 def _outside_function(tree, name):
     """The nodes of `tree` outside the function definitions named `name`."""
     inside = {

@@ -246,10 +246,13 @@ CALLS = [
 def _parse(value, data):
     if type(value) is Reflection:
         return Reflection.from_json(data, value.params)
+    if type(value) is GroupParams:
+        return GroupParams(**data)
     return type(value).from_json(data)
 
 
 def _round_trip_values():
+    yield from (GroupParams(1, 1, 1), P3, GroupParams(6, 2, 4))
     yield GroupElement(P3, [2, 3, 1], [1, 1, 0])  # any sequences, kept as tuples
     yield DecoratedGraph(P6, [[1, 3, 5], [3, 3, 2]])
     yield DecoratedGraph(P6, ())
