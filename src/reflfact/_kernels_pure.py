@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import ResourceLimitError
 from .groups import GroupParams
 from .indexing import GroupIndexer
 
@@ -41,8 +40,8 @@ def _search(r, s, n, start, max_orbits):
     """The states reached from `start`, in the order a breadth-first search
     finds them, and the graph: moves[o] lists (o2, swaps, diagonals), the
     swap and diagonal reflections that take any member of the orbit o
-    into o2 (conjugation permutes R).  ResourceLimitError is raised as
-    soon as more than max_orbits states are found."""
+    into o2 (conjugation permutes R); None as soon as more than max_orbits
+    states are found."""
     keys, index, moves = [start], {start: 0}, []
     for key in keys:  # grows while it is walked
         found = []
@@ -77,10 +76,7 @@ def _search(r, s, n, start, max_orbits):
                 o = index[target] = len(keys)
                 keys.append(target)
                 if len(keys) > max_orbits:
-                    raise ResourceLimitError(
-                        f"connected DP over {GroupParams(r, s, n)} finds more than "
-                        f"{max_orbits} state orbits, the most the cell budget allows"
-                    )
+                    return None
             row = counts.setdefault(o, [0, 0])
             row[0] += swaps
             row[1] += diags
@@ -140,7 +136,7 @@ def dp_refined(r, s, n, rounds, m):
 def orbit_graph(r, s, n, max_orbits):
     """`_search` from n one-point blocks: the blocks of a state are the
     components its swap factors have joined, and a connected tuple ends
-    in a one-block state."""
+    in a one-block state.  None when it finds more than max_orbits."""
     return _search(r, s, n, (((1, 0),),) * n, max_orbits)
 
 

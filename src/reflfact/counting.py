@@ -32,10 +32,13 @@ from group elements; every kept round maps a key to its counts by m2.
 One cache holds, for the 16 groups used most recently, the rounds 0..m
 of every DP, which a count at a larger m extends from the last one, the
 orbit graph, and the inversion's memo, which holds no more counts than
-the class DP's rounds beside it.  Every entry point given an element
-reads its class key from the element, `GroupElement.class_key`, which
-an element computes once and a whole-group sweep fills, so a count the
-cache holds is a key lookup.
+the class DP's rounds beside it.  `_keep` alone inserts, reorders and
+evicts a record, and nothing a record holds changes once stored: a
+longer list replaces a shorter one.  A count reads only the record and
+rounds `_rounds` handed it, so threads may count at once under the GIL
+with no lock.  Every entry point given an element reads its class key
+from the element, `GroupElement.class_key`, which an element computes
+once and a whole-group sweep fills, so a cached count is a key lookup.
 
 Every entry point that counts takes `max_dp_cells`, the cells a DP's
 kept rounds may hold, which `_rounds` reads by `groups.cell_budget`
@@ -85,17 +88,18 @@ def _refusal(kernel: str, params: GroupParams, m: int, cells, limit: int):
 
 
 def _keep(triple, record: dict) -> None:
-    """Make `record` the cache's most recently used, under `triple`; beyond
-    _CACHE_SLOTS groups the least recently used one is dropped."""
+    """Store `record` under `triple` as the newest, dropping the oldest
+    beyond _CACHE_SLOTS: `_cache`'s one writer but for `_rounds`' touch of
+    a record it has read.  Threads may drop a record early, never fail."""
+    _cache.pop(triple, None)
     _cache[triple] = record
-    _cache.move_to_end(triple)
     if len(_cache) > _CACHE_SLOTS:
         _cache.popitem(last=False)
 
 
 def _record(params: GroupParams, m: int, kernel: str, slots: int, limit: int) -> dict:
-    """A new cache record for the group, made the most recently used: its
-    class count, and no kernel's rounds yet.  Refused before the classes
+    """A new cache record for the group, for `_rounds` to store: its class
+    count, and no kernel's rounds yet.  Refused before the classes
     are counted when a lower bound on them (and so on the orbits) needs
     more cells than `limit`, at `slots` cells a class."""
     # G(r,s,n) has 2^(k-1) classes or more, for the largest k with
@@ -103,9 +107,7 @@ def _record(params: GroupParams, m: int, kernel: str, slots: int, limit: int) ->
     least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
     if least > limit:
         raise _refusal(kernel, params, m, f"at least {least}", limit)
-    record = {"class_count": class_count(params)}
-    _keep(params.triple, record)
-    return record
+    return {"class_count": class_count(params)}
 
 
 def _orbit_count(record: dict, params: GroupParams, m: int, slots: int, limit: int) -> int:
@@ -115,34 +117,43 @@ def _orbit_count(record: dict, params: GroupParams, m: int, slots: int, limit: i
     cells than `limit`, at `slots` cells an orbit, and as soon as the
     orbits found do."""
     if "orbits" not in record:
-        cells = record["class_count"] * slots
-        if cells > limit:
-            raise _refusal("dp_orbits", params, m, f"at least {cells}", limit)
-        record["orbits"] = _kernels_pure.orbit_graph(*params.triple, limit // slots)
+        most, classes = limit // slots, record["class_count"]
+        graph = classes <= most and _kernels_pure.orbit_graph(*params.triple, most)
+        if not graph:
+            least = max(classes, most + 1) * slots
+            raise _refusal("dp_orbits", params, m, f"at least {least}", limit)
+        record["orbits"] = graph
     return len(record["orbits"][0])
 
 
-def _rounds(params: GroupParams, m: int, kernel: str, max_dp_cells: int | None) -> list:
+def _rounds(
+    params: GroupParams, m: int, kernel: str, max_dp_cells: int | None, with_record: bool = False
+):
     """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
-    over the group, kept under that name in the group's record, which
-    every cached count is read from.  The record becomes the most
-    recently used (see `_keep`), and the cells the kernel keeps up to m
-    are checked against the budget, read by `cell_budget`, before the
-    rounds are read or run: per class, or per state orbit for the
+    over the group, kept under that name in the group's record, and first
+    the record if `with_record` (a tuple on every call costs a hit about
+    30 ns).  The caller reads only what it is handed, which no thread
+    changes.  The record becomes the newest: moved to the end if the
+    cache holds it, else stored by `_keep`.  The cells the kernel keeps
+    up to m are checked against the budget, read by `cell_budget`, before
+    the rounds are read or run: per class, or per state orbit for the
     connected DP, one slot in each of rounds 0..m, or j+1 in round j for
     the refined and connected DPs in a group with diagonal reflections.
     So rounds already kept cost one cache get, the LRU touch and one
     budget compare.  A new record is refused by `_record`'s lower bound,
-    and the orbit graph is built by `_orbit_count`.  Cached rounds that
-    stop short of m are extended from the last one; a refused count runs
-    no round and leaves them as they were.  The kernel is looked up at
-    call time, so a rebinding of the module's name is seen."""
+    and the orbit graph is built by `_orbit_count`.  Rounds that stop
+    short of m are replaced by a longer list (a slower thread may put a
+    shorter one back); a refused count runs no round.  The kernel is
+    looked up at call time, so a rebinding of the module's name is seen."""
     limit = cell_budget(max_dp_cells)
     slots = m + 1
     if kernel != "dp_total" and params.q > 1:
         slots = slots * (m + 2) // 2
     record = _cache.get(params.triple) or _record(params, m, kernel, slots, limit)
-    _cache.move_to_end(params.triple)
+    try:
+        _cache.move_to_end(params.triple)
+    except KeyError:  # a new record, or one another thread has dropped
+        _keep(params.triple, record)
     if kernel == "dp_orbits":
         units = _orbit_count(record, params, m, slots, limit)
     else:
@@ -153,7 +164,7 @@ def _rounds(params: GroupParams, m: int, kernel: str, max_dp_cells: int | None) 
     if rounds is None or len(rounds) <= m:
         group = (record["orbits"],) if kernel == "dp_orbits" else params.triple
         rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, rounds, m)
-    return rounds
+    return (record, rounds) if with_record else rounds
 
 
 def count_all(w: GroupElement, m: int, max_dp_cells: int | None = None) -> int:
@@ -267,14 +278,10 @@ def count_connected_total_enum(
 
 def _binomial_convolve(a: list[int], b: list[int], m: int) -> list[int]:
     """c[j] = sum over j1 of C(j, j1) a[j1] b[j-j1], truncated at m."""
-    out = [0] * (m + 1)
-    for j in range(m + 1):
-        out[j] = sum(
-            math.comb(j, j1) * a[j1] * b[j - j1]
-            for j1 in range(j + 1)
-            if a[j1] and b[j - j1]
-        )
-    return out
+    return [
+        sum(math.comb(j, j1) * a[j1] * b[j - j1] for j1 in range(j + 1) if a[j1] and b[j - j1])
+        for j in range(m + 1)
+    ]
 
 
 def connected_totals(w: GroupElement, max_m: int, max_dp_cells: int | None = None) -> list[int]:
@@ -291,14 +298,14 @@ def connected_from_all(w: GroupElement, m: int, max_dp_cells: int | None = None)
     two or more independent blocks with connected factorizations.  The
     connected count is a class function too, so each group's memo maps a
     colored cycle type to its counts for m = 0, 1, ..., which a call at a
-    larger m extends in place; a caller that needs several m asks
-    `connected_totals` once."""
+    larger m replaces with a longer list; a caller that needs several m
+    asks `connected_totals` once."""
     return _invert(w, m, max_dp_cells)[m]
 
 
 def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
     """The inversion memo's list of w's connected counts for m' = 0, 1,
-    ..., extended in place to m or beyond; callers must not change it.
+    ..., m or beyond; callers must not change it.
 
     The recursion on the block B that holds the first cycle c1 of a class
     key (the exponential formula): the connected counts of the key are its
@@ -308,27 +315,24 @@ def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
     cycle types of C(mult, k) ways, and a B whose colors do not sum to 0
     mod s has no factorization of its own.  Every group G(r,s,k) the
     recursion reads, w's own first, is held from its first use to the end
-    of the call, so its budget is checked once and the cache cannot drop
-    it midway; w's group is then made the cache's newest again."""
+    of the call as the record and rounds `_rounds` handed over, so its
+    budget is checked once and neither the cache nor another thread can
+    drop or shorten it midway; w's group is then made the newest again."""
     json_count(m, "m")
     p = w.params
-    r, s = p.r, p.s
     held: dict = {}
 
-    def group(n: int) -> dict:
-        """The cache record of G(r,s,n), with dp_total rounds 0..m and an
-        inversion memo."""
+    def group(n: int) -> tuple:
+        """G(r,s,n)'s record, inversion memo and dp_total rounds 0..m (or more)."""
         if n not in held:
-            sub = p if n == p.n else GroupParams(r, s, n)  # p is checked already
-            _rounds(sub, m, "dp_total", max_dp_cells)
-            held[n] = _cache[sub.triple]  # _rounds has just made it the newest
-            held[n].setdefault("connected_from_all", {})
+            sub = p if n == p.n else GroupParams(p.r, p.s, n)  # p is checked already
+            record, rounds = _rounds(sub, m, "dp_total", max_dp_cells, True)
+            held[n] = record, record.setdefault("connected_from_all", {}), rounds
         return held[n]
 
     def connected(key, n: int) -> list[int]:
-        record = group(n)
-        rounds = record["dp_total"]
-        counts = record["connected_from_all"].setdefault(key, [])
+        _, memo, rounds = group(n)
+        counts = memo.get(key, [])
         start = len(counts)
         if start > m:
             return counts
@@ -340,18 +344,18 @@ def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
                 block += (cycle,) * k
                 rest += (cycle,) * (mult - k)
                 ways *= math.comb(mult, k)
-            if not rest or sum(color for _, color in block) % s:
+            if not rest or sum(color for _, color in block) % p.s:
                 continue  # B is the whole key, or has no factorization
             size = sum(length for length, _ in block)
             inner = connected(block, size)
-            rest_rounds = group(n - size)["dp_total"]
+            rest_rounds = group(n - size)[2]
             outer = [rest_rounds[j][rest][0] for j in range(m + 1)]
             joined = _binomial_convolve(inner, outer, m)
             for j in range(start, m + 1):
                 new[j - start] -= ways * joined[j]
-        counts.extend(new)
+        counts = memo[key] = counts + new
         return counts
 
     counts = connected(w.class_key, p.n)
-    _keep(p.triple, held[p.n])
+    _keep(p.triple, held[p.n][0])
     return counts

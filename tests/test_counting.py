@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -338,7 +339,7 @@ def test_connected_dp_budget_bounds_live_states():
     # is searched (55 // 4 = 13 orbits), 56 runs.
     clear_caches()
     w = identity(GroupParams(1, 1, 4))
-    with pytest.raises(ResourceLimitError, match="more than 13 state orbits"):
+    with pytest.raises(ResourceLimitError, match=r"up to m=3 needs at least 56 cells \(limit 55\)$"):
         count_connected_total_enum(w, 3, max_dp_cells=55)
     assert "orbits" not in counting._cache[(1, 1, 4)]
     assert count_connected_total_enum(w, 3, max_dp_cells=56) == connected_from_all(w, 3)
@@ -533,6 +534,52 @@ def test_cache_evicts_the_least_recently_used_group():
     assert list(counting._cache)[-2:] == [groups[9].triple, (1, 1, 6)]
     assert len(counting._cache) == 16
     clear_caches()
+
+
+def test_concurrent_counts_agree_with_one_thread():
+    # 4 threads count over 18 groups, more than the cache's 16, so records
+    # are evicted and replaced while other threads read them; every kernel
+    # runs, the orbit DP up to n = 4, where its graph builds in a millisecond
+    ws = [identity(GroupParams(r, 1, n)) for r in (1, 2) for n in range(1, 10)]
+    queries = [
+        lambda w: count_all(w, 2),
+        lambda w: connected_from_all(w, 2),
+        *(lambda w, m2=m2: count_refined(w, 2 - m2, m2) for m2 in range(3)),
+        lambda w: count_connected_total_enum(w, 2),
+    ]
+    jobs = [(w, query) for w in ws for query in queries[: 6 if w.params.n <= 4 else 5]]
+    clear_caches()
+    expected = [query(w) for w, query in jobs]
+    picks = [random.Random(seed).choices(range(len(jobs)), k=800) for seed in range(4)]
+    got = [[] for _ in picks]
+
+    def run(i):
+        for j in picks[i]:
+            w, query = jobs[j]
+            try:
+                got[i].append(query(w))
+            except Exception as exc:
+                got[i].append(exc)
+
+    interval = sys.getswitchinterval()
+    clear_caches()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(picks))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+        clear_caches()
+    wrong = [
+        (jobs[j][0].params, j, value)
+        for pick, values in zip(picks, got)
+        for j, value in zip(pick, values)
+        if value != expected[j]
+    ]
+    assert wrong == [] and list(map(len, got)) == [800] * 4
 
 
 def test_warm_cache_never_bypasses_the_budget():

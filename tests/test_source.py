@@ -387,3 +387,34 @@ def test_counts_read_the_class_key_from_the_element():
             ):
                 found.append(f"{name}:{node.lineno} calls class_key")
     assert found == []
+
+
+def test_counting_cache_has_one_owner():
+    # `counting._keep` alone inserts, reorders and evicts a record, but for
+    # `_rounds`' touch of a record it has just read, and `_invert` replaces
+    # a memo list rather than extend it: a count holds only what `_rounds`
+    # handed it, so threads share the cache with no lock
+    tree = ast.parse((SRC / "counting.py").read_text(encoding="utf-8"))
+    owners = {"_keep", "clear_caches"}
+    inside = {}  # id(node) -> the top-level function that holds it
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            inside.update((id(sub), fn.name) for sub in ast.walk(fn))
+    found = []
+    for node in ast.walk(tree):
+        owner = inside.get(id(node))
+        if owner in owners:
+            continue
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", None) == "_cache":
+            found.append(f"counting.py:{node.lineno} _cache[...]")
+        elif (
+            isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_cache"
+            and node.attr in ("move_to_end", "pop", "popitem", "clear", "setdefault", "update")
+            and not (node.attr == "move_to_end" and owner == "_rounds")
+        ):
+            found.append(f"counting.py:{node.lineno} _cache.{node.attr}")
+        elif owner == "_invert" and isinstance(node, ast.Attribute) and node.attr in (
+            "extend", "append"
+        ):
+            found.append(f"counting.py:{node.lineno} _invert .{node.attr}")
+    assert found == []
