@@ -30,7 +30,6 @@ Counts here are Python ints, so these kernels never overflow.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .groups import GroupParams
 from .indexing import GroupIndexer
@@ -94,12 +93,11 @@ def _classes(r, s, n):
     return [key for (key,) in keys], moves
 
 
-@lru_cache(maxsize=16)
 def _reversed_classes(r, s, n):
     """`_classes`' graph with each move (c2, swaps, diagonals) of c turned
     into a move (c, ...) of c2, as it is and with swaps + diagonals
     counted as swaps.  A group without diagonal reflections (r = s) has
-    no diagonal moves, so both are one graph.  Memoized per group."""
+    no diagonal moves, so both are one graph; the caller keeps them."""
     keys, moves = _classes(r, s, n)
     back = [[] for _ in keys]
     for c, row in enumerate(moves):
@@ -111,26 +109,28 @@ def _reversed_classes(r, s, n):
     return (keys, back), (keys, merged)
 
 
-# Each kernel takes the earlier rounds before m, so m is the fifth argument
-# of dp_total and dp_refined, where perfbench's tracer reads it by position.
+# A class kernel's fourth argument is its state (graphs or None to search them, rounds before m),
+# returned as (graphs, rounds 0..m); r, s, n and m stay where perfbench's tracer reads them.
 
 
-def dp_total(r, s, n, rounds, m):
+def dp_total(r, s, n, state, m):
     """rounds[j][key] = (N_j(key),), the number of j-tuples of reflections
     whose product (rightmost factor applied first) has colored cycle
     type key, for j <= m.  R is closed under inverses, so
     N_j(g) = sum over t in R of N_(j-1)(t*g): `dp_orbits` over the
     reversed class graph, with each move's swaps and diagonals in one
-    slot, extending `rounds` as it does."""
-    return dp_orbits(_reversed_classes(r, s, n)[1], rounds, m)
+    slot, extending the state's rounds as it does."""
+    graphs = state[0] or _reversed_classes(r, s, n)
+    return graphs, dp_orbits(graphs[1], state[1], m)
 
 
-def dp_refined(r, s, n, rounds, m):
+def dp_refined(r, s, n, state, m):
     """rounds[j][key][m2] for j <= m: the j-tuples whose product has
     colored cycle type key and which hold m2 diagonal factors, by
     `dp_orbits` as in `dp_total`; one slot when the group has no
     diagonal reflections."""
-    return dp_orbits(_reversed_classes(r, s, n)[0], rounds, m)
+    graphs = state[0] or _reversed_classes(r, s, n)
+    return graphs, dp_orbits(graphs[0], state[1], m)
 
 
 def orbit_graph(r, s, n, max_orbits):

@@ -27,14 +27,14 @@ reads every smaller group the element's blocks need, which the cache
 may have dropped).
 
 Both DPs are `_kernels_pure.dp_orbits` over a graph of colored cycle
-types, which `_kernels_pure` builds by the cut-and-join rules and never
-from group elements; every kept round maps a key to its counts by m2.
-One cache holds, for the 16 groups used most recently, the rounds 0..m
-of every DP, which a count at a larger m extends from the last one, the
-orbit graph, and the inversion's memo, which holds no more counts than
-the class DP's rounds beside it.  `_keep` alone inserts, reorders and
-evicts a record, and nothing a record holds changes once stored: a
-longer list replaces a shorter one.  A count reads only the record and
+types, built by the cut-and-join rules, never from group elements; every
+kept round maps a key to its counts by m2.  One cache, `_cache`, holds
+all group state for the 16 groups used most recently: class and orbit
+graphs, every DP's rounds, which a count at a larger m extends, and the
+inversion's memo.  `_keep` alone inserts, reorders and evicts a record,
+and nothing a record holds changes once stored: a longer list replaces a
+shorter one, and of two threads that both search a group's class graphs,
+equal ones, the last write wins.  A count reads only the record and
 rounds `_rounds` handed it, so threads may count at once under the GIL
 with no lock.  Every entry point given an element reads its class key
 from the element, `GroupElement.class_key`, which an element computes
@@ -68,15 +68,14 @@ from .indexing import class_count
 # GroupParams.triple -> {name: what that function keeps of the group}: the
 # rounds of each `_kernels_pure` kernel and connected_from_all's memo (a
 # class key's connected counts for m = 0, 1, ..., no more than the rounds
-# of dp_total beside it); also what the budget checks read: the group's
-# class count, and under "orbits" the connected DP's orbit graph.  Least
-# recently used group first.
+# of dp_total beside it); under "classes" the class kernels' graphs; also
+# what the budget checks read: the group's class count, and under
+# "orbits" the connected DP's orbit graph.  Least recently used first.
 _cache: OrderedDict = OrderedDict()
 _CACHE_SLOTS = 16
 
 
 def clear_caches() -> None:
-    _kernels_pure._reversed_classes.cache_clear()
     _cache.clear()
 
 
@@ -141,10 +140,11 @@ def _rounds(
     the refined and connected DPs in a group with diagonal reflections.
     So rounds already kept cost one cache get, the LRU touch and one
     budget compare.  A new record is refused by `_record`'s lower bound,
-    and the orbit graph is built by `_orbit_count`.  Rounds that stop
-    short of m are replaced by a longer list (a slower thread may put a
-    shorter one back); a refused count runs no round.  The kernel is
-    looked up at call time, so a rebinding of the module's name is seen."""
+    the orbit graph is built by `_orbit_count`, and the class graphs a
+    class kernel searched are kept in the record beside its rounds.  Rounds
+    that stop short of m are replaced by a longer list (a slower thread
+    may put a shorter one back); a refused count runs no round.  The
+    kernel is looked up at call time, so a rebinding is seen."""
     limit = cell_budget(max_dp_cells)
     slots = m + 1
     if kernel != "dp_total" and params.q > 1:
@@ -162,8 +162,12 @@ def _rounds(
         raise _refusal(kernel, params, m, units * slots, limit)
     rounds = record.get(kernel)
     if rounds is None or len(rounds) <= m:
-        group = (record["orbits"],) if kernel == "dp_orbits" else params.triple
-        rounds = record[kernel] = getattr(_kernels_pure, kernel)(*group, rounds, m)
+        run = getattr(_kernels_pure, kernel)
+        if kernel == "dp_orbits":
+            rounds = record[kernel] = run(record["orbits"], rounds, m)
+        else:
+            graphs, rounds = run(*params.triple, (record.get("classes"), rounds), m)
+            record["classes"], record[kernel] = graphs, rounds
     return (record, rounds) if with_record else rounds
 
 
@@ -177,9 +181,9 @@ def count_refined(w: GroupElement, m1: int, m2: int, max_dp_cells: int | None = 
     """Number of (m1+m2)-tuples multiplying to w with exactly m2 diagonal
     factors (and m1 swap factors)."""
     m1, m2 = json_count(m1, "m1"), json_count(m2, "m2")
-    rounds = _rounds(w.params, m1 + m2, "dp_refined", max_dp_cells)
-    # a group without diagonal reflections keeps the m2 = 0 slot only
-    slots = rounds[m1 + m2][w.class_key]
+    # a group without diagonal reflections has the m2 = 0 slot only: the totals
+    kernel = "dp_refined" if w.params.q > 1 else "dp_total"
+    slots = _rounds(w.params, m1 + m2, kernel, max_dp_cells)[m1 + m2][w.class_key]
     return slots[m2] if m2 < len(slots) else 0
 
 
@@ -235,12 +239,13 @@ def class_sizes(params: GroupParams, max_m: int, max_dp_cells: int | None = None
     first, and its rounds run: its graph has an orbit for every class, so
     the budget bounds the class search too.  Class sizes that do not sum
     to the group order raise ConsistencyError."""
-    _rounds(params, json_count(max_m, "max_m"), "dp_orbits", max_dp_cells)
-    keys = _kernels_pure._reversed_classes(*params.triple)[0][0]
-    sizes = {key: _class_size(params, key) for key in keys}
+    record, _ = _rounds(params, json_count(max_m, "max_m"), "dp_orbits", max_dp_cells, True)
+    if "classes" not in record:  # searched as a class kernel would, and kept for it
+        record["classes"] = _kernels_pure._reversed_classes(*params.triple)
+    sizes = {key: _class_size(params, key) for key in record["classes"][0][0]}
     if sum(sizes.values()) != params.group_order():
         raise ConsistencyError(
-            f"the {len(keys)} classes of {params} hold {sum(sizes.values())} elements, "
+            f"the {len(sizes)} classes of {params} hold {sum(sizes.values())} elements, "
             f"not {params.group_order()}"
         )
     return sizes

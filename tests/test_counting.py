@@ -474,18 +474,21 @@ def test_total_dp_extends_cached_rounds(monkeypatch, kernel):
         clear_caches()
         expected.append([query(w, m) for w in elements])
     clear_caches()
-    if kernel == "dp_orbits":
-        group = (_kernels_pure.orbit_graph(p.r, p.s, p.n, 10**7),)
+    # a class kernel takes and returns (graphs, rounds); dp_orbits the rounds
+    classes = kernel != "dp_orbits"
+    if classes:
+        group, state = (p.r, p.s, p.n), (None, None)
     else:
-        group = (p.r, p.s, p.n)
-    full = getattr(_kernels_pure, kernel)(*group, None, 5)
+        group, state = (_kernels_pure.orbit_graph(p.r, p.s, p.n, 10**7),), None
+    full = getattr(_kernels_pure, kernel)(*group, state, 5)
+    full = full[1] if classes else full
     built = []
     original = getattr(_kernels_pure, kernel)
 
     def recording(*args):
-        rounds = original(*args)
-        built.extend(rounds)
-        return rounds
+        result = original(*args)
+        built.extend(result[1] if classes else result)
+        return result
 
     monkeypatch.setattr(_kernels_pure, kernel, recording)
     for m in range(6):
@@ -501,10 +504,10 @@ def test_refined_dp_keeps_one_row_without_diagonal_reflections():
     clear_caches()
     p = GroupParams(1, 1, 4)
     w = identity(p)
-    rounds = _kernels_pure.dp_refined(1, 1, 4, None, 6)
+    _, rounds = _kernels_pure.dp_refined(1, 1, 4, (None, None), 6)
     assert [len(table) for table in rounds] == [class_count(p)] * 7
     assert all(len(slots) == 1 for table in rounds for slots in table.values())
-    assert rounds == _kernels_pure.dp_total(1, 1, 4, None, 6)
+    assert rounds == _kernels_pure.dp_total(1, 1, 4, (None, None), 6)[1]
     cells = class_count(p) * 41
     with pytest.raises(ResourceLimitError):
         count_refined(w, 40, 0, max_dp_cells=cells - 1)
@@ -513,6 +516,22 @@ def test_refined_dp_keeps_one_row_without_diagonal_reflections():
     for v in all_elements(GroupParams(1, 1, 3)):
         total, _ = brute_counts(v, 3)
         assert [count_refined(v, 3 - m2, m2) for m2 in range(4)] == [total.get(0, 0), 0, 0, 0]
+    clear_caches()
+
+
+@pytest.mark.parametrize("r,s,n,m", [(1, 1, 8, 10), (3, 3, 4, 6)])
+def test_groups_without_diagonal_reflections_keep_one_class_table(r, s, n, m):
+    # with r = s every refined count is a total at m2 = 0: count_refined
+    # reads the dp_total rounds, and the record keeps no second, equal table
+    clear_caches()
+    p = GroupParams(r, s, n)
+    elements = [class_representative(p, key) for key in _kernels_pure._classes(r, s, n)[0]]
+    totals = {w: [count_all(w, j) for j in range(m + 1)] for w in elements}
+    for w in elements:
+        for j in range(m + 1):
+            expected = [totals[w][j]] + [0] * j
+            assert [count_refined(w, j - m2, m2) for m2 in range(j + 1)] == expected
+    assert "dp_refined" not in counting._cache[p.triple]
     clear_caches()
 
 
@@ -533,6 +552,35 @@ def test_cache_evicts_the_least_recently_used_group():
         connected_from_all(identity(GroupParams(1, 1, 6)), 1)
     assert list(counting._cache)[-2:] == [groups[9].triple, (1, 1, 6)]
     assert len(counting._cache) == 16
+    clear_caches()
+
+
+def test_a_hot_record_keeps_its_class_graph(monkeypatch):
+    # a group's class graphs live in its record, so a record that hits keep
+    # fresh also keeps its graphs: extending its rounds searches no graph,
+    # while 16 other groups pass through the cache
+    clear_caches()
+    searches = []
+    original = _kernels_pure._classes
+
+    def recording(r, s, n):
+        searches.append((r, s, n))
+        return original(r, s, n)
+
+    monkeypatch.setattr(_kernels_pure, "_classes", recording)
+    hot = identity(GroupParams(2, 1, 4))
+    others = [GroupParams(1, 1, n) for n in range(1, 9)]
+    others += [GroupParams(r, s, n) for r, s in ((3, 1), (4, 2)) for n in range(1, 5)]
+    assert len(others) == 16
+    value = count_all(hot, 2)
+    for p in others:
+        count_all(identity(p), 1)
+        assert count_all(hot, 2) == value
+    count_all(hot, 3)
+    assert searches.count((2, 1, 4)) == 1
+    clear_caches()  # no graph survives anywhere else
+    count_all(hot, 3)
+    assert searches.count((2, 1, 4)) == 2
     clear_caches()
 
 

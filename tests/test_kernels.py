@@ -219,7 +219,7 @@ def test_class_dp_covers_every_colored_cycle_type(r, s, n):
     elements = list(all_elements(params))
     keys = {class_key(w.perm, w.exps, r) for w in elements}
     assert len(keys) == class_count(params)
-    assert set(dp_total(r, s, n, None, 0)[0]) == keys
+    assert set(dp_total(r, s, n, (None, None), 0)[1][0]) == keys
     # the class graph's moves hold for every element of each class, not
     # only for the representative the search found
     classes, moves = _classes(r, s, n)
@@ -244,7 +244,8 @@ def test_class_dp_rounds_sum_over_the_group(r, s, n):
     diagonals = sum(is_diag for is_diag, _, _, _ in refl)
     swaps = len(refl) - diagonals
     size = {key: _class_size(params, key) for key in _classes(r, s, n)[0]}
-    totals, refined = dp_total(r, s, n, None, 6), dp_refined(r, s, n, None, 6)
+    totals = dp_total(r, s, n, (None, None), 6)[1]
+    refined = dp_refined(r, s, n, (None, None), 6)[1]
     for j in range(7):
         assert sum(size[key] * slots[0] for key, slots in totals[j].items()) == len(refl) ** j
         for m2 in range(j + 1):

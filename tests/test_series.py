@@ -197,13 +197,17 @@ def test_comparison_mismatches_checks_every_element_and_split_in_order(monkeypat
 
 
 def test_comparison_sweep_refuses_classes_that_miss_elements(monkeypatch):
+    # graphs live in the group's record: one left by an earlier count would
+    # bypass the patched search
     params = GroupParams(3, 1, 2)
     (keys, back), merged = _reversed_classes(*params.triple)
+    counting.clear_caches()
     monkeypatch.setattr(
         _kernels_pure, "_reversed_classes", lambda r, s, n: ((keys[:-1], back), merged)
     )
     with pytest.raises(ConsistencyError, match="classes of G.* hold \\d+ elements, not 18"):
         comparison_mismatches(params, 2)
+    counting.clear_caches()
 
 
 def test_comparison_sweep_checks_the_budget_before_the_class_search(monkeypatch):

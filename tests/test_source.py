@@ -418,3 +418,61 @@ def test_counting_cache_has_one_owner():
         ):
             found.append(f"counting.py:{node.lineno} _invert .{node.attr}")
     assert found == []
+
+
+def test_group_state_lives_in_one_cache():
+    # counting's records hold every group's state and `clear_caches` empties
+    # them alone: `functools.lru_cache` and `functools.cache` memoize only
+    # two small pure functions of values, and `_kernels_pure` keeps nothing
+    memos = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names, modules = set(), set()  # local names of the memoizers, of functools
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                memoizers = [a for a in node.names if a.name in ("lru_cache", "cache")]
+                names |= {a.asname or a.name for a in memoizers}
+            elif isinstance(node, ast.Import):
+                modules |= {a.asname or a.name for a in node.names if a.name == "functools"}
+        decorated = {
+            id(getattr(d, "func", d)): f"{path.stem}.{fn.name}"
+            for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for d in fn.decorator_list
+        }
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Name) and node.id in names
+                or isinstance(node, ast.Attribute) and node.attr in ("lru_cache", "cache")
+                and getattr(node.value, "id", None) in modules
+            ):
+                memos.append(decorated.get(id(node), f"{path.name}:{node.lineno}"))
+    assert sorted(memos) == ["groups._vertices", "polyfit._arrangements"]
+
+    kernels = ast.parse((SRC / "_kernels_pure.py").read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(kernels):
+        if isinstance(node, ast.Import) and any(a.name == "functools" for a in node.names) \
+                or isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found.append(f"_kernels_pure.py:{node.lineno} imports functools")
+        elif isinstance(node, ast.Global):
+            found.append(f"_kernels_pure.py:{node.lineno} rebinds {', '.join(node.names)}")
+    containers = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+    for node in kernels.body:
+        value = getattr(node, "value", None)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+            isinstance(value, containers)
+            or isinstance(value, ast.Call) and getattr(value.func, "id", None) in (
+                "dict", "list", "set", "OrderedDict", "defaultdict"
+            )
+        ):
+            found.append(f"_kernels_pure.py:{node.lineno} binds a module-level container")
+    assert found == []
+
+    counting = ast.parse((SRC / "counting.py").read_text(encoding="utf-8"))
+    (clear,) = [
+        fn for fn in counting.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "clear_caches"
+    ]
+    calls = [ast.unparse(node) for node in ast.walk(clear) if isinstance(node, ast.Call)]
+    assert calls == ["_cache.clear()"]
