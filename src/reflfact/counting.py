@@ -29,16 +29,18 @@ may have dropped).
 Both DPs are `_kernels_pure.dp_orbits` over a graph of colored cycle
 types, built by the cut-and-join rules, never from group elements; every
 kept round maps a key to its counts by m2.  One cache, `_cache`, holds
-all group state for the 16 groups used most recently: class and orbit
-graphs, every DP's rounds, which a count at a larger m extends, and the
-inversion's memo.  `_keep` alone inserts, reorders and evicts a record,
-and nothing a record holds changes once stored: a longer list replaces a
-shorter one, and of two threads that both search a group's class graphs,
-equal ones, the last write wins.  A count reads only the record and
-rounds `_rounds` handed it, so threads may count at once under the GIL
-with no lock.  Every entry point given an element reads its class key
-from the element, `GroupElement.class_key`, which an element computes
-once and a whole-group sweep fills, so a cached count is a key lookup.
+all group state: class and orbit graphs, every DP's rounds, which a
+count at a larger m extends, and the inversion's memo.  It keeps every
+group until a kernel run would leave it over that count's budget in
+round cells (not graphs or the memo), and is then emptied first.  Only
+`_keep` writes it, and it inserts or empties; nothing a record holds
+changes once stored: a longer list replaces a shorter one, and of two
+threads that both search a group's class graphs, equal ones, the last
+write wins.  A count reads only what `_rounds` handed it, so threads may
+count at once under the GIL with no lock.  Every entry point given an
+element reads its class key from the element, `GroupElement.class_key`,
+which an element computes once and a whole-group sweep fills, so a
+cached count is a key lookup.
 
 Every entry point that counts takes `max_dp_cells`, the cells a DP's
 kept rounds may hold, which `_rounds` reads by `groups.cell_budget`
@@ -54,7 +56,6 @@ arbitrary-precision integers.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from itertools import chain, groupby, product
 
 from . import _kernels_pure
@@ -66,13 +67,11 @@ from .indexing import class_count
 
 
 # GroupParams.triple -> {name: what that function keeps of the group}: the
-# rounds of each `_kernels_pure` kernel and connected_from_all's memo (a
-# class key's connected counts for m = 0, 1, ..., no more than the rounds
-# of dp_total beside it); under "classes" the class kernels' graphs; also
-# what the budget checks read: the group's class count, and under
-# "orbits" the connected DP's orbit graph.  Least recently used first.
-_cache: OrderedDict = OrderedDict()
-_CACHE_SLOTS = 16
+# rounds of each `_kernels_pure` kernel, their cells under "cells", and
+# connected_from_all's memo (a class key's connected counts for m = 0, 1,
+# ..., no more than the rounds of dp_total beside it); the class kernels'
+# graphs under "classes", the connected DP's under "orbits"; the class count.
+_cache: dict = {}
 
 
 def clear_caches() -> None:
@@ -86,19 +85,19 @@ def _refusal(kernel: str, params: GroupParams, m: int, cells, limit: int):
     )
 
 
-def _keep(triple, record: dict) -> None:
-    """Store `record` under `triple` as the newest, dropping the oldest
-    beyond _CACHE_SLOTS: `_cache`'s one writer but for `_rounds`' touch of
-    a record it has read.  Threads may drop a record early, never fail."""
-    _cache.pop(triple, None)
+def _keep(triple, record: dict, limit: int) -> None:
+    """Store `record` under `triple`, first emptying the cache if the other
+    records' round cells and its own would exceed `limit`."""
+    # summed over a copy, which no other thread's insert can change midway
+    held = sum(sum(other["cells"].values()) for t, other in list(_cache.items()) if t != triple)
+    if held + sum(record["cells"].values()) > limit:
+        _cache.clear()
     _cache[triple] = record
-    if len(_cache) > _CACHE_SLOTS:
-        _cache.popitem(last=False)
 
 
 def _record(params: GroupParams, m: int, kernel: str, slots: int, limit: int) -> dict:
     """A new cache record for the group, for `_rounds` to store: its class
-    count, and no kernel's rounds yet.  Refused before the classes
+    count, and no kernel's rounds or cells yet.  Refused before the classes
     are counted when a lower bound on them (and so on the orbits) needs
     more cells than `limit`, at `slots` cells a class."""
     # G(r,s,n) has 2^(k-1) classes or more, for the largest k with
@@ -106,7 +105,7 @@ def _record(params: GroupParams, m: int, kernel: str, slots: int, limit: int) ->
     least = 2 ** ((math.isqrt(8 * params.n + 1) - 1) // 2 - 1) * slots
     if least > limit:
         raise _refusal(kernel, params, m, f"at least {least}", limit)
-    return {"class_count": class_count(params)}
+    return {"class_count": class_count(params), "cells": {}}
 
 
 def _orbit_count(record: dict, params: GroupParams, m: int, slots: int, limit: int) -> int:
@@ -130,30 +129,24 @@ def _rounds(
 ):
     """Rounds 0..m (or more) of the `_kernels_pure` kernel named `kernel`
     over the group, kept under that name in the group's record, and first
-    the record if `with_record` (a tuple on every call costs a hit about
-    30 ns).  The caller reads only what it is handed, which no thread
-    changes.  The record becomes the newest: moved to the end if the
-    cache holds it, else stored by `_keep`.  The cells the kernel keeps
-    up to m are checked against the budget, read by `cell_budget`, before
-    the rounds are read or run: per class, or per state orbit for the
-    connected DP, one slot in each of rounds 0..m, or j+1 in round j for
-    the refined and connected DPs in a group with diagonal reflections.
-    So rounds already kept cost one cache get, the LRU touch and one
-    budget compare.  A new record is refused by `_record`'s lower bound,
-    the orbit graph is built by `_orbit_count`, and the class graphs a
-    class kernel searched are kept in the record beside its rounds.  Rounds
-    that stop short of m are replaced by a longer list (a slower thread
-    may put a shorter one back); a refused count runs no round.  The
-    kernel is looked up at call time, so a rebinding is seen."""
+    the record if `with_record`.  The caller reads only what it is handed,
+    which no thread changes.  The cells the kernel keeps up to m are
+    checked against the budget, read by `cell_budget`, before the rounds
+    are read or run: per class, or per state orbit for the connected DP,
+    one slot in each of rounds 0..m, or j+1 in round j for the refined and
+    connected DPs in a group with diagonal reflections.  So a hit costs one
+    cache get and one budget compare, and writes nothing.  A new record is
+    refused by `_record`'s lower bound, and the orbit graph is built by
+    `_orbit_count`.  A kernel run replaces rounds that stop short of m by a
+    longer list (a slower thread may put a shorter one back), keeps it with
+    the class graphs it searched and its cells in the record, and hands
+    the record to `_keep`; a refused count runs no round and stores
+    nothing.  The kernel is looked up at call time, so a rebinding is seen."""
     limit = cell_budget(max_dp_cells)
     slots = m + 1
     if kernel != "dp_total" and params.q > 1:
         slots = slots * (m + 2) // 2
     record = _cache.get(params.triple) or _record(params, m, kernel, slots, limit)
-    try:
-        _cache.move_to_end(params.triple)
-    except KeyError:  # a new record, or one another thread has dropped
-        _keep(params.triple, record)
     if kernel == "dp_orbits":
         units = _orbit_count(record, params, m, slots, limit)
     else:
@@ -168,6 +161,8 @@ def _rounds(
         else:
             graphs, rounds = run(*params.triple, (record.get("classes"), rounds), m)
             record["classes"], record[kernel] = graphs, rounds
+        record["cells"] = {**record["cells"], kernel: units * slots}
+        _keep(params.triple, record, limit)
     return (record, rounds) if with_record else rounds
 
 
@@ -322,21 +317,21 @@ def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
     recursion reads, w's own first, is held from its first use to the end
     of the call as the record and rounds `_rounds` handed over, so its
     budget is checked once and neither the cache nor another thread can
-    drop or shorten it midway; w's group is then made the newest again."""
+    drop or shorten it midway; a budget that empties the cache drops the memo."""
     json_count(m, "m")
     p = w.params
     held: dict = {}
 
     def group(n: int) -> tuple:
-        """G(r,s,n)'s record, inversion memo and dp_total rounds 0..m (or more)."""
+        """G(r,s,n)'s inversion memo and dp_total rounds 0..m (or more)."""
         if n not in held:
             sub = p if n == p.n else GroupParams(p.r, p.s, n)  # p is checked already
             record, rounds = _rounds(sub, m, "dp_total", max_dp_cells, True)
-            held[n] = record, record.setdefault("connected_from_all", {}), rounds
+            held[n] = record.setdefault("connected_from_all", {}), rounds
         return held[n]
 
     def connected(key, n: int) -> list[int]:
-        _, memo, rounds = group(n)
+        memo, rounds = group(n)
         counts = memo.get(key, [])
         start = len(counts)
         if start > m:
@@ -353,7 +348,7 @@ def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
                 continue  # B is the whole key, or has no factorization
             size = sum(length for length, _ in block)
             inner = connected(block, size)
-            rest_rounds = group(n - size)[2]
+            rest_rounds = group(n - size)[1]
             outer = [rest_rounds[j][rest][0] for j in range(m + 1)]
             joined = _binomial_convolve(inner, outer, m)
             for j in range(start, m + 1):
@@ -361,6 +356,4 @@ def _invert(w: GroupElement, m: int, max_dp_cells: int | None) -> list[int]:
         counts = memo[key] = counts + new
         return counts
 
-    counts = connected(w.class_key, p.n)
-    _keep(p.triple, held[p.n][0])
-    return counts
+    return connected(w.class_key, p.n)

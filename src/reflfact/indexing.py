@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 
 from .errors import ValidationError
-from .groups import GroupElement, GroupParams, class_key, permutation_cycles
+from .groups import GroupElement, GroupParams, class_key, json_int, permutation_cycles
 
 
 def perm_rank(perm0: list[int]) -> int:
@@ -148,11 +148,18 @@ def class_representative(params: GroupParams, key) -> GroupElement:
     """An element of G(r,s,n) = params with colored cycle type key, the
     inverse of `class_key`: the cycles laid out on consecutive vertices
     v+1 -> v+2 -> ... -> v+L -> v+1, each cycle's color on its first
-    vertex.  A key that names no class of the group is refused by
-    `GroupElement`'s validation."""
+    vertex.  A key that names no class of the group raises
+    ValidationError: each pair is read by `json_int`, each length must fit
+    in what is left of n, and `GroupElement` checks the colors and n."""
     perm, exps = [], []
-    for length, color in key:
+    for pair in key:
+        try:
+            length, color = map(json_int, pair)
+        except (TypeError, ValueError) as exc:  # a ValidationError too
+            raise ValidationError(f"class key {key!r}: {pair!r} is no (length, color)") from exc
         v = len(perm) + 1
+        if not 0 < length <= params.n + 1 - v:
+            raise ValidationError(f"class key {key!r}: lengths must be >= 1 and sum to {params.n}")
         perm += range(v + 1, v + length)
         perm.append(v)
         exps += [color] + [0] * (length - 1)

@@ -42,6 +42,7 @@ from reflfact.counting import (
 from reflfact import _kernels_pure, counting
 from reflfact._kernels_pure import enum_bucketed
 from reflfact.indexing import GroupIndexer, class_count, class_key, class_representative
+from reflfact.polyfit import collect_samples
 
 from conftest import (
     CONFIGS,
@@ -194,8 +195,8 @@ def test_inversion_of_the_s9_identity_at_genus_one():
 
 
 def test_inversion_builds_each_group_once(monkeypatch):
-    # the identity of S_20 reads the totals of S_1..S_20, more groups than
-    # the cache keeps: each is held for the whole call, not rebuilt
+    # the identity of S_20 reads the totals of S_1..S_20: each is held for
+    # the whole call, not rebuilt
     clear_caches()
     built = []
     original = _kernels_pure.dp_total
@@ -208,7 +209,7 @@ def test_inversion_builds_each_group_once(monkeypatch):
     w = identity(GroupParams(1, 1, 20))
     value = connected_from_all(w, 38)
     assert sorted(built) == list(range(1, 21))
-    assert list(counting._cache)[-1] == (1, 1, 20)  # kept though read first
+    assert (1, 1, 20) in counting._cache  # kept though read first
     assert connected_from_all(w, 38) == value and len(built) == 20  # a memo hit
     clear_caches()
 
@@ -341,7 +342,7 @@ def test_connected_dp_budget_bounds_live_states():
     w = identity(GroupParams(1, 1, 4))
     with pytest.raises(ResourceLimitError, match=r"up to m=3 needs at least 56 cells \(limit 55\)$"):
         count_connected_total_enum(w, 3, max_dp_cells=55)
-    assert "orbits" not in counting._cache[(1, 1, 4)]
+    assert "orbits" not in counting._cache.get((1, 1, 4), {})  # a refusal stores nothing
     assert count_connected_total_enum(w, 3, max_dp_cells=56) == connected_from_all(w, 3)
     assert len(counting._cache[(1, 1, 4)]["orbits"][0]) == 14
     clear_caches()
@@ -535,23 +536,43 @@ def test_groups_without_diagonal_reflections_keep_one_class_table(r, s, n, m):
     clear_caches()
 
 
-def test_cache_evicts_the_least_recently_used_group():
+def test_the_cache_holds_every_group_within_the_budget():
+    # 17 groups at m = 1 hold far fewer round cells than the default
+    # budget: all stay.  S_9's 30 classes keep 30 * 3 = 90 cells over
+    # rounds 0..2: refused at a budget of 89, which stores nothing, and at
+    # 90 they would leave the cache over that budget, so it is emptied first
     clear_caches()
     groups = [GroupParams(1, 1, n) for n in range(1, 9)]
     groups += [GroupParams(2, 1, n) for n in range(1, 6)]
     groups += [GroupParams(3, 1, n) for n in range(1, 5)]
     assert len(set(groups)) == 17
-    for p in groups[:16]:
+    for p in groups:
         count_all(identity(p), 1)
-    count_all(identity(groups[0]), 1)  # the oldest becomes the most recent
-    count_all(identity(groups[16]), 1)  # a 17th group drops groups[1]
-    assert list(counting._cache) == [p.triple for p in groups[2:16] + [groups[0], groups[16]]]
-    # two groups alternating, as S_n and G(r,s,n) do in comparison_mismatches
-    for _ in range(3):
-        count_all(identity(groups[9]), 1)
-        connected_from_all(identity(GroupParams(1, 1, 6)), 1)
-    assert list(counting._cache)[-2:] == [groups[9].triple, (1, 1, 6)]
-    assert len(counting._cache) == 16
+    assert sorted(counting._cache) == sorted(p.triple for p in groups)
+    s9 = identity(GroupParams(1, 1, 9))
+    with pytest.raises(ResourceLimitError, match=r"up to m=2 needs 90 cells \(limit 89\)$"):
+        count_all(s9, 2, 89)
+    assert len(counting._cache) == 17
+    count_all(s9, 2, 90)
+    assert list(counting._cache) == [(1, 1, 9)]
+    clear_caches()
+
+
+def test_a_sweep_past_16_groups_searches_each_class_graph_once(monkeypatch):
+    # the fit samples of S_2..S_18 read the totals of every S_k, k <= 18,
+    # through the inversion: 18 groups, all within the budget, so each
+    # group's class graphs are searched once
+    clear_caches()
+    searches = []
+    original = _kernels_pure._classes
+
+    def recording(r, s, n):
+        searches.append((r, s, n))
+        return original(r, s, n)
+
+    monkeypatch.setattr(_kernels_pure, "_classes", recording)
+    collect_samples(1, 1, 0, 2, True, range(2, 19))
+    assert sorted(searches) == [(1, 1, k) for k in range(1, 19)]
     clear_caches()
 
 
@@ -585,15 +606,18 @@ def test_a_hot_record_keeps_its_class_graph(monkeypatch):
 
 
 def test_concurrent_counts_agree_with_one_thread():
-    # 4 threads count over 18 groups, more than the cache's 16, so records
-    # are evicted and replaced while other threads read them; every kernel
-    # runs, the orbit DP up to n = 4, where its graph builds in a millisecond
+    # 4 threads count over 18 groups under a budget of 2000 cells: every
+    # job fits (the largest, count_refined on G(2,1,9) at m = 2, keeps
+    # 1800), all of them together do not, so the cache is emptied while
+    # other threads read it; every kernel runs, the orbit DP up to n = 4,
+    # where its graph builds in a millisecond
     ws = [identity(GroupParams(r, 1, n)) for r in (1, 2) for n in range(1, 10)]
+    cells = 2000
     queries = [
-        lambda w: count_all(w, 2),
-        lambda w: connected_from_all(w, 2),
-        *(lambda w, m2=m2: count_refined(w, 2 - m2, m2) for m2 in range(3)),
-        lambda w: count_connected_total_enum(w, 2),
+        lambda w: count_all(w, 2, cells),
+        lambda w: connected_from_all(w, 2, cells),
+        *(lambda w, m2=m2: count_refined(w, 2 - m2, m2, cells) for m2 in range(3)),
+        lambda w: count_connected_total_enum(w, 2, cells),
     ]
     jobs = [(w, query) for w in ws for query in queries[: 6 if w.params.n <= 4 else 5]]
     clear_caches()

@@ -213,6 +213,22 @@ def test_class_representative_inverts_class_key(r, s, n):
         assert rep.params == params and class_key(rep.perm, rep.exps, r) == key
 
 
+@pytest.mark.parametrize("triple,key", [
+    ((1, 1, 3), [(0, 0)] * 3),  # three empty cycles would lay out the identity
+    ((1, 1, 5), [(-1, 0), (4, 0)]),  # a negative length would lay out a 1-cycle
+    ((2, 1, 3), "ab"),
+    ((2, 1, 3), [(1, 0, 0), (2, 0)]),
+    ((2, 1, 3), [3]),
+    ((2, 1, 3), [(True, 0), (2, 0)]),
+    ((2, 1, 3), [(10**12, 0)]),  # refused before a cycle of that length is laid out
+    ((2, 1, 3), [(1, 0), (2, 2)]),
+    ((2, 2, 3), [(1, 0), (2, 1)]),
+])
+def test_class_representative_refuses_a_key_naming_no_class(triple, key):
+    with pytest.raises(ValidationError):
+        class_representative(GroupParams(*triple), key)
+
+
 @pytest.mark.parametrize("r,s,n", CONFIGS + [(6, 2, 3)])
 def test_class_dp_covers_every_colored_cycle_type(r, s, n):
     params = GroupParams(r, s, n)

@@ -390,10 +390,9 @@ def test_counts_read_the_class_key_from_the_element():
 
 
 def test_counting_cache_has_one_owner():
-    # `counting._keep` alone inserts, reorders and evicts a record, but for
-    # `_rounds`' touch of a record it has just read, and `_invert` replaces
-    # a memo list rather than extend it: a count holds only what `_rounds`
-    # handed it, so threads share the cache with no lock
+    # `counting._keep` alone inserts a record or empties the cache, and
+    # `_invert` replaces a memo list rather than extend it: a count holds
+    # only what `_rounds` handed it, so threads share the cache with no lock
     tree = ast.parse((SRC / "counting.py").read_text(encoding="utf-8"))
     owners = {"_keep", "clear_caches"}
     inside = {}  # id(node) -> the top-level function that holds it
@@ -410,7 +409,6 @@ def test_counting_cache_has_one_owner():
         elif (
             isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "_cache"
             and node.attr in ("move_to_end", "pop", "popitem", "clear", "setdefault", "update")
-            and not (node.attr == "move_to_end" and owner == "_rounds")
         ):
             found.append(f"counting.py:{node.lineno} _cache.{node.attr}")
         elif owner == "_invert" and isinstance(node, ast.Attribute) and node.attr in (
